@@ -378,8 +378,8 @@ BENCHMARK(BM_TraceRead);
  * fans replay the same trace many times), and it is what the
  * transport choice affects: the stream path re-reads and re-copies
  * every chunk payload per replay, the mmap path decodes in place.
- * BM_ReplayStream / BM_ReplayMmap / BM_ReplayMmapCrcOnce differ only
- * in ReaderOptions — same trace, same counting sink.
+ * BM_ReplayStream / BM_ReplayMmap differ only in ReaderOptions —
+ * same trace, same counting sink.
  */
 void
 replayTransportRow(benchmark::State &state, const ReaderOptions &opts,
@@ -406,8 +406,7 @@ replayTransportRow(benchmark::State &state, const ReaderOptions &opts,
     TraceReader reader(path, opts);
     {
         // Warm-up replay: touches every page of the mapping (or warms
-        // the stream buffer) and, under CrcMode::Once, performs the
-        // one full CRC pass that promotes the file to trusted.
+        // the stream buffer).
         CountingSink counter;
         reader.replayInto(counter);
     }
@@ -439,15 +438,6 @@ BM_ReplayMmap(benchmark::State &state)
                        "replay-mmap");
 }
 BENCHMARK(BM_ReplayMmap);
-
-/** Steady state of the CRC trust ladder: chunk CRC passes elided. */
-void
-BM_ReplayMmapCrcOnce(benchmark::State &state)
-{
-    replayTransportRow(state, {TraceIo::Mmap, CrcMode::Once},
-                       "replay-mmap-once");
-}
-BENCHMARK(BM_ReplayMmapCrcOnce);
 
 /**
  * The shm-ring transport end to end: a producer thread encodes ops
@@ -569,8 +559,8 @@ BENCHMARK(BM_ReplaySimCpuBatch);
 /**
  * The paper's Section 5.4 capacity sweep as a replay sink: ten cache
  * rungs x three streams per op make it the heaviest sink in any
- * replay, which is exactly what the batch path's line-id precompute,
- * set-MRU repeat memos and rung-parallel fan-out attack.
+ * replay, which is what the batch path's line-id precompute, run-
+ * length compression and per-cache fan-out attack.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)
@@ -609,7 +599,7 @@ BENCHMARK(BM_ReplaySweepParallel)->UseRealTime();
  * into the Mattson stack-distance profile, then every rung of the
  * fig6 ladder is a histogram walk (sim/stack_distance.hh). Runs
  * strictly serial (workers = 1) and is still expected to beat the
- * rung-parallel sharded sweep above on wall clock — that is the
+ * rung-parallel sweep above on wall clock — that is the
  * tentpole claim, and the perf gate pins both rows.
  */
 void
@@ -629,27 +619,6 @@ BM_MrcSinglePass(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(ops_read));
 }
 BENCHMARK(BM_MrcSinglePass)->UseRealTime();
-
-/**
- * The sweep's batch path in isolation — no file decode — with the
- * full worker fan-out, so the set-range rung splitting shows up
- * directly: without it the 4-8 MB rungs serialize the ladder's tail
- * behind a single worker.
- */
-void
-BM_SweepRungSplit(benchmark::State &state)
-{
-    auto ops = dispatchStream(64 * 1024);
-    unsigned workers = replayWorkers(benchJobs());
-    for (auto _ : state) {
-        FootprintSweep sweep(paperSweepSizesKb(), 8, 64, workers);
-        dispatchBatched(sweep, ops);
-        benchmark::DoNotOptimize(sweep.instructions());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * ops.size()));
-}
-BENCHMARK(BM_SweepRungSplit)->UseRealTime();
 
 /**
  * The multi-config replay runner on the shared pool: one trace, four
@@ -678,11 +647,9 @@ BENCHMARK(BM_ReplayConfigsPooled)->UseRealTime();
  * Multi-sink tee replay: one decode pass fanned out to a fast counter,
  * the mix tally, the full machine model and the capacity sweep — the
  * record-once/measure-everything pipeline the figure benches run.
- * `workers` 0 is the sequential fan-out; > 0 is the double-buffered
- * pipelined fan-out.
  */
 void
-teeReplayRow(benchmark::State &state, unsigned workers)
+BM_ReplayTeeSeq(benchmark::State &state)
 {
     TraceReader reader(replayBenchTrace());
     uint64_t ops_read = 0;
@@ -691,7 +658,7 @@ teeReplayRow(benchmark::State &state, unsigned workers)
         CountingSink counter;
         SimCpu cpu(xeonE5645());
         FootprintSweep sweep(paperSweepSizesKb());
-        TeeSink tee(workers);
+        TeeSink tee;
         tee.addSink(&mix);
         tee.addSink(&counter);
         tee.addSink(&cpu);
@@ -702,20 +669,7 @@ teeReplayRow(benchmark::State &state, unsigned workers)
     }
     state.SetItemsProcessed(static_cast<int64_t>(ops_read));
 }
-
-void
-BM_ReplayTeeSeq(benchmark::State &state)
-{
-    teeReplayRow(state, 0);
-}
 BENCHMARK(BM_ReplayTeeSeq);
-
-void
-BM_ReplayTeePipelined(benchmark::State &state)
-{
-    teeReplayRow(state, 2);
-}
-BENCHMARK(BM_ReplayTeePipelined)->UseRealTime();
 
 void
 BM_Pca45Metrics(benchmark::State &state)

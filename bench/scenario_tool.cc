@@ -63,7 +63,7 @@ usage()
            "  --io=M         trace transport: auto (default; mmap\n"
            "                 when available), stream, mmap\n"
            "  --verify-crc=M chunk CRC policy on replay: always\n"
-           "                 (default), once, never\n";
+           "                 (default), never\n";
     return 2;
 }
 
@@ -372,7 +372,7 @@ cmdRun(int argc, char **argv)
             ReaderOptions ropts = defaultReaderOptions();
             if (!parseCrcMode(v7, ropts.crc))
                 wcrt_fatal("unknown --verify-crc '", v7,
-                           "' (always, once or never)");
+                           "' (always or never)");
             setDefaultReaderOptions(ropts);
         } else
             return usage();

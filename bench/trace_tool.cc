@@ -18,9 +18,9 @@
  *                       [--jobs=N] [--timeout-ms=T]
  *
  * Every command also accepts `--io=auto|stream|mmap` and
- * `--verify-crc=always|once|never`, which set the process-wide
+ * `--verify-crc=always|never`, which set the process-wide
  * ReaderOptions before any trace is opened (see
- * tracefile/trace_source.hh for the trust ladder).
+ * tracefile/trace_source.hh for the CRC policy).
  *
  * `record` executes one roster workload and captures its op stream;
  * `stats` prints the header/footer accounting, chunk layout,
@@ -117,9 +117,7 @@ usage()
            "  --io=M          trace transport for any command: auto\n"
            "                  (default; mmap when available), stream,\n"
            "                  mmap\n"
-           "  --verify-crc=M  chunk CRC policy: always (default), once\n"
-           "                  (skip re-verifying traces this process\n"
-           "                  already validated), never\n"
+           "  --verify-crc=M  chunk CRC policy: always (default), never\n"
            "  (run any bench binary with --list for workload names)\n";
     return 2;
 }
@@ -817,7 +815,7 @@ main(int argc, char **argv)
                                               argc, argv, i)) {
             if (!parseCrcMode(v2, opts.crc))
                 wcrt_fatal("unknown --verify-crc '", v2,
-                           "' (always, once or never)");
+                           "' (always or never)");
         } else {
             args.push_back(argv[i]);
         }

@@ -41,24 +41,6 @@ WorkerPool::shared()
 }
 
 WorkerPool::Ticket
-WorkerPool::submit(size_t count, Job job)
-{
-    auto task = std::make_shared<Task>();
-    task->job = std::move(job);
-    task->count = count;
-    task->remaining.store(count, std::memory_order_relaxed);
-    if (count == 0)
-        return task;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        queue.push_back(task);
-    }
-    if (!pool.empty())
-        workReady.notify_all();
-    return task;
-}
-
-WorkerPool::Ticket
 WorkerPool::submitBounded(size_t count, unsigned pool_claims, Job job)
 {
     auto task = std::make_shared<Task>();

@@ -3,31 +3,27 @@
  * Persistent worker pool with caller-participating completion waits.
  *
  * Every parallel path in the toolkit needs the same machinery:
- * TeeSink fans one block out to N children, FootprintSweep fans one
- * block out to rung-stream shards, and the replay runners fan N
- * independent trace replays out over the machine. Each submits a task
- * of `count` independent indices; pool threads and the waiting caller
- * claim indices from a shared atomic counter, so the submitter never
- * idles while work remains and a pool of zero threads degenerates to
- * plain sequential execution on the caller.
- *
- * A submitted task is represented by a Ticket. wait() blocks until
- * every index of that ticket has finished executing — not merely been
- * claimed — which is what lets users treat a ticket as a per-batch
- * completion latch (TeeSink keeps two block tickets in flight and
- * waits the older one before reusing its storage).
+ * FootprintSweep fans one block out to its (rung, stream) caches,
+ * StackDistanceProfile to its three streams, and the replay runners
+ * fan N independent trace replays out over the machine. Each runs a
+ * task of `count` independent indices through runBounded(); pool
+ * threads and the calling thread claim indices from a shared atomic
+ * counter, so the caller never idles while work remains and a pool of
+ * zero threads degenerates to plain sequential execution on the
+ * caller. runBounded() returns once every index has finished
+ * executing — not merely been claimed.
  *
  * One process-wide pool (shared(), lazily built with
  * hardwareWorkers() - 1 threads) serves every replay entry point, so
  * no measured path pays per-call thread spawn/join churn. Callers
- * that must honour a user-facing worker cap (--jobs=N) submit
- * bounded tickets: the ticket carries a budget of pool-thread claim
+ * that must honour a user-facing worker cap (--jobs=N) pass it as
+ * runBounded()'s cap: the task carries a budget of pool-thread claim
  * slots, so at most `cap - 1` pool threads join the always-helping
  * caller regardless of how wide the shared pool is.
  *
- * Nesting is deadlock-free by construction: wait() always helps with
- * the awaited ticket's own indices before sleeping, so a pool thread
- * that submits a sub-task from inside a job (a capacity sweep running
+ * Nesting is deadlock-free by construction: the caller always helps
+ * with its own task's indices before sleeping, so a pool thread that
+ * runs a sub-task from inside a job (a capacity sweep running
  * inside a pooled replay) makes progress on that sub-task itself and
  * only sleeps once every index is claimed by threads that are
  * actively executing them.
@@ -40,7 +36,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -57,30 +52,10 @@ class WorkerPool
     /** Work item: called once per index in [0, count). */
     using Job = std::function<void(size_t)>;
 
-    /** One submitted task; shared by submitter and workers. */
-    struct Task
-    {
-        Job job;
-        size_t count = 0;
-        std::atomic<size_t> next{0};       //!< next unclaimed index
-        std::atomic<size_t> remaining{0};  //!< indices not yet finished
-        /**
-         * Pool-thread claim budget (the bounded-claim ticket). Every
-         * pool thread must win one slot before it may execute indices
-         * of this task; the waiting submitter is exempt and always
-         * participates. Defaults to effectively unbounded.
-         */
-        std::atomic<unsigned> slots{
-            std::numeric_limits<unsigned>::max()};
-    };
-
-    /** Handle for waiting on a submitted task. */
-    using Ticket = std::shared_ptr<Task>;
-
-    /** @param workers Pool threads; 0 = all work runs in wait(). */
+    /** @param workers Pool threads; 0 = all work runs on the caller. */
     explicit WorkerPool(unsigned workers);
 
-    /** Joins the threads. Outstanding tickets must be waited first. */
+    /** Joins the threads. */
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -106,17 +81,44 @@ class WorkerPool
     static WorkerPool &shared();
 
     /**
-     * Queue `job` to run once per index in [0, count) and return
-     * without waiting. The job must be safe to call concurrently for
-     * distinct indices.
+     * Run `job` once per index in [0, count) and return when every
+     * index has finished. The job must be safe to call concurrently
+     * for distinct indices. The task runs on at most `cap` concurrent
+     * executors, one of which is the calling thread; `cap <= 1`
+     * therefore runs strictly serially on the caller.
      */
-    Ticket submit(size_t count, Job job);
+    void
+    runBounded(size_t count, unsigned cap, Job job)
+    {
+        wait(submitBounded(count, cap > 0 ? cap - 1 : 0,
+                           std::move(job)));
+    }
+
+  private:
+    /** One submitted task; shared by submitter and workers. */
+    struct Task
+    {
+        Job job;
+        size_t count = 0;
+        std::atomic<size_t> next{0};       //!< next unclaimed index
+        std::atomic<size_t> remaining{0};  //!< indices not yet finished
+        /**
+         * Pool-thread claim budget (the bounded-claim ticket). Every
+         * pool thread must win one slot before it may execute indices
+         * of this task; the waiting submitter is exempt and always
+         * participates.
+         */
+        std::atomic<unsigned> slots{0};
+    };
+
+    /** Handle for waiting on a submitted task. */
+    using Ticket = std::shared_ptr<Task>;
 
     /**
-     * submit() with a bounded-claim ticket: at most `pool_claims`
+     * Queue `job` with a bounded-claim ticket: at most `pool_claims`
      * pool threads will ever execute indices of this task, however
-     * wide the pool is. The submitting caller is expected to wait()
-     * (and thereby help), so the observed concurrency is at most
+     * wide the pool is. The caller must then wait() (and thereby
+     * help), so the observed concurrency is at most
      * `pool_claims + 1`. `pool_claims == 0` queues nothing for the
      * pool threads; wait() runs the whole task on the caller.
      */
@@ -136,27 +138,6 @@ class WorkerPool
      */
     void wait(const Ticket &t);
 
-    /** submit() + wait(): run the task to completion now. */
-    void
-    run(size_t count, Job job)
-    {
-        wait(submit(count, std::move(job)));
-    }
-
-    /**
-     * submitBounded() + wait() with user-facing cap semantics: the
-     * task runs on at most `cap` concurrent executors, one of which
-     * is the calling thread. `cap <= 1` therefore runs strictly
-     * serially on the caller.
-     */
-    void
-    runBounded(size_t count, unsigned cap, Job job)
-    {
-        wait(submitBounded(count, cap > 0 ? cap - 1 : 0,
-                           std::move(job)));
-    }
-
-  private:
     void workerLoop();
 
     /** Claim and run one index of `t`; false when fully claimed. */

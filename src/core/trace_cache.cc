@@ -7,7 +7,6 @@
 #include "base/table.hh"
 #include "tracefile/capture.hh"
 #include "tracefile/trace_reader.hh"
-#include "tracefile/trace_source.hh"
 
 namespace wcrt {
 
@@ -68,9 +67,6 @@ TraceCache::ensure(const std::string &key, double scale,
     }
     WorkloadPtr workload = make();
     captureTrace(*workload, file, scale);
-    // The bytes were produced (and CRC'd) by this process just now, so
-    // CrcMode::Once replays can skip re-verifying them.
-    markTraceVerified(file);
     if (captured)
         *captured = true;
     return file;

@@ -47,25 +47,9 @@ Cache::prefetch(uint64_t addr)
 }
 
 bool
-Cache::Shard::accessLine(uint64_t line, bool is_write)
-{
-    ++accessDelta;
-    bool hit = owner->touchLineTicked(line, is_write, localTick);
-    if (!hit)
-        ++missDelta;
-    return hit;
-}
-
-bool
 Cache::touchLine(uint64_t line, bool is_write)
 {
-    return touchLineTicked(line, is_write, tick);
-}
-
-bool
-Cache::touchLineTicked(uint64_t line, bool is_write, uint64_t &tick_ref)
-{
-    ++tick_ref;
+    ++tick;
     // Non-power-of-two set counts (e.g. the E5645's 12288-set L3) use
     // modulo indexing (see setOfLine); the full line id is the tag.
     uint32_t set = setOfLine(line);
@@ -76,7 +60,7 @@ Cache::touchLineTicked(uint64_t line, bool is_write, uint64_t &tick_ref)
     for (uint32_t w = 0; w < cfg.assoc; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == tag) {
-            way.lastUse = tick_ref;
+            way.lastUse = tick;
             way.dirty = way.dirty || is_write;
             return true;
         }
@@ -89,7 +73,7 @@ Cache::touchLineTicked(uint64_t line, bool is_write, uint64_t &tick_ref)
 
     victim->valid = true;
     victim->tag = tag;
-    victim->lastUse = tick_ref;
+    victim->lastUse = tick;
     victim->dirty = is_write;
     return false;
 }

@@ -35,68 +35,6 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * A set-partitioned view for parallel tag walks over one cache.
-     *
-     * LRU state is relative within one set, so walks that touch
-     * disjoint set ranges of the same cache are independent: several
-     * shards may run concurrently as long as no two of them access
-     * lines mapping to the same set. Each shard carries its own
-     * recency clock — seeded from the cache's clock at beginShard(),
-     * advanced privately — and its own access/miss/credit deltas, so
-     * concurrent shards never write shared counters. merge() folds a
-     * shard back in; after every shard of a walk is merged (in any
-     * order), the cache's statistics and all future hit/miss
-     * behaviour are bit-identical to a single sequential walk of the
-     * same per-set access sequences.
-     */
-    class Shard
-    {
-      public:
-        Shard() = default;
-
-        /** accessLine() against the owner, accumulating locally. */
-        bool accessLine(uint64_t line, bool is_write = false);
-
-        /** creditRepeatHits() accumulated locally. */
-        void creditRepeatHits(uint64_t n) { accessDelta += n; }
-
-        /** The cache this shard walks (geometry queries). */
-        const Cache &cache() const { return *owner; }
-
-      private:
-        friend class Cache;
-
-        Cache *owner = nullptr;
-        uint64_t localTick = 0;
-        uint64_t accessDelta = 0;
-        uint64_t missDelta = 0;
-    };
-
-    /** A fresh shard whose recency clock starts at the cache's. */
-    Shard
-    beginShard()
-    {
-        Shard s;
-        s.owner = this;
-        s.localTick = tick;
-        return s;
-    }
-
-    /**
-     * Fold a shard's statistics back in and advance the recency clock
-     * past every value the shard handed out. Call sequentially, after
-     * all concurrent shard walks of the batch have finished.
-     */
-    void
-    merge(const Shard &s)
-    {
-        if (s.localTick > tick)
-            tick = s.localTick;
-        nAccesses += s.accessDelta;
-        nMisses += s.missDelta;
-    }
-
-    /**
      * Access one line-aligned address.
      *
      * @param addr Byte address; the containing line is accessed.
@@ -183,15 +121,6 @@ class Cache
   private:
     /** Lookup/fill without statistics; @return true on hit. */
     bool touchLine(uint64_t line, bool is_write);
-
-    /**
-     * touchLine against an external recency clock (shard walks). Only
-     * the within-set ordering of `tick_ref` values matters, so a
-     * shard clock seeded from the cache's and advanced privately
-     * reproduces sequential LRU behaviour exactly on its sets.
-     */
-    bool touchLineTicked(uint64_t line, bool is_write,
-                         uint64_t &tick_ref);
 
     struct Way
     {

@@ -1,47 +1,9 @@
 #include "sim/footprint.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "base/logging.hh"
 #include "base/worker_pool.hh"
 
 namespace wcrt {
-
-namespace {
-
-/**
- * Shard sizing for the set-range rung split. Splitting flattens the
- * big-rung tail of the ladder, but every shard re-scans the full run
- * list to filter its sets, so the width must earn its keep: a rung is
- * split just enough that each shard's slice of the tag array fits a
- * host-L2-sized budget (small rungs, whose tags are already
- * cache-resident, stay unsplit), and a batch whose run list is short
- * caps the width further so the per-shard re-scan never dominates.
- */
-constexpr uint64_t kShardTagBudgetBytes = 256 * 1024;
-
-/** Approximate per-line tag/metadata bytes in the Cache model. */
-constexpr uint64_t kTagEntryBytes = 16;
-
-/** Minimum compressed runs per shard before another way pays off. */
-constexpr size_t kMinRunsPerShard = 512;
-
-/** Set-range shards a rung's tag-array footprint alone justifies. */
-unsigned
-waysForTagFootprint(uint64_t sets, uint32_t assoc, unsigned max_ways)
-{
-    uint64_t tag_bytes = sets * assoc * kTagEntryBytes;
-    uint64_t ways = (tag_bytes + kShardTagBudgetBytes - 1) /
-                    kShardTagBudgetBytes;
-    if (ways < 1)
-        ways = 1;
-    if (ways > max_ways)
-        ways = max_ways;
-    return static_cast<unsigned>(ways);
-}
-
-} // namespace
 
 std::vector<uint32_t>
 paperSweepSizesKb()
@@ -70,7 +32,7 @@ kneeCapacityKb(const std::vector<double> &curve,
 FootprintSweep::FootprintSweep(std::vector<uint32_t> sizes_kb,
                                uint32_t assoc, uint32_t line_bytes,
                                unsigned workers)
-    : sizes(std::move(sizes_kb))
+    : sizes(std::move(sizes_kb)), poolCap(workers)
 {
     if (sizes.empty())
         wcrt_fatal("footprint sweep needs at least one capacity");
@@ -81,26 +43,6 @@ FootprintSweep::FootprintSweep(std::vector<uint32_t> sizes_kb,
         dcaches.emplace_back(cfg);
         ucaches.emplace_back(cfg);
     }
-    poolCap = workers;
-    // Per-rung static split width: a rung is sharded only as far as
-    // its tag-array footprint justifies, and never wider than the
-    // worker cap (an idle shard is pure re-scan overhead).
-    maxSplit = workers > 1 ? workers : 1;
-    rungWays.reserve(sizes.size());
-    unsigned widest = 1;
-    for (size_t k = 0; k < sizes.size(); ++k) {
-        unsigned w = workers > 1 ? waysForTagFootprint(
-                                       icaches[k].sets(), assoc,
-                                       maxSplit)
-                                 : 1;
-        rungWays.push_back(w);
-        widest = std::max(widest, w);
-    }
-    maxSplit = widest;
-    iFilters.resize(sizes.size() * maxSplit);
-    dFilters.resize(sizes.size() * maxSplit);
-    uFilters.resize(sizes.size() * maxSplit);
-    lastEffWays.assign(sizes.size() * 3, 0);
     // Every rung shares the line size, so one shift serves all of
     // them (the Cache constructor has already validated power-of-two).
     lineShift = icaches.front().lineShiftBits();
@@ -109,11 +51,6 @@ FootprintSweep::FootprintSweep(std::vector<uint32_t> sizes_kb,
 void
 FootprintSweep::consume(const MicroOp &op)
 {
-    // Per-op accesses bypass the repeat memos, so any memo built by a
-    // preceding batch would go stale; forget it before touching the
-    // caches directly.
-    if (filtersLive)
-        clearFilters();
     ++ops;
     for (size_t k = 0; k < sizes.size(); ++k) {
         icaches[k].access(op.pc, false);
@@ -127,181 +64,35 @@ FootprintSweep::consume(const MicroOp &op)
 }
 
 void
-FootprintSweep::clearFilters()
-{
-    for (auto *filters : {&iFilters, &dFilters, &uFilters}) {
-        for (auto &f : *filters) {
-            f.valid[0] = 0;
-            f.valid[1] = 0;
-        }
-    }
-    filtersLive = false;
-}
-
-bool
-FootprintSweep::repeatHit(const RepeatSlots &f, uint64_t line,
-                          bool is_write)
-{
-    for (int s = 0; s < 2; ++s) {
-        if (f.valid[s] && f.line[s] == line)
-            return !is_write || f.dirty[s] != 0;
-    }
-    return false;
-}
-
-void
-FootprintSweep::noteAccess(RepeatSlots &f, uint64_t line, uint32_t set,
-                           bool is_write)
-{
-    int tgt = -1;
-    for (int s = 0; s < 2; ++s) {
-        if (f.valid[s] && f.set[s] == set) {
-            tgt = s;
-            break;
-        }
-    }
-    if (tgt < 0) {
-        tgt = !f.valid[0] ? 0 : (!f.valid[1] ? 1 : f.victim);
-    }
-    if (f.valid[tgt] && f.line[tgt] == line) {
-        // Same line walked anyway (write on a clean line): the line's
-        // dirty bit is set now.
-        f.dirty[tgt] |= is_write ? 1 : 0;
-    } else {
-        f.line[tgt] = line;
-        // Conservative: the line may have been dirty from an earlier
-        // residency, but claiming clean only costs a skip, never
-        // correctness.
-        f.dirty[tgt] = is_write ? 1 : 0;
-    }
-    f.set[tgt] = set;
-    f.valid[tgt] = 1;
-    f.victim = static_cast<uint8_t>(tgt ^ 1);
-}
-
-void
-FootprintSweep::sweepStreamShard(Cache::Shard &shard, RepeatSlots &f,
-                                 const std::vector<LineRun> &runs,
-                                 uint32_t set_lo, uint32_t set_hi)
-{
-    const Cache &c = shard.cache();
-    uint64_t credits = 0;
-    for (const LineRun &r : runs) {
-        uint32_t set = c.setOfLine(r.line);
-        if (set < set_lo || set >= set_hi)
-            continue;
-        bool is_write = r.write != 0;
-        if (repeatHit(f, r.line, is_write)) {
-            credits += r.count;
-            continue;
-        }
-        shard.accessLine(r.line, is_write);
-        noteAccess(f, r.line, set, is_write);
-        credits += r.count - 1;
-    }
-    shard.creditRepeatHits(credits);
-}
-
-void
 FootprintSweep::consumeBatch(const OpBlockView &batch)
 {
-    const size_t count = batch.count;
-    ops += count;
-    if (count == 0)
+    ops += batch.count;
+    if (batch.count == 0)
         return;
-    filtersLive = true;
     // Line-id precompute + run-length compression of the three
     // reference streams, shared with the stack-distance profile
-    // (sim/line_runs.hh), so every rung iterates runs instead of ops.
-    // The pc stream is the big winner: sequential code re-touches
-    // each line for many ops, and each re-touch is a guaranteed MRU
-    // hit in every rung. Runs split on write sense so the repeat
-    // memos can track dirty state per run.
-    runs.build(batch, lineShift, /*split_on_write=*/true);
+    // (sim/line_runs.hh). A run's tail re-touches the line its head
+    // just made MRU of its set, so every rung walks only run heads.
+    runs.build(batch, lineShift);
 
-    // Every (rung, stream) cache is independent, and within one cache
-    // the set-range shards touch disjoint sets — so all
-    // rung x stream x shard walks can run concurrently. The width of
-    // each walk is chosen per batch: the rung's static tag-footprint
-    // width, narrowed when this batch's run list is too short to feed
-    // that many shards. A width change re-partitions the set ranges,
-    // stranding the previous batch's per-shard memos, so those memos
-    // are cleared first (conservative: clearing only costs tag walks,
-    // never correctness). Tasks are built as explicit descriptors;
-    // shards are seeded serially before dispatch (each snapshots its
-    // cache's recency clock) and merged serially in task order
-    // afterwards, so the counts come out bit-identical to a
-    // sequential walk no matter how the pool schedules the middle.
-    struct ShardTask
-    {
-        size_t k;        //!< rung
-        size_t stream;   //!< 0 = instr, 1 = data, 2 = unified
-        unsigned s;      //!< shard index within the walk
-        unsigned ways;   //!< effective split width of this walk
-    };
-    std::vector<ShardTask> taskDefs;
-    taskDefs.reserve(sizes.size() * 3 * maxSplit);
-    for (size_t k = 0; k < sizes.size(); ++k) {
-        for (size_t stream = 0; stream < 3; ++stream) {
-            unsigned ways = rungWays[k];
-            unsigned fed = static_cast<unsigned>(std::max<size_t>(
-                1, runs.stream(stream).size() / kMinRunsPerShard));
-            ways = std::min(ways, fed);
-            if (lastEffWays[k * 3 + stream] != ways) {
-                std::vector<RepeatSlots> &filters =
-                    stream == 0 ? iFilters
-                    : stream == 1 ? dFilters
-                                  : uFilters;
-                for (unsigned s = 0; s < maxSplit; ++s) {
-                    RepeatSlots &f = filters[k * maxSplit + s];
-                    f.valid[0] = 0;
-                    f.valid[1] = 0;
-                }
-                lastEffWays[k * 3 + stream] = ways;
-            }
-            for (unsigned s = 0; s < ways; ++s)
-                taskDefs.push_back(ShardTask{k, stream, s, ways});
+    // Every (rung, stream) cache is independent: each task walks one
+    // whole cache, so the counts are bit-identical to a sequential
+    // walk however the pool schedules the tasks (a cap of 0 or 1 runs
+    // them all on this thread).
+    auto walk = [&](size_t task) {
+        size_t k = task / 3;
+        size_t stream = task % 3;
+        Cache &c = stream == 0   ? icaches[k]
+                   : stream == 1 ? dcaches[k]
+                                 : ucaches[k];
+        uint64_t credits = 0;
+        for (const LineRun &r : runs.stream(stream)) {
+            c.accessLine(r.line, r.write != 0);
+            credits += r.count - 1;
         }
-    }
-    const size_t tasks = taskDefs.size();
-    auto cache_at = [&](size_t j) -> Cache & {
-        const ShardTask &t = taskDefs[j];
-        switch (t.stream) {
-          case 0:
-            return icaches[t.k];
-          case 1:
-            return dcaches[t.k];
-          default:
-            return ucaches[t.k];
-        }
+        c.creditRepeatHits(credits);
     };
-    shardScratch.resize(tasks);
-    for (size_t j = 0; j < tasks; ++j)
-        shardScratch[j] = cache_at(j).beginShard();
-
-    auto rung_task = [&](size_t j) {
-        const ShardTask &t = taskDefs[j];
-        Cache::Shard &shard = shardScratch[j];
-        uint64_t sets = shard.cache().sets();
-        uint32_t lo = static_cast<uint32_t>(sets * t.s / t.ways);
-        uint32_t hi =
-            static_cast<uint32_t>(sets * (t.s + 1) / t.ways);
-        std::vector<RepeatSlots> &filters =
-            t.stream == 0 ? iFilters
-            : t.stream == 1 ? dFilters
-                            : uFilters;
-        sweepStreamShard(shard, filters[t.k * maxSplit + t.s],
-                         runs.stream(t.stream), lo, hi);
-    };
-    if (poolCap > 1) {
-        WorkerPool::shared().runBounded(tasks, poolCap, rung_task);
-    } else {
-        for (size_t j = 0; j < tasks; ++j)
-            rung_task(j);
-    }
-
-    for (size_t j = 0; j < tasks; ++j)
-        cache_at(j).merge(shardScratch[j]);
+    WorkerPool::shared().runBounded(sizes.size() * 3, poolCap, walk);
 }
 
 std::vector<double>

@@ -9,27 +9,16 @@
  * instruction and data footprint: the capacity where the curve
  * flattens is the working-set size.
  *
- * The sweep is the heaviest sink in any replay (3 x K tag walks per
- * op), so the batch path works in four stages per block: the pc and
- * memAddr arrays are shifted to line ids once up front (AVX2 where the
- * host supports it), the three reference streams are run-length
- * compressed once — consecutive accesses to the same (line, rw) are
- * guaranteed MRU hits in every rung, so only the run heads reach the
- * rung loops — each (rung, stream, shard) walk further filters
- * set-MRU repeats through a two-slot memo and credits them without a
- * tag walk, and the walks spread over the process-wide
- * WorkerPool::shared() under a bounded-claim cap. Each rung's run
- * list is additionally split into disjoint set-range shards
- * (Cache::Shard), so the largest rungs — whose tag arrays dwarf the
- * host's caches and used to serialize the ladder's tail — are walked
- * by several workers at once, with per-worker hit/miss/credit
- * accumulators merged at the rung join. The split width is adaptive:
- * each rung is sharded only as far as its tag-array footprint
- * justifies (small rungs stay unsplit), and a batch with a short run
- * list narrows the width further so the per-shard re-scan of the run
- * list never dominates the walk itself. All stages are equivalence
- * preserving: miss and access counts stay bit-identical to the
- * per-op path.
+ * The sweep is the set-associative reference oracle behind
+ * `--mrc-mode=oracle|verify`; the default MRC path is the single-pass
+ * stack-distance profile (sim/stack_distance.hh). It is kept plain on
+ * purpose: each block is shifted to line ids and run-length compressed
+ * once (sim/line_runs.hh) — consecutive accesses to one line are
+ * guaranteed MRU hits in every rung, so only run heads walk a tag
+ * array and each tail is credited as hits — and each of the 3 x K
+ * (rung, stream) caches is then walked whole, as one task on the
+ * process-wide WorkerPool::shared() when a worker cap above 1 is
+ * given. Miss and access counts stay bit-identical to the per-op path.
  */
 
 #ifndef WCRT_SIM_FOOTPRINT_HH
@@ -70,13 +59,11 @@ class FootprintSweep : public TraceSink
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: precomputes line ids for the block, run-
-     * length compresses each reference stream, then walks each
-     * (rung, stream, set-range shard) over the compressed events —
-     * one tag array at a time so its sets stay hot — skipping set-MRU
-     * repeats via the shard's creditRepeatHits(). With a worker cap
-     * above 1, the independent walks run in parallel on the shared
-     * pool and each rung's shards merge at the rung join.
+     * Batch-native path: run-length compresses the block's three
+     * reference streams once, then walks every (rung, stream) cache
+     * over the run heads and credits each run's tail via
+     * Cache::creditRepeatHits(). With a worker cap above 1 the whole-
+     * cache walks run in parallel on the shared pool.
      */
     void consumeBatch(const OpBlockView &ops) override;
 
@@ -90,78 +77,13 @@ class FootprintSweep : public TraceSink
     uint64_t instructions() const { return ops; }
 
   private:
-    /**
-     * Two-slot set-MRU repeat memo, one per (rung, stream, shard)
-     * walk — each shard owns the sets in its range outright, so its
-     * memo sees every access that could invalidate a slot. A
-     * slot records a line this cache accessed and stays valid while
-     * that line is still the MRU line of its set — i.e. until a real
-     * access touches the same set. While valid, a re-access of the
-     * line is a guaranteed hit that leaves the within-set LRU order
-     * unchanged, so it can be credited without a tag walk (a write
-     * additionally requires the line already dirty). Two slots cover
-     * the common alternation between a load stream and a store stream
-     * that a single memo would thrash on.
-     */
-    struct RepeatSlots
-    {
-        uint64_t line[2] = {0, 0};
-        uint32_t set[2] = {0, 0};
-        uint8_t dirty[2] = {0, 0};
-        uint8_t valid[2] = {0, 0};
-        uint8_t victim = 0;
-    };
-
-    /**
-     * True when `line` may skip its tag walk: it matches a slot that
-     * is still the MRU line of its set, and a write finds it already
-     * dirty (a write to a clean MRU line must walk to set the bit).
-     */
-    static bool repeatHit(const RepeatSlots &f, uint64_t line,
-                          bool is_write);
-
-    /**
-     * Record a real access in the memo. The accessed line is now the
-     * MRU line of `set`, so any slot tracking that set is repointed
-     * at it; a new set evicts the older slot.
-     */
-    static void noteAccess(RepeatSlots &f, uint64_t line, uint32_t set,
-                           bool is_write);
-
-    /**
-     * Replay the runs whose lines map into [set_lo, set_hi) of the
-     * shard's cache: walk each selected run's head through the shard,
-     * credit the guaranteed-hit tail (count - 1 MRU re-touches) and
-     * any run the memo proves is still MRU of its set. Runs are
-     * RLE'd per (line, write sense) — see sim/line_runs.hh — so the
-     * memo's dirty tracking sees a uniform sense per run.
-     */
-    static void sweepStreamShard(Cache::Shard &shard, RepeatSlots &f,
-                                 const std::vector<LineRun> &runs,
-                                 uint32_t set_lo, uint32_t set_hi);
-    void clearFilters();
-
     std::vector<uint32_t> sizes;
     std::vector<Cache> icaches;
     std::vector<Cache> dcaches;
     std::vector<Cache> ucaches;
-    //! Repeat memos, sizes.size() * maxSplit each, indexed
-    //! rung * maxSplit + shard.
-    std::vector<RepeatSlots> iFilters;
-    std::vector<RepeatSlots> dFilters;
-    std::vector<RepeatSlots> uFilters;
     unsigned poolCap = 0;  //!< executor cap on the shared pool
-    unsigned maxSplit = 1; //!< widest split any rung may use
-    //! Static per-rung split width from the rung's tag footprint.
-    std::vector<unsigned> rungWays;
-    //! Effective ways the previous batch used, per (rung, stream)
-    //! indexed rung * 3 + stream; a width change strands the old
-    //! shards' set partition, so the memos are cleared then.
-    std::vector<unsigned> lastEffWays;
-    std::vector<Cache::Shard> shardScratch;  //!< per-batch shard state
     LineRunStreams runs;  //!< per-block compressed streams + scratch
     uint32_t lineShift = 6;
-    bool filtersLive = false;  //!< memo state exists from a batch
     uint64_t ops = 0;
 };
 

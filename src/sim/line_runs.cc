@@ -65,8 +65,7 @@ shiftLines(const uint64_t *addrs, size_t count, uint32_t shift,
 }
 
 void
-LineRunStreams::build(const OpBlockView &batch, uint32_t line_shift,
-                      bool split_on_write)
+LineRunStreams::build(const OpBlockView &batch, uint32_t line_shift)
 {
     const size_t count = batch.count;
     if (pcLines.size() < count) {
@@ -79,15 +78,10 @@ LineRunStreams::build(const OpBlockView &batch, uint32_t line_shift,
     instrRuns.clear();
     dataRuns.clear();
     uniRuns.clear();
-    auto extend = [split_on_write](std::vector<LineRun> &runs,
-                                   uint64_t line, bool w) {
-        if (!runs.empty()) {
-            LineRun &back = runs.back();
-            if (back.line == line &&
-                (!split_on_write || (back.write != 0) == w)) {
-                ++back.count;
-                return;
-            }
+    auto extend = [](std::vector<LineRun> &runs, uint64_t line, bool w) {
+        if (!runs.empty() && runs.back().line == line) {
+            ++runs.back().count;
+            return;
         }
         runs.push_back(
             LineRun{line, 1, static_cast<uint8_t>(w ? 1 : 0)});

@@ -31,6 +31,7 @@ namespace wcrt {
  * (nothing intervened in this stream's access order), so every
  * consumer handles the head once and credits the tail — a guaranteed
  * hit in every cache rung, a distance-zero reuse in a stack profile.
+ * Runs merge regardless of read/write sense; `write` is the head's.
  */
 struct LineRun
 {
@@ -63,14 +64,8 @@ class LineRunStreams
      *
      * @param batch The block to compress.
      * @param line_shift log2(line size) for the address→line shift.
-     * @param split_on_write When true a run breaks where the
-     *        read/write sense changes (the sweep's repeat memos track
-     *        dirty state per run); when false consecutive accesses to
-     *        one line merge regardless of sense (a stack profile's
-     *        LRU ordering is sense-blind).
      */
-    void build(const OpBlockView &batch, uint32_t line_shift,
-               bool split_on_write);
+    void build(const OpBlockView &batch, uint32_t line_shift);
 
     const std::vector<LineRun> &instr() const { return instrRuns; }
     const std::vector<LineRun> &data() const { return dataRuns; }

@@ -206,11 +206,10 @@ StackDistanceProfile::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Distances are write-sense-blind, so runs merge across
-    // read/write alternation (split_on_write = false) — maximal
-    // compression, and the per-op order within each stream is
-    // preserved exactly.
-    runs.build(batch, lineShift, /*split_on_write=*/false);
+    // Distances are write-sense-blind, and runs merge across
+    // read/write alternation — maximal compression, with the per-op
+    // order within each stream preserved exactly.
+    runs.build(batch, lineShift);
     auto stream_task = [&](size_t s) {
         Stream &st = s == 0 ? instrStream
                      : s == 1 ? dataStream

@@ -16,10 +16,10 @@
  * histogram walk: K rungs cost one profile pass instead of K cache
  * simulations.
  *
- * The batch path reuses the sweep's shared block machinery
- * (sim/line_runs.hh): line ids are precomputed with the
- * AVX2-dispatched shift and each stream is run-length compressed
- * once, so only run heads reach the tree — the count-1 tail of a run
+ * The batch path reuses the block machinery it shares with the
+ * FootprintSweep oracle (sim/line_runs.hh): line ids are precomputed
+ * with the AVX2-dispatched shift and each stream is run-length
+ * compressed once, so only run heads reach the tree — the count-1 tail of a run
  * is a guaranteed distance-zero reuse. The three streams are
  * independent (separate stacks, maps and histograms), so with a
  * worker cap above 1 they profile in parallel on the shared pool,
@@ -30,7 +30,7 @@
  * both ways, since a loop slightly wider than the capacity thrashes
  * fully-associative LRU where an uneven set mapping retains lines.
  * The replay layer's Verify mode (tracefile/replay.hh) measures that
- * divergence against the sharded FootprintSweep oracle, and the
+ * divergence against the set-associative FootprintSweep oracle, and the
  * fully-associative equivalence is enforced bit-exactly by tests.
  */
 

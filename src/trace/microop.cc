@@ -1,13 +1,12 @@
 /**
  * @file
  * Out-of-line pieces of the micro-op transport: the AoS convenience
- * packer and the double-buffered TeeSink fan-out.
+ * packer.
  */
 
 #include "trace/microop.hh"
 
 #include <algorithm>
-#include <cstring>
 
 namespace wcrt {
 
@@ -27,121 +26,6 @@ TraceSink::consumeOps(const MicroOp *ops, size_t count)
             scratch.push(ops[i + j]);
         consumeBatch(scratch.view());
     }
-}
-
-namespace {
-
-/** Copy a view's arrays into a block, regrowing it if undersized. */
-void
-copyInto(OpBlock &dst, const OpBlockView &src)
-{
-    if (dst.capacity() < src.count)
-        dst = OpBlock(src.count);
-    std::memcpy(dst.rawKinds(), src.kinds, src.count * sizeof(OpKind));
-    std::memcpy(dst.rawPurposes(), src.purposes,
-                src.count * sizeof(IntPurpose));
-    std::memcpy(dst.rawPcs(), src.pcs, src.count * sizeof(uint64_t));
-    std::memcpy(dst.rawSizes(), src.sizes, src.count * sizeof(uint8_t));
-    std::memcpy(dst.rawMemAddrs(), src.memAddrs,
-                src.count * sizeof(uint64_t));
-    std::memcpy(dst.rawMemSizes(), src.memSizes,
-                src.count * sizeof(uint8_t));
-    std::memcpy(dst.rawTargets(), src.targets,
-                src.count * sizeof(uint64_t));
-    std::memcpy(dst.rawTakens(), src.takens, src.count * sizeof(uint8_t));
-    dst.setUsed(src.count);
-}
-
-} // namespace
-
-TeeSink::TeeSink(unsigned workers) : poolClaims(workers) {}
-
-TeeSink::~TeeSink()
-{
-    // Settle in-flight batches before the staging blocks the shared
-    // pool's workers read go away.
-    for (auto &t : inFlight) {
-        if (t)
-            WorkerPool::shared().wait(t);
-    }
-}
-
-void
-TeeSink::addSink(TraceSink *sink, bool concurrentSafe)
-{
-    if (concurrentSafe)
-        safeSinks.push_back(sink);
-    else
-        seqSinks.push_back(sink);
-}
-
-void
-TeeSink::consume(const MicroOp &op)
-{
-    drain();
-    for (auto *s : safeSinks)
-        s->consume(op);
-    for (auto *s : seqSinks)
-        s->consume(op);
-}
-
-void
-TeeSink::consumeBatch(const OpBlockView &ops)
-{
-    if (poolClaims == 0 || safeSinks.size() <= 1) {
-        for (auto *s : safeSinks)
-            s->consumeBatch(ops);
-        for (auto *s : seqSinks)
-            s->consumeBatch(ops);
-        return;
-    }
-
-    WorkerPool &pool = WorkerPool::shared();
-
-    // Stage the block so the emitter may reuse its storage the moment
-    // we return. Two slots alternate: reclaiming this slot waits on
-    // the batch from two calls ago, leaving the previous batch free
-    // to drain while we copy.
-    size_t slot = nextSlot;
-    nextSlot ^= 1;
-    if (inFlight[slot]) {
-        pool.wait(inFlight[slot]);
-        inFlight[slot].reset();
-    }
-    copyInto(stage[slot], ops);
-
-    // Per-block completion latch: every child must finish block N-1
-    // before any child sees block N, preserving each child's per-op
-    // order without serializing emission behind the slowest child.
-    size_t prev = slot ^ 1;
-    if (inFlight[prev]) {
-        pool.wait(inFlight[prev]);
-        inFlight[prev].reset();
-    }
-    inFlight[slot] = pool.submitBounded(
-        safeSinks.size(), poolClaims, [this, slot](size_t c) {
-            safeSinks[c]->consumeBatch(stage[slot].view());
-        });
-
-    // Non-thread-safe children run here, overlapping the pool's drain.
-    for (auto *s : seqSinks)
-        s->consumeBatch(ops);
-}
-
-void
-TeeSink::drain()
-{
-    for (auto &t : inFlight) {
-        if (t) {
-            WorkerPool::shared().wait(t);
-            t.reset();
-        }
-    }
-    // Children may themselves pipeline (nested tees): propagate.
-    for (auto *s : safeSinks)
-        s->drain();
-    for (auto *s : seqSinks)
-        s->drain();
 }
 
 } // namespace wcrt

@@ -18,8 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/worker_pool.hh"
-
 namespace wcrt {
 
 /** Dynamic instruction classes (Figure 1's breakdown). */
@@ -307,85 +305,35 @@ class TraceSink
      * as several batches — equivalent by the partitioning contract.
      */
     void consumeOps(const MicroOp *ops, size_t count);
-
-    /**
-     * Settle any asynchronously in-flight ops. Pipelined sinks
-     * (TeeSink with a pool) may return from consumeBatch() before
-     * their children have consumed the block; a caller that is about
-     * to read downstream state must drain() first. Sinks that wrap
-     * other sinks forward the call; synchronous sinks need nothing.
-     * Emission-side entry points (Tracer::flush, TraceReader's
-     * replayInto) drain on the caller's behalf.
-     */
-    virtual void drain() {}
 };
 
 /**
- * A sink that fans one stream out to several consumers.
- *
- * By default children are fed sequentially on the calling thread. With
- * `workers > 0` the fan-out runs on the process-wide
- * WorkerPool::shared() as bounded-claim tickets (at most `workers`
- * pool threads per block — the process owns exactly one pool),
- * double-buffered: consumeBatch() copies the block into one of two
- * internal staging slots, submits the fan-out, and returns while the
- * children are still draining — the emitter fills block N+1 while the
- * pool drains block N, so slow children (SimCpu, the footprint sweep)
- * hide behind fast ones and behind emission itself.
- * A per-block completion ticket replaces the old full barrier: block
- * N is only submitted after every child finished block N-1, so each
- * child still observes the exact per-op sequence in order.
- *
- * Children registered with `concurrentSafe = false` are always fed
- * synchronously by the calling thread. Because the pipelined path
- * returns early, read downstream state only after drain() — the
- * emission-side entry points (Tracer::flush, TraceReader::replayInto)
- * do this automatically.
- *
- * The TeeSink itself is not re-entrant: deliver to it from one thread.
+ * A sink that fans one stream out to several consumers, feeding each
+ * child every block in turn on the calling thread.
  */
 class TeeSink : public TraceSink
 {
   public:
-    /**
-     * `workers` = shared-pool claim budget per staged block; 0 = fully
-     * sequential fan-out on the calling thread.
-     */
-    explicit TeeSink(unsigned workers = 0);
-    ~TeeSink() override;
+    /** Attach another downstream sink; not owned. */
+    void addSink(TraceSink *sink) { sinks.push_back(sink); }
 
-    TeeSink(const TeeSink &) = delete;
-    TeeSink &operator=(const TeeSink &) = delete;
-
-    /**
-     * Attach another downstream sink; not owned. Children flagged
-     * `concurrentSafe = false` never leave the calling thread.
-     */
-    void addSink(TraceSink *sink, bool concurrentSafe = true);
-
-    /** Per-op fan-out; settles in-flight blocks first. */
-    void consume(const MicroOp &op) override;
+    void
+    consume(const MicroOp &op) override
+    {
+        for (auto *s : sinks)
+            s->consume(op);
+    }
 
     /** Whole blocks go to each downstream sink — no per-op fan-out. */
-    void consumeBatch(const OpBlockView &ops) override;
-
-    /** Wait for in-flight blocks, then drain the children. */
-    void drain() override;
+    void
+    consumeBatch(const OpBlockView &ops) override
+    {
+        for (auto *s : sinks)
+            s->consumeBatch(ops);
+    }
 
   private:
-    std::vector<TraceSink *> safeSinks;  //!< may run on pool threads
-    std::vector<TraceSink *> seqSinks;   //!< calling thread only
-
-    // Double buffer: consumeBatch copies the incoming view into
-    // stage[nextSlot] and tracks the outstanding fan-out per slot.
-    // inFlight[s] is the bounded-claim ticket (on the shared pool)
-    // for the batch staged in stage[s]; waiting it both releases the
-    // storage for reuse and acts as the previous block's completion
-    // latch.
-    unsigned poolClaims = 0;  //!< pool-thread budget per block
-    OpBlock stage[2];
-    WorkerPool::Ticket inFlight[2];
-    size_t nextSlot = 0;
+    std::vector<TraceSink *> sinks;
 };
 
 } // namespace wcrt

@@ -56,9 +56,6 @@ class SamplingSink : public TraceSink
      */
     void consumeBatch(const OpBlockView &ops) override;
 
-    /** Wrapper sink: settling means settling the downstream sink. */
-    void drain() override { downstream.drain(); }
-
     /** Ops seen in total. */
     uint64_t totalOps() const { return seen; }
 

@@ -45,9 +45,6 @@ void
 Tracer::flush()
 {
     deliverBlock();
-    // flush() promises the caller may read sink state: settle any
-    // blocks a pipelined sink still has in flight.
-    sink.drain();
 }
 
 void
@@ -109,8 +106,6 @@ Tracer::emit(OpKind kind, IntPurpose purpose, uint64_t mem_addr,
     f.cursor = (f.cursor + opBytes) % f.bytes;
     ++emitted;
     block.push(op);
-    // Auto-flush hands the sink the block but does not drain it: a
-    // pipelined sink keeps filling and draining overlapped.
     if (block.full())
         deliverBlock();
 }
@@ -179,7 +174,7 @@ Tracer::ret()
     uint64_t target = frames.back().returnPc;
     emit(OpKind::Return, IntPurpose::None, 0, 0, target, true);
     frames.pop_back();
-    // The run is complete once the root frame returns; drain the
+    // The run is complete once the root frame returns; deliver the
     // block so callers can read sink state without an explicit flush.
     if (frames.empty())
         flush();

@@ -55,12 +55,10 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /**
-     * Push every buffered op to the sink now and drain() it, so the
-     * sink's state is safe to read on return even when the sink
-     * pipelines (TeeSink with workers). Emission flushes automatically
-     * when the block fills (without draining — that keeps the
-     * pipeline overlapped) and when the call stack empties; use this
-     * before reading sink state while frames are still active.
+     * Push every buffered op to the sink now, so the sink's state is
+     * safe to read on return. Emission flushes automatically when the
+     * block fills and when the call stack empties; use this before
+     * reading sink state while frames are still active.
      */
     void flush();
 

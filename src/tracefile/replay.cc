@@ -133,13 +133,13 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         break;
       }
       case MrcMode::Verify: {
-        // One decode, two sinks: a synchronous tee delivers every
-        // block to both the profile and the sweep, so the comparison
-        // can never be skewed by two decodes seeing different chunk
-        // boundaries. The sinks keep their internal parallelism.
+        // One decode, two sinks: the tee delivers every block to both
+        // the profile and the sweep, so the comparison can never be
+        // skewed by two decodes seeing different chunk boundaries. The
+        // sinks keep their internal parallelism.
         StackDistanceProfile profile(line_bytes, sink_workers);
         FootprintSweep sweep(sizes_kb, assoc, line_bytes, sink_workers);
-        TeeSink tee(0);
+        TeeSink tee;
         tee.addSink(&profile);
         tee.addSink(&sweep);
         TraceReader reader(trace_path);
@@ -154,29 +154,6 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
       }
     }
     return result;
-}
-
-std::vector<double>
-replaySweepLadder(const std::string &trace_path, SweepKind kind,
-                  const std::vector<uint32_t> &sizes_kb, unsigned threads,
-                  uint32_t assoc, uint32_t line_bytes)
-{
-    if (sizes_kb.empty())
-        return {};
-
-    // One decode pass total: the sweep itself spreads its rung-stream
-    // shards over the shared worker pool per block, so a single
-    // TraceReader feeds every rung instead of each worker re-decoding
-    // the trace for its share of the ladder. The rungs' caches are
-    // independent either way, so every ratio stays bit-identical to a
-    // sequential sweep. The worker request is resolved exactly once,
-    // here, and handed to the sweep as its executor cap.
-    unsigned workers = replayWorkers(threads);
-    FootprintSweep sweep(sizes_kb, assoc, line_bytes,
-                         workers > 1 ? workers : 0);
-    TraceReader reader(trace_path);
-    reader.replayInto(sweep);
-    return sweep.missRatios(kind);
 }
 
 std::vector<CpuReport>

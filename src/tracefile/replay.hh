@@ -64,10 +64,11 @@ std::vector<CpuReport> replayOnConfigs(
  * Mattson reuse-distance profile and the whole curve — any ladder —
  * falls out of the distance histogram (fully-associative LRU;
  * sim/stack_distance.hh). ShardedOracle is the validation path: the
- * set-associative FootprintSweep, bit-exact for the paper's 8-way
- * rungs, at the cost of one tag walk per rung. Verify runs both over
- * a single decode pass and reports the maximum divergence between
- * the curves.
+ * set-associative FootprintSweep reference oracle, bit-exact for the
+ * paper's 8-way rungs, at the cost of one tag walk per rung (the
+ * enumerator keeps its historical name; the oracle walks each cache
+ * whole and no longer shards it). Verify runs both over a single
+ * decode pass and reports the maximum divergence between the curves.
  */
 enum class MrcMode : uint8_t { StackDistance, ShardedOracle, Verify };
 
@@ -82,7 +83,7 @@ bool parseMrcMode(const std::string &name, MrcMode &out);
 
 /**
  * Documented divergence bound between the fully-associative
- * stack-distance curve and the 8-way sharded oracle on the paper's
+ * stack-distance curve and the 8-way oracle on the paper's
  * ladder. The gap runs both ways: the stack curve avoids the
  * oracle's conflict misses, but a loop slightly wider than a rung
  * thrashes fully-associative LRU where an uneven set mapping still
@@ -130,26 +131,6 @@ MrcResult replaySweepLadder(const std::string &trace_path,
                             MrcMode mode, unsigned threads = 0,
                             uint32_t assoc = 8,
                             uint32_t line_bytes = 64);
-
-/**
- * Back-compat ladder replay: the ShardedOracle path — one
- * multi-capacity FootprintSweep fed by one decode pass, rung-stream
- * shards spread over the shared pool — returning just the curve.
- * Identical to replaySweepLadder(..., MrcMode::ShardedOracle).ratios.
- *
- * @param trace_path Captured trace.
- * @param kind Which reference stream to measure.
- * @param sizes_kb Capacity ladder in KB.
- * @param threads Worker cap (0 → hardware threads).
- * @param assoc Associativity of every rung (paper: 8).
- * @param line_bytes Line size (paper: 64).
- */
-std::vector<double> replaySweepLadder(const std::string &trace_path,
-                                      SweepKind kind,
-                                      const std::vector<uint32_t> &sizes_kb,
-                                      unsigned threads = 0,
-                                      uint32_t assoc = 8,
-                                      uint32_t line_bytes = 64);
 
 /**
  * Replay many traces on one machine configuration, in parallel.

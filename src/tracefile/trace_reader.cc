@@ -215,7 +215,7 @@ TraceReader::TraceReader(std::unique_ptr<TraceSource> source,
                          const std::string &display_name,
                          const ReaderOptions &options)
     : filePath(display_name), readerOpts(options),
-      src(std::move(source)), fileBacked(false)
+      src(std::move(source))
 {
     src->seek(0);
     fileSize = src->size();
@@ -278,14 +278,9 @@ uint64_t
 TraceReader::walkChunks(TraceSink *sink)
 {
     src->seek(firstChunk);
-    // The CrcMode trust ladder applies to op-chunk payloads only;
-    // header and footer CRCs are always verified. Under Once, a full
-    // checked replay promotes the file into the process-wide registry
-    // so later replays (this reader or any other) skip the CRC pass.
-    bool check_crc =
-        readerOpts.crc == CrcMode::Always ||
-        (readerOpts.crc == CrcMode::Once &&
-         !(fileBacked && traceVerifiedInProcess(filePath)));
+    // CrcMode applies to op-chunk payloads only; header and footer
+    // CRCs are always verified.
+    bool check_crc = readerOpts.crc == CrcMode::Always;
     uint64_t ops_seen = 0;
     uint64_t chunks_seen = 0;
     uint64_t payload_seen = 0;
@@ -332,8 +327,6 @@ TraceReader::walkChunks(TraceSink *sink)
                     std::to_string(ops_seen) + "): " + filePath);
             chunks = chunks_seen;
             payloadTotal = payload_seen;
-            if (sink && check_crc && fileBacked)
-                markTraceVerified(filePath);
             return ops_seen;
         }
 
@@ -401,11 +394,7 @@ TraceReader::scanFooter()
 uint64_t
 TraceReader::replayInto(TraceSink &sink)
 {
-    uint64_t n = walkChunks(&sink);
-    // Pipelined sinks (TeeSink with workers) may still hold blocks in
-    // flight; settle them so the caller can read sink state.
-    sink.drain();
-    return n;
+    return walkChunks(&sink);
 }
 
 uint64_t

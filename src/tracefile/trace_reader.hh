@@ -17,8 +17,8 @@
  * by default the file is memory-mapped and chunk payloads are decoded
  * straight out of the mapping with zero intermediate copies, with the
  * original buffered-ifstream path kept as the portable fallback.
- * ReaderOptions also selects how much per-chunk CRC work replay does
- * (the CrcMode trust ladder); the default verifies everything.
+ * ReaderOptions also selects whether replay checks per-chunk CRCs
+ * (CrcMode); the default verifies everything.
  */
 
 #ifndef WCRT_TRACEFILE_TRACE_READER_HH
@@ -52,11 +52,7 @@ class TraceReader
     /**
      * Read from an already-open source — e.g. a drained ShmSource —
      * labelled `display_name` in every error message and by path().
-     * The io policy does not apply (the transport is the source), and
-     * the verified-trace registry is never consulted or updated:
-     * trust is keyed by file identity, which a non-file source does
-     * not have, so CrcMode::Once checks every replay here exactly
-     * like Always.
+     * The io policy does not apply (the transport is the source).
      */
     TraceReader(std::unique_ptr<TraceSource> source,
                 const std::string &display_name,
@@ -113,8 +109,8 @@ class TraceReader
 
     /**
      * Cumulative chunk-payload CRC computations this reader has
-     * performed across all replays — the observable of the CrcMode
-     * trust ladder (tests and `trace_tool stats` read it).
+     * performed across all replays — the observable of CrcMode
+     * (tests and `trace_tool stats` read it).
      */
     uint64_t chunkCrcChecks() const { return crcChecks; }
 
@@ -131,7 +127,6 @@ class TraceReader
     std::string filePath;
     ReaderOptions readerOpts;
     std::unique_ptr<TraceSource> src;
-    bool fileBacked = true;  //!< false bars the CRC trust registry
     OpBlock block;  //!< reusable decode target, one chunk at a time
     uint64_t firstChunk = 0;
     uint64_t crcChecks = 0;

@@ -1,10 +1,8 @@
 #include "tracefile/trace_source.hh"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -148,34 +146,6 @@ class MmapSource : public TraceSource
 std::mutex g_policy_mutex;
 ReaderOptions g_default_options;
 
-std::mutex g_trust_mutex;
-std::unordered_set<std::string> g_verified_traces;
-
-/**
- * Registry key: canonical path + size + mtime. Any rewrite changes
- * the mtime (and usually the size), so trust never outlives the
- * bytes it was earned on. Falls back to the raw path when the file
- * cannot be stat'ed (the caller is about to fail opening it anyway).
- */
-std::string
-trustKey(const std::string &path)
-{
-    std::error_code ec;
-    namespace fs = std::filesystem;
-    fs::path canon = fs::canonical(path, ec);
-    if (ec)
-        return path;
-    uint64_t size = fs::file_size(canon, ec);
-    if (ec)
-        return path;
-    auto mtime = fs::last_write_time(canon, ec);
-    if (ec)
-        return path;
-    return canon.string() + "|" + std::to_string(size) + "|" +
-           std::to_string(static_cast<long long>(
-               mtime.time_since_epoch().count()));
-}
-
 } // namespace
 
 const char *
@@ -195,8 +165,6 @@ const char *
 toString(CrcMode crc)
 {
     switch (crc) {
-      case CrcMode::Once:
-        return "once";
       case CrcMode::Never:
         return "never";
       default:
@@ -224,8 +192,6 @@ parseCrcMode(const std::string &name, CrcMode &out)
 {
     if (name == "always") {
         out = CrcMode::Always;
-    } else if (name == "once") {
-        out = CrcMode::Once;
     } else if (name == "never") {
         out = CrcMode::Never;
     } else {
@@ -252,22 +218,6 @@ setDefaultReaderOptions(const ReaderOptions &opts)
 {
     std::lock_guard<std::mutex> lock(g_policy_mutex);
     g_default_options = opts;
-}
-
-bool
-traceVerifiedInProcess(const std::string &path)
-{
-    std::string key = trustKey(path);
-    std::lock_guard<std::mutex> lock(g_trust_mutex);
-    return g_verified_traces.count(key) != 0;
-}
-
-void
-markTraceVerified(const std::string &path)
-{
-    std::string key = trustKey(path);
-    std::lock_guard<std::mutex> lock(g_trust_mutex);
-    g_verified_traces.insert(key);
 }
 
 std::unique_ptr<TraceSource>

@@ -12,10 +12,7 @@
  * bit-identical between them (pinned by test).
  *
  * This header also carries the reader policy knobs: the io selection
- * (`TraceIo`), the CRC trust ladder (`CrcMode`) and the process-wide
- * registry of traces whose chunk CRCs this process has already
- * verified (or has itself written), which is what lets repeat replays
- * under CrcMode::Once skip the per-chunk CRC pass.
+ * (`TraceIo`) and the chunk-CRC policy (`CrcMode`).
  */
 
 #ifndef WCRT_TRACEFILE_TRACE_SOURCE_HH
@@ -41,16 +38,15 @@ enum class TraceIo : uint8_t {
  * header and footer CRCs are always verified — they are tiny and
  * guard the metadata every consumer trusts — and structural
  * validation (bounds, op counts, footer totals, malformed varints)
- * is never elided; this ladder covers only the per-chunk CRC-32
+ * is never elided; the mode covers only the per-chunk CRC-32
  * recomputation on the decode hot path.
  */
 enum class CrcMode : uint8_t {
     Always,  //!< verify every chunk CRC on every replay (default)
-    Once,    //!< verify until this process has validated the file once
     Never,   //!< trust chunk payloads outright
 };
 
-/** Reader policy: io transport + CRC trust level. */
+/** Reader policy: io transport + chunk-CRC policy. */
 struct ReaderOptions
 {
     TraceIo io = TraceIo::Auto;
@@ -60,7 +56,7 @@ struct ReaderOptions
 /** CLI spelling of an io mode: auto / stream / mmap. */
 const char *toString(TraceIo io);
 
-/** CLI spelling of a CRC mode: always / once / never. */
+/** CLI spelling of a CRC mode: always / never. */
 const char *toString(CrcMode crc);
 
 /**
@@ -70,7 +66,7 @@ const char *toString(CrcMode crc);
 bool parseTraceIo(const std::string &name, TraceIo &out);
 
 /**
- * Parse a CLI CRC mode name ("always", "once", "never").
+ * Parse a CLI CRC mode name ("always", "never").
  * @return false when the name matches no mode (`out` untouched).
  */
 bool parseCrcMode(const std::string &name, CrcMode &out);
@@ -86,22 +82,6 @@ bool mmapAvailable();
  */
 ReaderOptions defaultReaderOptions();
 void setDefaultReaderOptions(const ReaderOptions &opts);
-
-/**
- * @name Verified-trace registry
- *
- * The trust side of CrcMode::Once: a process-wide set of trace files
- * whose chunk CRCs are known good in this process, keyed by canonical
- * path + file size + mtime so a rewritten or truncated file never
- * inherits stale trust. A file enters the registry when a full
- * CRC-checked replay of it succeeds, or when the trace cache has just
- * captured it (the bytes were produced by this process). The registry
- * is in-memory only — a new process starts untrusting.
- */
-/** @{ */
-bool traceVerifiedInProcess(const std::string &path);
-void markTraceVerified(const std::string &path);
-/** @} */
 
 /**
  * Sequential byte access to one trace file. The cursor starts at 0;

@@ -321,141 +321,52 @@ TEST(BatchDispatch, TeeSinkKeepsFanOutCountsExact)
     }
 }
 
-TEST(BatchDispatch, ParallelTeeSinkMatchesSequential)
-{
-    auto ops = syntheticStream(kStreamOps);
-    MixCounter mix_ref;
-    feedPerOp(mix_ref, ops);
-    SimCpu cpu_ref(xeonE5645());
-    feedPerOp(cpu_ref, ops);
-    MetricVector cpu_base = toMetricVector(cpu_ref.report());
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        MixCounter a;
-        CountingSink b;
-        SimCpu c(xeonE5645());
-        TraceRecorder seq_only;
-        TeeSink tee(3);
-        tee.addSink(&a);
-        tee.addSink(&b);
-        tee.addSink(&c);
-        tee.addSink(&seq_only, /*concurrentSafe=*/false);
-        feedBlocked(tee, ops, block);
-        // The pipelined fan-out may still hold the last blocks in
-        // flight; reading child state requires settling them first.
-        tee.drain();
-        EXPECT_EQ(a.total(), mix_ref.total());
-        for (size_t k = 0; k < numOpKinds; ++k)
-            EXPECT_EQ(a.count(static_cast<OpKind>(k)),
-                      mix_ref.count(static_cast<OpKind>(k)))
-                << "kind " << k;
-        EXPECT_EQ(b.ops(), ops.size());
-        MetricVector got = toMetricVector(c.report());
-        for (size_t m = 0; m < numMetrics; ++m)
-            EXPECT_EQ(got[m], cpu_base[m])
-                << "metric " << metricInfos()[m].name;
-        expectOpsEqual(seq_only.trace(), ops);
-    }
-}
-
-TEST(BatchDispatch, ParallelTeeSinkSurvivesManyBlocks)
-{
-    // Stress the double-buffer cycle with thousands of small blocks:
-    // each staging slot must fully drain before it is refilled and
-    // block N must not start before N-1 completes, so any latch bug
-    // shows up as a count mismatch or a TSan report.
-    auto ops = syntheticStream(kStreamOps);
-    CountingSink a, b, c, d;
-    TeeSink tee(2);
-    tee.addSink(&a);
-    tee.addSink(&b);
-    tee.addSink(&c);
-    tee.addSink(&d, /*concurrentSafe=*/false);
-    feedBlocked(tee, ops, 3);
-    tee.drain();
-    EXPECT_EQ(a.ops(), ops.size());
-    EXPECT_EQ(b.ops(), ops.size());
-    EXPECT_EQ(c.ops(), ops.size());
-    EXPECT_EQ(d.ops(), ops.size());
-}
-
-TEST(BatchDispatch, DoubleBufferedTeeSinkOrdersBlocksPerChild)
-{
-    // A recorder observes the concatenation of every block it was
-    // handed; if the double-buffered fan-out ever reordered blocks,
-    // overlapped a child with itself, or handed out a stale staging
-    // slot, the recorded op sequence would diverge. Two recorders and
-    // a third child keep both pool slots and the latch busy.
-    auto ops = syntheticStream(kStreamOps);
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        TraceRecorder a, b;
-        CountingSink c;
-        TeeSink tee(2);
-        tee.addSink(&a);
-        tee.addSink(&b);
-        tee.addSink(&c);
-        feedBlocked(tee, ops, block);
-        tee.drain();
-        expectOpsEqual(a.trace(), ops);
-        expectOpsEqual(b.trace(), ops);
-        EXPECT_EQ(c.ops(), ops.size());
-    }
-}
-
-TEST(BatchDispatch, DrainIsIdempotentAndPerOpSettlesInFlight)
-{
-    // consume() on a pipelined tee must settle in-flight blocks first
-    // so the per-op fan-out lands after them; drain() afterwards (and
-    // repeatedly) must be harmless.
-    auto ops = syntheticStream(1000);
-    TraceRecorder a, b;
-    TeeSink tee(2);
-    tee.addSink(&a);
-    tee.addSink(&b);
-    feedBlocked(tee, ops, 64);
-    MicroOp extra;
-    extra.kind = OpKind::Other;
-    extra.pc = 0xdead0000;
-    tee.consume(extra);
-    tee.drain();
-    tee.drain();
-    auto expect = ops;
-    expect.push_back(extra);
-    expectOpsEqual(a.trace(), expect);
-    expectOpsEqual(b.trace(), expect);
-}
-
 TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
 {
-    // The rung-parallel batch path must stay bit-identical to both
-    // the scalar batch path and the per-op reference, on the random
-    // pattern and on the adversarial streaming pattern that hammers
-    // the set-MRU repeat memos.
-    std::vector<uint32_t> sizes{16, 64, 256, 1024};
-    for (bool streaming : {false, true}) {
-        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
-        auto ops = streaming ? streamingStream(kStreamOps)
-                             : syntheticStream(kStreamOps);
-        FootprintSweep per_op(sizes);
-        feedPerOp(per_op, ops);
-        for (size_t block : kBlockSizes) {
-            SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(sizes);
-            FootprintSweep parallel(sizes, 8, 64, /*workers=*/3);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(parallel, ops, block);
-            EXPECT_EQ(scalar.instructions(), per_op.instructions());
-            EXPECT_EQ(parallel.instructions(), per_op.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = per_op.missRatios(kind);
-                auto scalar_got = scalar.missRatios(kind);
-                auto parallel_got = parallel.missRatios(kind);
-                for (size_t i = 0; i < sizes.size(); ++i) {
-                    EXPECT_EQ(scalar_got[i], base[i]) << sizes[i] << " KB";
-                    EXPECT_EQ(parallel_got[i], base[i])
-                        << sizes[i] << " KB";
+    // The parallel batch path must stay bit-identical to both the
+    // scalar batch path and the per-op reference, on the random
+    // pattern and on the adversarial streaming pattern. The ladders
+    // cover a short ladder, the full paper ladder up to the 8192 KB
+    // rung with a worker cap wider than the task fan-out needs, and
+    // 48 / 96 KB rungs whose 96 / 192 sets index by modulo.
+    struct Ladder
+    {
+        std::vector<uint32_t> sizes;
+        unsigned workers;
+    };
+    const std::vector<Ladder> ladders{{{16, 64, 256, 1024}, 3},
+                                      {paperSweepSizesKb(), 8},
+                                      {{48, 96}, 3}};
+    for (const Ladder &ladder : ladders) {
+        const auto &sizes = ladder.sizes;
+        SCOPED_TRACE(std::to_string(sizes.size()) + " rungs from " +
+                     std::to_string(sizes.front()) + " KB");
+        for (bool streaming : {false, true}) {
+            SCOPED_TRACE(streaming ? "streaming" : "synthetic");
+            auto ops = streaming ? streamingStream(kStreamOps)
+                                 : syntheticStream(kStreamOps);
+            FootprintSweep per_op(sizes);
+            feedPerOp(per_op, ops);
+            for (size_t block : kBlockSizes) {
+                SCOPED_TRACE("block " + std::to_string(block));
+                FootprintSweep scalar(sizes);
+                FootprintSweep parallel(sizes, 8, 64, ladder.workers);
+                feedBlocked(scalar, ops, block);
+                feedBlocked(parallel, ops, block);
+                EXPECT_EQ(scalar.instructions(), per_op.instructions());
+                EXPECT_EQ(parallel.instructions(),
+                          per_op.instructions());
+                for (auto kind : {SweepKind::Instruction,
+                                  SweepKind::Data, SweepKind::Unified}) {
+                    auto base = per_op.missRatios(kind);
+                    auto scalar_got = scalar.missRatios(kind);
+                    auto parallel_got = parallel.missRatios(kind);
+                    for (size_t i = 0; i < sizes.size(); ++i) {
+                        EXPECT_EQ(scalar_got[i], base[i])
+                            << sizes[i] << " KB";
+                        EXPECT_EQ(parallel_got[i], base[i])
+                            << sizes[i] << " KB";
+                    }
                 }
             }
         }
@@ -464,9 +375,9 @@ TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
 
 TEST(BatchDispatch, FootprintSweepSurvivesMixedDelivery)
 {
-    // Alternating batch and per-op delivery: the per-op path must
-    // forget the repeat memos a preceding batch built, or the skipped
-    // recency updates would corrupt later counts.
+    // Alternating batch and per-op delivery: interleaving whole
+    // blocks with single ops must leave every cache in the state the
+    // per-op path alone reaches, so the counts match exactly.
     auto ops = streamingStream(kStreamOps);
     std::vector<uint32_t> sizes{16, 128};
     FootprintSweep per_op(sizes);
@@ -491,60 +402,6 @@ TEST(BatchDispatch, FootprintSweepSurvivesMixedDelivery)
                       SweepKind::Unified}) {
         auto base = per_op.missRatios(kind);
         auto got = mixed.missRatios(kind);
-        for (size_t i = 0; i < sizes.size(); ++i)
-            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
-    }
-}
-
-TEST(SweepRungSplit, FullLadderMatchesScalarAcrossBlockSizes)
-{
-    // The set-range rung splitting targets the ladder's big-rung tail,
-    // so exercise the full paper ladder up to the 8192 KB rung with a
-    // worker cap high enough to hit the maximum split width, at block
-    // sizes 1 / 7 / 4096, on both reference patterns. Every count
-    // must stay bit-identical to the scalar (workers = 0) walk: the
-    // shards touch disjoint set ranges, carry private recency clocks
-    // and merge deterministically at the rung join.
-    auto ladder = paperSweepSizesKb();
-    for (bool streaming : {false, true}) {
-        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
-        auto ops = streaming ? streamingStream(kStreamOps)
-                             : syntheticStream(kStreamOps);
-        for (size_t block : kBlockSizes) {
-            SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(ladder);
-            FootprintSweep split(ladder, 8, 64, /*workers=*/8);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(split, ops, block);
-            EXPECT_EQ(split.instructions(), scalar.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = scalar.missRatios(kind);
-                auto got = split.missRatios(kind);
-                for (size_t i = 0; i < ladder.size(); ++i)
-                    EXPECT_EQ(got[i], base[i]) << ladder[i] << " KB";
-            }
-        }
-    }
-}
-
-TEST(SweepRungSplit, OddSetCountsSplitCleanly)
-{
-    // 48 KB and 96 KB 8-way rungs have 96 and 192 sets — not powers
-    // of two, so the caches index by modulo and the set count does
-    // not divide evenly by the split width. The set-range partition
-    // must cover every set exactly once whatever the count, so the
-    // split walk still matches the scalar one.
-    std::vector<uint32_t> sizes{48, 96};
-    auto ops = syntheticStream(kStreamOps);
-    FootprintSweep scalar(sizes, 8, 64, 0);
-    FootprintSweep split(sizes, 8, 64, /*workers=*/3);
-    feedBlocked(scalar, ops, 64);
-    feedBlocked(split, ops, 64);
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        auto base = scalar.missRatios(kind);
-        auto got = split.missRatios(kind);
         for (size_t i = 0; i < sizes.size(); ++i)
             EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
     }

@@ -663,30 +663,6 @@ TEST(ShmTransport, ReaderOverRingMatchesFileReader)
     fs::remove(path);
 }
 
-TEST(ShmTransport, ShmStreamsNeverEnterCrcTrustRegistry)
-{
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
-    auto stream = std::make_shared<const std::vector<uint8_t>>(
-        ringBytesFor(awkwardOps(), 3, "trust"));
-
-    // Under CrcMode::Once a file promotes itself into the process
-    // trust registry after one checked replay. A ring stream has no
-    // durable identity (same name, different bytes next run), so Once
-    // must keep checking every replay and never register the name.
-    TraceReader reader(std::make_unique<ShmSource>(stream), "shm:trust",
-                       ReaderOptions{TraceIo::Auto, CrcMode::Once});
-    uint64_t base = reader.chunkCrcChecks();  // open-time validation
-    RecordingSink s1;
-    reader.replayInto(s1);
-    uint64_t per_replay = reader.chunkCrcChecks() - base;
-    EXPECT_GT(per_replay, 0u);
-    RecordingSink s2;
-    reader.replayInto(s2);
-    EXPECT_EQ(reader.chunkCrcChecks() - base, 2 * per_replay);
-    EXPECT_FALSE(traceVerifiedInProcess("shm:trust"));
-}
-
 TEST(ShmTransport, CorruptAndTruncatedStreamsFailLikeFiles)
 {
     if (!shmAvailable())

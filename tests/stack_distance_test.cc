@@ -326,7 +326,6 @@ TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
     std::string path = writeTrace("modes", syntheticStream(kStreamOps));
     auto sizes = paperSweepSizesKb();
 
-    auto legacy = replaySweepLadder(path, SweepKind::Unified, sizes, 1);
     MrcResult oracle = replaySweepLadder(
         path, SweepKind::Unified, sizes, MrcMode::ShardedOracle, 1);
     MrcResult stack = replaySweepLadder(
@@ -334,8 +333,10 @@ TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
     MrcResult verify = replaySweepLadder(
         path, SweepKind::Unified, sizes, MrcMode::Verify, 1);
 
-    // The oracle mode is the legacy path under a new name.
-    EXPECT_EQ(oracle.ratios, legacy);
+    // The oracle mode is a plain FootprintSweep replay of the trace.
+    FootprintSweep sweep(sizes);
+    TraceReader(path).replayInto(sweep);
+    EXPECT_EQ(oracle.ratios, sweep.missRatios(SweepKind::Unified));
     EXPECT_TRUE(oracle.oracleRatios.empty());
     EXPECT_EQ(oracle.maxDivergence, 0.0);
 

@@ -762,34 +762,7 @@ TEST(TraceSourceParity, CorruptFixturesFailIdentically)
     fs::remove(path);
 }
 
-// --------------------------------------------------- CRC trust ladder
-
-TEST(CrcElision, OnceVerifiesThenElides)
-{
-    std::string path = tempTracePath("crc-once");
-    std::vector<MicroOp> ops;
-    auto sample = awkwardOps();
-    for (int rep = 0; rep < 40; ++rep)
-        for (const auto &op : sample)
-            ops.push_back(op);
-    writeSample(path, ops, 7);
-
-    ReaderOptions once{TraceIo::Auto, CrcMode::Once};
-    TraceReader first(path, once);
-    ASSERT_GT(first.chunkCount(), 1u);
-    RecordingSink s1;
-    first.replayInto(s1);
-    // Untrusted file: the first replay pays the full CRC pass...
-    EXPECT_EQ(first.chunkCrcChecks(), first.chunkCount());
-
-    // ...which promotes it, so a second reader elides every chunk CRC.
-    TraceReader second(path, once);
-    RecordingSink s2;
-    second.replayInto(s2);
-    EXPECT_EQ(second.chunkCrcChecks(), 0u);
-    expectOpsEqual(s1.ops, s2.ops);
-    fs::remove(path);
-}
+// --------------------------------------------------------- CRC modes
 
 TEST(CrcElision, AlwaysChecksEveryReplay)
 {
@@ -801,36 +774,8 @@ TEST(CrcElision, AlwaysChecksEveryReplay)
     reader.replayInto(s1);
     RecordingSink s2;
     reader.replayInto(s2);
-    // Always ignores the verified-trace registry entirely.
+    // Always re-checks every chunk on every replay.
     EXPECT_EQ(reader.chunkCrcChecks(), 2 * reader.chunkCount());
-    fs::remove(path);
-}
-
-TEST(CrcElision, OnceStillRejectsCorruptUntrustedFile)
-{
-    std::string path = tempTracePath("crc-once-corrupt");
-    std::vector<MicroOp> ops;
-    auto sample = awkwardOps();
-    for (int rep = 0; rep < 40; ++rep)
-        for (const auto &op : sample)
-            ops.push_back(op);
-    writeSample(path, ops, 7);
-
-    // Corrupt a byte inside the first chunk's op payload (framing
-    // stays valid, so the file opens and only the CRC pass can catch
-    // it). This process has never verified this file, so Once behaves
-    // exactly like Always.
-    std::vector<uint8_t> bytes = readFileBytes(path);
-    uint32_t header_payload = static_cast<uint32_t>(bytes[8]) |
-                              static_cast<uint32_t>(bytes[9]) << 8 |
-                              static_cast<uint32_t>(bytes[10]) << 16 |
-                              static_cast<uint32_t>(bytes[11]) << 24;
-    bytes[16 + header_payload + 12 + 1] ^= 0x5a;
-    writeFileBytes(path, bytes, bytes.size());
-
-    TraceReader reader(path, {TraceIo::Auto, CrcMode::Once});
-    RecordingSink sink;
-    EXPECT_THROW(reader.replayInto(sink), TraceFormatError);
     fs::remove(path);
 }
 
@@ -878,61 +823,6 @@ TEST(CrcElision, NeverSkipsChunkCrcButKeepsStructuralChecks)
     fs::remove(path);
 }
 
-TEST(CrcElision, TrustDoesNotOutliveRewrite)
-{
-    std::string path = tempTracePath("crc-rewrite");
-    writeSample(path, awkwardOps(), 3);
-
-    ReaderOptions once{TraceIo::Auto, CrcMode::Once};
-    {
-        TraceReader reader(path, once);
-        RecordingSink sink;
-        reader.replayInto(sink);  // marks this (path, size, mtime)
-    }
-
-    // Rewrite the file with different (and then corrupted) contents;
-    // the registry key changes with the bytes, so the stale trust
-    // must not let the corruption through.
-    std::vector<MicroOp> bigger;
-    auto sample = awkwardOps();
-    for (int rep = 0; rep < 10; ++rep)
-        for (const auto &op : sample)
-            bigger.push_back(op);
-    writeSample(path, bigger, 7);
-    std::vector<uint8_t> bytes = readFileBytes(path);
-    uint32_t header_payload = static_cast<uint32_t>(bytes[8]) |
-                              static_cast<uint32_t>(bytes[9]) << 8 |
-                              static_cast<uint32_t>(bytes[10]) << 16 |
-                              static_cast<uint32_t>(bytes[11]) << 24;
-    bytes[16 + header_payload + 12 + 1] ^= 0x5a;
-    writeFileBytes(path, bytes, bytes.size());
-
-    TraceReader reader(path, once);
-    RecordingSink sink;
-    EXPECT_THROW(reader.replayInto(sink), TraceFormatError);
-    fs::remove(path);
-}
-
-TEST(CrcElision, FreshCaptureIsBornTrusted)
-{
-    std::string dir =
-        (fs::temp_directory_path() / "wcrt-test-crc-capture").string();
-    fs::remove_all(dir);
-    TraceCache cache(dir);
-    const WorkloadEntry &entry = findWorkload("M-Grep");
-    std::string path =
-        cache.ensure(entry.name, 0.05, [&] { return entry.make(0.05); });
-
-    // The cache just wrote these bytes itself, so a CrcMode::Once
-    // replay may skip the verification pass from the start.
-    TraceReader reader(path, {TraceIo::Auto, CrcMode::Once});
-    CountingSink sink;
-    reader.replayInto(sink);
-    EXPECT_EQ(reader.chunkCrcChecks(), 0u);
-    EXPECT_EQ(sink.ops(), reader.opCount());
-    fs::remove_all(dir);
-}
-
 TEST(TraceSourceFlags, ParseAndFormatRoundTrip)
 {
     TraceIo io = TraceIo::Auto;
@@ -946,20 +836,18 @@ TEST(TraceSourceFlags, ParseAndFormatRoundTrip)
     EXPECT_EQ(io, TraceIo::Auto);  // untouched on failure
 
     CrcMode crc = CrcMode::Always;
-    EXPECT_TRUE(parseCrcMode("once", crc));
-    EXPECT_EQ(crc, CrcMode::Once);
     EXPECT_TRUE(parseCrcMode("never", crc));
     EXPECT_EQ(crc, CrcMode::Never);
     EXPECT_TRUE(parseCrcMode("always", crc));
     EXPECT_EQ(crc, CrcMode::Always);
     EXPECT_FALSE(parseCrcMode("sometimes", crc));
+    EXPECT_FALSE(parseCrcMode("once", crc));
     EXPECT_EQ(crc, CrcMode::Always);
 
     EXPECT_STREQ(toString(TraceIo::Auto), "auto");
     EXPECT_STREQ(toString(TraceIo::Stream), "stream");
     EXPECT_STREQ(toString(TraceIo::Mmap), "mmap");
     EXPECT_STREQ(toString(CrcMode::Always), "always");
-    EXPECT_STREQ(toString(CrcMode::Once), "once");
     EXPECT_STREQ(toString(CrcMode::Never), "never");
 }
 
@@ -1115,7 +1003,8 @@ TEST(Replay, ParallelReplayMatchesSerial)
     // The sweep-ladder replay equals a live one-pass sweep.
     std::vector<uint32_t> ladder{16, 32, 64, 128};
     auto replayed = replaySweepLadder(path, SweepKind::Instruction,
-                                      ladder, 4);
+                                      ladder, MrcMode::ShardedOracle, 4)
+                        .ratios;
     FootprintSweep live(ladder);
     {
         WorkloadPtr w = entry.make(0.1);
@@ -1216,11 +1105,14 @@ TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
     }
 
     std::vector<uint32_t> ladder{16, 64, 256};
-    auto expect =
-        replaySweepLadder(path, SweepKind::Unified, ladder, 1);
+    auto expect = replaySweepLadder(path, SweepKind::Unified, ladder,
+                                    MrcMode::ShardedOracle, 1)
+                      .ratios;
     std::vector<std::vector<double>> got(3);
     parallelFor(got.size(), [&](size_t i) {
-        got[i] = replaySweepLadder(path, SweepKind::Unified, ladder, 4);
+        got[i] = replaySweepLadder(path, SweepKind::Unified, ladder,
+                                   MrcMode::ShardedOracle, 4)
+                     .ratios;
     }, 3);
     for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i].size(), expect.size()) << "job " << i;
