@@ -325,51 +325,84 @@ TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
 {
     // The parallel batch path must stay bit-identical to both the
     // scalar batch path and the per-op reference, on the random
-    // pattern and on the adversarial streaming pattern. The ladders
-    // cover a short ladder, the full paper ladder up to the 8192 KB
-    // rung with a worker cap wider than the task fan-out needs, and
-    // 48 / 96 KB rungs whose 96 / 192 sets index by modulo.
-    struct Ladder
-    {
-        std::vector<uint32_t> sizes;
-        unsigned workers;
-    };
-    const std::vector<Ladder> ladders{{{16, 64, 256, 1024}, 3},
-                                      {paperSweepSizesKb(), 8},
-                                      {{48, 96}, 3}};
-    for (const Ladder &ladder : ladders) {
-        const auto &sizes = ladder.sizes;
-        SCOPED_TRACE(std::to_string(sizes.size()) + " rungs from " +
-                     std::to_string(sizes.front()) + " KB");
-        for (bool streaming : {false, true}) {
-            SCOPED_TRACE(streaming ? "streaming" : "synthetic");
-            auto ops = streaming ? streamingStream(kStreamOps)
-                                 : syntheticStream(kStreamOps);
-            FootprintSweep per_op(sizes);
-            feedPerOp(per_op, ops);
-            for (size_t block : kBlockSizes) {
-                SCOPED_TRACE("block " + std::to_string(block));
-                FootprintSweep scalar(sizes);
-                FootprintSweep parallel(sizes, 8, 64, ladder.workers);
-                feedBlocked(scalar, ops, block);
-                feedBlocked(parallel, ops, block);
-                EXPECT_EQ(scalar.instructions(), per_op.instructions());
-                EXPECT_EQ(parallel.instructions(),
-                          per_op.instructions());
-                for (auto kind : {SweepKind::Instruction,
-                                  SweepKind::Data, SweepKind::Unified}) {
-                    auto base = per_op.missRatios(kind);
-                    auto scalar_got = scalar.missRatios(kind);
-                    auto parallel_got = parallel.missRatios(kind);
-                    for (size_t i = 0; i < sizes.size(); ++i) {
-                        EXPECT_EQ(scalar_got[i], base[i])
-                            << sizes[i] << " KB";
-                        EXPECT_EQ(parallel_got[i], base[i])
-                            << sizes[i] << " KB";
-                    }
+    // pattern and on the adversarial streaming pattern.
+    std::vector<uint32_t> sizes{16, 64, 256, 1024};
+    for (bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
+        auto ops = streaming ? streamingStream(kStreamOps)
+                             : syntheticStream(kStreamOps);
+        FootprintSweep per_op(sizes);
+        feedPerOp(per_op, ops);
+        for (size_t block : kBlockSizes) {
+            SCOPED_TRACE("block " + std::to_string(block));
+            FootprintSweep scalar(sizes);
+            FootprintSweep parallel(sizes, 8, 64, /*workers=*/3);
+            feedBlocked(scalar, ops, block);
+            feedBlocked(parallel, ops, block);
+            EXPECT_EQ(scalar.instructions(), per_op.instructions());
+            EXPECT_EQ(parallel.instructions(), per_op.instructions());
+            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                              SweepKind::Unified}) {
+                auto base = per_op.missRatios(kind);
+                auto scalar_got = scalar.missRatios(kind);
+                auto parallel_got = parallel.missRatios(kind);
+                for (size_t i = 0; i < sizes.size(); ++i) {
+                    EXPECT_EQ(scalar_got[i], base[i]) << sizes[i] << " KB";
+                    EXPECT_EQ(parallel_got[i], base[i])
+                        << sizes[i] << " KB";
                 }
             }
         }
+    }
+}
+
+TEST(SweepRungSplit, FullLadderMatchesScalarAcrossBlockSizes)
+{
+    // The full paper ladder up to the 8192 KB rung, with a worker cap
+    // wider than the (rung, stream) fan-out needs, at block sizes
+    // 1 / 7 / 4096 on both reference patterns. Each cache is walked
+    // whole by one task, so every count must stay bit-identical to
+    // the scalar (workers = 0) walk.
+    auto ladder = paperSweepSizesKb();
+    for (bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
+        auto ops = streaming ? streamingStream(kStreamOps)
+                             : syntheticStream(kStreamOps);
+        for (size_t block : kBlockSizes) {
+            SCOPED_TRACE("block " + std::to_string(block));
+            FootprintSweep scalar(ladder);
+            FootprintSweep split(ladder, 8, 64, /*workers=*/8);
+            feedBlocked(scalar, ops, block);
+            feedBlocked(split, ops, block);
+            EXPECT_EQ(split.instructions(), scalar.instructions());
+            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                              SweepKind::Unified}) {
+                auto base = scalar.missRatios(kind);
+                auto got = split.missRatios(kind);
+                for (size_t i = 0; i < ladder.size(); ++i)
+                    EXPECT_EQ(got[i], base[i]) << ladder[i] << " KB";
+            }
+        }
+    }
+}
+
+TEST(SweepRungSplit, OddSetCountsSplitCleanly)
+{
+    // 48 KB and 96 KB 8-way rungs have 96 and 192 sets — not powers
+    // of two, so the caches index by modulo. The parallel walk must
+    // still match the scalar one.
+    std::vector<uint32_t> sizes{48, 96};
+    auto ops = syntheticStream(kStreamOps);
+    FootprintSweep scalar(sizes, 8, 64, 0);
+    FootprintSweep split(sizes, 8, 64, /*workers=*/3);
+    feedBlocked(scalar, ops, 64);
+    feedBlocked(split, ops, 64);
+    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                      SweepKind::Unified}) {
+        auto base = scalar.missRatios(kind);
+        auto got = split.missRatios(kind);
+        for (size_t i = 0; i < sizes.size(); ++i)
+            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
     }
 }
 
