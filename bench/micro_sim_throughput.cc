@@ -559,8 +559,8 @@ BENCHMARK(BM_ReplaySimCpuBatch);
 /**
  * The paper's Section 5.4 capacity sweep as a replay sink: ten cache
  * rungs x three streams per op make it the heaviest sink in any
- * replay, which is what the batch path's line-id precompute, run-
- * length compression and per-cache fan-out attack.
+ * replay, which is what the batch path's run-length compression and
+ * per-cache fan-out attack.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)

@@ -25,16 +25,16 @@ Cache::Cache(const CacheConfig &config) : cfg(config)
 }
 
 bool
-Cache::access(uint64_t addr, bool is_write)
+Cache::access(uint64_t addr)
 {
-    return accessLine(addr >> lineShift, is_write);
+    return accessLine(addr >> lineShift);
 }
 
 bool
-Cache::accessLine(uint64_t line, bool is_write)
+Cache::accessLine(uint64_t line)
 {
     ++nAccesses;
-    bool hit = touchLine(line, is_write);
+    bool hit = touchLine(line);
     if (!hit)
         ++nMisses;
     return hit;
@@ -43,11 +43,11 @@ Cache::accessLine(uint64_t line, bool is_write)
 bool
 Cache::prefetch(uint64_t addr)
 {
-    return touchLine(addr >> lineShift, false);
+    return touchLine(addr >> lineShift);
 }
 
 bool
-Cache::touchLine(uint64_t line, bool is_write)
+Cache::touchLine(uint64_t line)
 {
     ++tick;
     // Non-power-of-two set counts (e.g. the E5645's 12288-set L3) use
@@ -61,7 +61,6 @@ Cache::touchLine(uint64_t line, bool is_write)
         Way &way = base[w];
         if (way.valid && way.tag == tag) {
             way.lastUse = tick;
-            way.dirty = way.dirty || is_write;
             return true;
         }
         if (!way.valid) {
@@ -74,23 +73,7 @@ Cache::touchLine(uint64_t line, bool is_write)
     victim->valid = true;
     victim->tag = tag;
     victim->lastUse = tick;
-    victim->dirty = is_write;
     return false;
-}
-
-uint32_t
-Cache::accessRange(uint64_t addr, uint32_t bytes, bool is_write)
-{
-    if (bytes == 0)
-        bytes = 1;
-    uint64_t first = addr >> lineShift;
-    uint64_t last = (addr + bytes - 1) >> lineShift;
-    uint32_t missing = 0;
-    for (uint64_t line = first; line <= last; ++line) {
-        if (!access(line << lineShift, is_write))
-            ++missing;
-    }
-    return missing;
 }
 
 void

@@ -4,7 +4,7 @@
  *
  * This is the workhorse behind Figures 4 and 6-9: a classic
  * tag-array-only model (no data storage) counting accesses and misses.
- * Writes allocate (write-allocate, write-back abstraction) so store
+ * Loads and stores walk the tags alike (write-allocate), so store
  * misses appear in MPKI the way the paper's counters see them.
  */
 
@@ -38,26 +38,18 @@ class Cache
      * Access one line-aligned address.
      *
      * @param addr Byte address; the containing line is accessed.
-     * @param is_write Marks the line dirty (accounting only).
      * @return true on hit.
      */
-    bool access(uint64_t addr, bool is_write = false);
+    bool access(uint64_t addr);
 
     /**
      * Access by precomputed line id (`addr >> lineShiftBits()`).
-     * Equivalent to access(line << lineShiftBits(), is_write); lets
-     * batch sinks hoist the shift out of the per-rung loops.
+     * Equivalent to access(line << lineShiftBits()); lets batch sinks
+     * hoist the shift out of the per-rung loops.
      *
      * @return true on hit.
      */
-    bool accessLine(uint64_t line, bool is_write = false);
-
-    /**
-     * Access a byte range, touching every line it spans.
-     *
-     * @return Number of missing lines (0 = full hit).
-     */
-    uint32_t accessRange(uint64_t addr, uint32_t bytes, bool is_write);
+    bool accessLine(uint64_t line);
 
     /**
      * Install a line without touching the demand-access statistics
@@ -71,10 +63,10 @@ class Cache
      * Credit `n` accesses that are architecturally guaranteed hits
      * without walking the tag array: re-accesses of a line that is
      * still the MRU line *of its set* (no access or prefetch has
-     * touched that set since). Skipping the recency update then
-     * leaves the within-set LRU ordering — and thus all future
-     * behaviour — identical; only the hit/access statistics need the
-     * credit. See setIndex() for the boundary condition.
+     * touched that set since). LRU order is relative within one set,
+     * so skipping the recency update leaves the within-set ordering —
+     * and thus all future behaviour — identical; only the hit/access
+     * statistics need the credit.
      */
     void creditRepeatHits(uint64_t n) { nAccesses += n; }
 
@@ -94,20 +86,14 @@ class Cache
     /** Number of sets. */
     uint32_t sets() const { return nSets; }
 
-    /**
-     * Set index @p addr maps to. LRU order is relative within one
-     * set, so an external repeat filter may skip (and credit) a
-     * guaranteed hit on a line that is still MRU of its set — which
-     * holds exactly until another access or prefetch touches the same
-     * set. This accessor lets callers detect that boundary.
-     */
-    uint32_t
-    setIndex(uint64_t addr) const
-    {
-        return setOfLine(addr >> lineShift);
-    }
+    /** log2(line size): addr >> lineShiftBits() is the line id. */
+    uint32_t lineShiftBits() const { return lineShift; }
 
-    /** Set index for a precomputed line id. */
+  private:
+    /** Lookup/fill without statistics; @return true on hit. */
+    bool touchLine(uint64_t line);
+
+    /** Set index for a line id. */
     uint32_t
     setOfLine(uint64_t line) const
     {
@@ -115,19 +101,11 @@ class Cache
                         : static_cast<uint32_t>(line % nSets);
     }
 
-    /** log2(line size): addr >> lineShiftBits() is the line id. */
-    uint32_t lineShiftBits() const { return lineShift; }
-
-  private:
-    /** Lookup/fill without statistics; @return true on hit. */
-    bool touchLine(uint64_t line, bool is_write);
-
     struct Way
     {
         uint64_t tag = 0;
         uint64_t lastUse = 0;
         bool valid = false;
-        bool dirty = false;
     };
 
     CacheConfig cfg;

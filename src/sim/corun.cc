@@ -60,8 +60,8 @@ struct Lane
         const MicroOp &op = trace[cursor++];
         uint64_t pc = op.pc + offset;
         uint64_t mem = op.memAddr + offset;
-        auto to_l3 = [&](uint64_t addr, bool is_write) {
-            bool hit = l3.access(addr, is_write);
+        auto to_l3 = [&](uint64_t addr) {
+            bool hit = l3.access(addr);
             if (owner_map) {
                 // Track which lane last touched each L3 frame slot; a
                 // fill into a slot the other lane held models the
@@ -75,13 +75,10 @@ struct Lane
             if (!hit)
                 ++miss_counter;
         };
-        if (!l1i.access(pc, false) && !l2.access(pc, false))
-            to_l3(pc, false);
-        if (op.memSize > 0) {
-            bool is_write = op.kind == OpKind::Store;
-            if (!l1d.access(mem, is_write) && !l2.access(mem, is_write))
-                to_l3(mem, is_write);
-        }
+        if (!l1i.access(pc) && !l2.access(pc))
+            to_l3(pc);
+        if (op.memSize > 0 && !l1d.access(mem) && !l2.access(mem))
+            to_l3(mem);
     }
 };
 

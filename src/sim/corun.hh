@@ -56,7 +56,6 @@ class TraceRecorder : public TraceSink
     void
     consumeBatch(const OpBlockView &batch) override
     {
-        ops.reserve(ops.size() + batch.count);
         for (size_t i = 0; i < batch.count; ++i)
             ops.push_back(batch[i]);
     }

@@ -53,12 +53,11 @@ FootprintSweep::consume(const MicroOp &op)
 {
     ++ops;
     for (size_t k = 0; k < sizes.size(); ++k) {
-        icaches[k].access(op.pc, false);
-        ucaches[k].access(op.pc, false);
+        icaches[k].access(op.pc);
+        ucaches[k].access(op.pc);
         if (op.memSize > 0) {
-            bool is_write = op.kind == OpKind::Store;
-            dcaches[k].access(op.memAddr, is_write);
-            ucaches[k].access(op.memAddr, is_write);
+            dcaches[k].access(op.memAddr);
+            ucaches[k].access(op.memAddr);
         }
     }
 }
@@ -69,10 +68,10 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Line-id precompute + run-length compression of the three
-    // reference streams, shared with the stack-distance profile
-    // (sim/line_runs.hh). A run's tail re-touches the line its head
-    // just made MRU of its set, so every rung walks only run heads.
+    // Run-length compression of the three reference streams, shared
+    // with the stack-distance profile (sim/line_runs.hh). A run's tail
+    // re-touches the line its head just made MRU of its set, so every
+    // rung walks only run heads.
     runs.build(batch, lineShift);
 
     // Every (rung, stream) cache is independent: each task walks one
@@ -87,7 +86,7 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
                                  : ucaches[k];
         uint64_t credits = 0;
         for (const LineRun &r : runs.stream(stream)) {
-            c.accessLine(r.line, r.write != 0);
+            c.accessLine(r.line);
             credits += r.count - 1;
         }
         c.creditRepeatHits(credits);

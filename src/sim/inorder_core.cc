@@ -19,15 +19,15 @@ InOrderCore::InOrderCore(const MachineConfig &machine,
 }
 
 uint32_t
-InOrderCore::dataLatency(uint64_t addr, bool is_write)
+InOrderCore::dataLatency(uint64_t addr)
 {
     uint32_t latency = prm.l1dHitLatency;
     if (!dtlb.access(addr))
         latency += prm.tlbWalk;
-    if (!l1d.access(addr, is_write)) {
-        if (l2.access(addr, is_write)) {
+    if (!l1d.access(addr)) {
+        if (l2.access(addr)) {
             latency = prm.l2HitLatency;
-        } else if (cfg.hasL3 && l3.access(addr, is_write)) {
+        } else if (cfg.hasL3 && l3.access(addr)) {
             latency = prm.l3HitLatency;
         } else {
             latency = prm.memLatency;
@@ -42,11 +42,11 @@ InOrderCore::fetchCharge(uint64_t pc)
     double charge = 0.0;
     if (!itlb.access(pc))
         charge += prm.tlbWalk;
-    if (!l1i.access(pc, false)) {
+    if (!l1i.access(pc)) {
         charge += prm.l1iMissBubble;
-        if (!l2.access(pc, false)) {
+        if (!l2.access(pc)) {
             charge += prm.l2HitLatency;
-            if (cfg.hasL3 && !l3.access(pc, false))
+            if (cfg.hasL3 && !l3.access(pc))
                 charge += prm.l3HitLatency;
         }
     }
@@ -97,7 +97,7 @@ InOrderCore::step(const MicroOp &op)
     // Execute / memory.
     switch (op.kind) {
       case OpKind::Load: {
-        uint32_t latency = dataLatency(op.memAddr, false);
+        uint32_t latency = dataLatency(op.memAddr);
         loadReadyCycle = cycle + latency;
         sinceLoad = 0;
         if (latency > prm.l2HitLatency) {
@@ -112,7 +112,7 @@ InOrderCore::step(const MicroOp &op)
       }
       case OpKind::Store:
         // Buffered; charge the hierarchy for bandwidth, not time.
-        (void)dataLatency(op.memAddr, true);
+        (void)dataLatency(op.memAddr);
         executeTotal += 1.0;
         break;
       case OpKind::IntMul:

@@ -93,7 +93,7 @@ class InOrderCore : public TraceSink
     void step(const MicroOp &op);
 
     /** Data-side access latency through the hierarchy. */
-    uint32_t dataLatency(uint64_t addr, bool is_write);
+    uint32_t dataLatency(uint64_t addr);
 
     /** Instruction-side charge for fetching at pc. */
     double fetchCharge(uint64_t pc);

@@ -9,9 +9,9 @@
  * run-length-compressed line ids rather than raw ops: consecutive
  * accesses to the same line are guaranteed MRU hits in any LRU cache
  * and distance-zero reuses in any stack profile, so only run heads
- * need real work. This module owns the two block-level stages they
- * share: the AVX2-dispatched address→line-id shift and the one-pass
- * run-length compression of the three streams.
+ * need real work. This module owns the block-level stage they share:
+ * the one-pass address→line-id shift and run-length compression of
+ * the three streams.
  */
 
 #ifndef WCRT_SIM_LINE_RUNS_HH
@@ -31,27 +31,18 @@ namespace wcrt {
  * (nothing intervened in this stream's access order), so every
  * consumer handles the head once and credits the tail — a guaranteed
  * hit in every cache rung, a distance-zero reuse in a stack profile.
- * Runs merge regardless of read/write sense; `write` is the head's.
+ * Runs merge regardless of read/write sense.
  */
 struct LineRun
 {
     uint64_t line;
     uint32_t count;
-    uint8_t write;
 };
 
 /**
- * Line-id precompute: out[i] = addrs[i] >> shift for every i, with an
- * AVX2 inner loop where the host supports it (runtime-dispatched; the
- * scalar tail/fallback is bit-identical).
- */
-void shiftLines(const uint64_t *addrs, size_t count, uint32_t shift,
-                uint64_t *out);
-
-/**
  * Per-block builder of the three RLE'd reference streams. Owns the
- * line-id scratch and run vectors so a sink reuses one instance
- * across blocks without reallocating in steady state.
+ * run vectors so a sink reuses one instance across blocks without
+ * reallocating in steady state.
  */
 class LineRunStreams
 {
@@ -79,8 +70,6 @@ class LineRunStreams
     }
 
   private:
-    std::vector<uint64_t> pcLines;  //!< per-block line-id scratch
-    std::vector<uint64_t> memLines;
     std::vector<LineRun> instrRuns;
     std::vector<LineRun> dataRuns;
     std::vector<LineRun> uniRuns;

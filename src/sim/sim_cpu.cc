@@ -26,18 +26,17 @@ SimCpu::consume(const MicroOp &op)
     if (!itlbUnit.access(op.pc))
         ++itlbMisses;
     codeLines.insert(op.pc >> 6);
-    if (!l1iCache.access(op.pc, false)) {
+    if (!l1iCache.access(op.pc)) {
         ++l1iMissCount;
-        if (!l2Cache.access(op.pc, false)) {
+        if (!l2Cache.access(op.pc)) {
             ++l2MissesFromL1i;
-            if (!cfg.hasL3 || !l3Cache.access(op.pc, false))
+            if (!cfg.hasL3 || !l3Cache.access(op.pc))
                 ++l3MissesTotal;
         }
     }
 
     // Data side.
     if (op.memSize > 0) {
-        bool is_write = op.kind == OpKind::Store;
         if (!dtlbUnit.access(op.memAddr))
             ++dtlbMisses;
         dataPages.insert(op.memAddr >> 12);
@@ -52,15 +51,12 @@ SimCpu::consume(const MicroOp &op)
             if (cfg.hasL3)
                 l3Cache.prefetch(line_addr);
         }
-        if (!l1dCache.access(op.memAddr, is_write)) {
+        if (!l1dCache.access(op.memAddr)) {
             ++l1dMissCount;
-            if (!l2Cache.access(op.memAddr, is_write)) {
+            if (!l2Cache.access(op.memAddr)) {
                 ++l2MissesFromL1d;
-                if (!cfg.hasL3 || !l3Cache.access(op.memAddr, is_write)) {
+                if (!cfg.hasL3 || !l3Cache.access(op.memAddr))
                     ++l3MissesTotal;
-                    if (is_write)
-                        ++storesMissingL3;
-                }
             }
         }
     }
@@ -73,69 +69,27 @@ SimCpu::consume(const MicroOp &op)
 void
 SimCpu::consumeBatch(const OpBlockView &ops)
 {
-    // Same event sequence as consume(), restructured for block
-    // throughput: the loop reads the block's field arrays directly
-    // (kinds/pcs/memAddrs/memSizes), materializing a whole MicroOp
-    // only for the control ops the branch unit needs, mix tallies
-    // ride the event loop's existing kind branches and commit once
-    // per block (no second pass over the ops), event counts ride in
-    // registers until the block drains, the
-    // unordered-set footprint inserts are skipped while the stream
-    // stays on the same code line / data page (set semantics make the
-    // skip invisible in the report), and guaranteed-hit re-accesses
-    // bypass the L1I/TLB/L1D tag walks as statistics-credited hits.
-    //
-    // The d-side skip is a two-slot filter: a slot holds a page/line
-    // that is provably still the MRU entry *of its cache set*, which
-    // stays true until another access or prefetch touches the same
-    // set. Two slots whose sets differ therefore cannot invalidate
-    // each other, so alternating load/store streams both keep their
-    // skip (the classic A,B,A,B pattern a single-slot guard misses).
-    // Re-accessing a slotted entry is then a guaranteed hit on a line
-    // whose within-set LRU position cannot change, so skipping the
-    // walk leaves the model state bit-identical (see
-    // Cache::creditRepeatHits). L1D writes never skip: a write also
-    // sets the dirty bit, which only the real walk can do.
+    // consume()'s event sequence over the block's field arrays: counts
+    // and the mix tally stay in locals until the block ends, and only
+    // control ops are materialized. Three walks are skipped, each exact
+    // because only one side of the core touches the structure: a fetch
+    // from the previous fetch's page or line re-hits the ITLB or L1I,
+    // and a data access to the previous data access's page re-hits the
+    // DTLB. Nothing in between can have displaced that entry from MRU
+    // of its set, so skipping the walk leaves LRU state unchanged; only
+    // the hit is credited (Cache::creditRepeatHits), and the footprint
+    // insert is a repeat too. Exact while L1I lines are at least 64 B
+    // and TLB pages at least 4 KB, as in every MachineConfig.
     const bool has_l3 = cfg.hasL3;
     std::array<uint64_t, numOpKinds> kind_tally{};
     uint64_t int_addr = 0, fp_addr = 0, compute_int = 0;
     uint64_t itlb_miss = 0, dtlb_miss = 0;
     uint64_t l1i_miss = 0, l1d_miss = 0;
-    uint64_t l2_from_l1i = 0, l2_from_l1d = 0;
-    uint64_t l3_miss = 0, store_l3_miss = 0;
-    uint64_t itlb_repeats = 0, dtlb_repeats = 0;
-    uint64_t l1i_repeats = 0, l1d_repeats = 0;
+    uint64_t l2_from_l1i = 0, l2_from_l1d = 0, l3_miss = 0;
+    uint64_t itlb_repeats = 0, l1i_repeats = 0, dtlb_repeats = 0;
     uint64_t last_code_line = ~0ull;
     uint64_t last_code_page = ~0ull;
-    // DTLB repeat-filter slots (page id + the set it maps to).
-    uint64_t dtlb_page0 = ~0ull, dtlb_page1 = ~0ull;
-    uint32_t dtlb_set0 = 0, dtlb_set1 = 0;
-    // L1D repeat-filter slots (line id + set). Invalidated per-set by
-    // prefetch fills, which touch the tag array behind the filter.
-    uint64_t l1d_line0 = ~0ull, l1d_line1 = ~0ull;
-    uint32_t l1d_set0 = 0, l1d_set1 = 0;
-    // Prefetch-burst memos: the line ranges the last two fill bursts
-    // covered (one per concurrent stream, same two-slot idea as
-    // above). Consecutive bursts from a confirmed stream overlap by
-    // degree-1 lines, and prefetch() keeps no statistics, so
-    // re-filling a line that is still MRU of its set at every level
-    // is a provable no-op and is skipped. A memo dies as soon as a
-    // demand walk or another burst's fill touches any memoised set
-    // (checked below); a range is empty when lo > hi.
-    uint64_t pf_lo0 = 1, pf_hi0 = 0;
-    uint64_t pf_lo1 = 1, pf_hi1 = 0;
-    // Last line handed to prefetcher.observe(): an immediate same-line
-    // re-observation takes the warm-retouch path, which only re-marks
-    // a stream entry that the immediately preceding observe() already
-    // made most-recent — relative recency among entries is unchanged
-    // and no advice is returned, so the call can be skipped outright.
-    uint64_t last_obs_line = ~0ull;
-    // Two-slot memo for the dataPages set: loads and stores typically
-    // stream over two distinct regions, so remembering the last two
-    // inserted pages skips the hash insert for both streams (set
-    // semantics make any skip heuristic invisible in the report).
-    uint64_t page_memo0 = ~0ull;
-    uint64_t page_memo1 = ~0ull;
+    uint64_t last_data_page = ~0ull;
 
     const size_t count = ops.count;
     for (size_t i = 0; i < count; ++i) {
@@ -157,17 +111,11 @@ SimCpu::consumeBatch(const OpBlockView &ops)
         } else {
             codeLines.insert(code_line);
             last_code_line = code_line;
-            if (!l1iCache.access(pc, false)) {
+            if (!l1iCache.access(pc)) {
                 ++l1i_miss;
-                // The L2/L3 walk below may touch memoised sets;
-                // i-side misses are rare, so drop the memos outright.
-                pf_lo0 = 1;
-                pf_hi0 = 0;
-                pf_lo1 = 1;
-                pf_hi1 = 0;
-                if (!l2Cache.access(pc, false)) {
+                if (!l2Cache.access(pc)) {
                     ++l2_from_l1i;
-                    if (!has_l3 || !l3Cache.access(pc, false))
+                    if (!has_l3 || !l3Cache.access(pc))
                         ++l3_miss;
                 }
             }
@@ -175,150 +123,30 @@ SimCpu::consumeBatch(const OpBlockView &ops)
 
         if (ops.memSizes[i] > 0) {
             const uint64_t mem_addr = ops.memAddrs[i];
-            bool is_write = kind == OpKind::Store;
             uint64_t data_page = mem_addr >> 12;
-            if (data_page == dtlb_page0) {
+            if (data_page == last_data_page) {
                 ++dtlb_repeats;
-            } else if (data_page == dtlb_page1) {
-                // Slot 1's set differs from slot 0's, so slot 0's
-                // accesses cannot have disturbed it: still MRU.
-                ++dtlb_repeats;
-                std::swap(dtlb_page0, dtlb_page1);
-                std::swap(dtlb_set0, dtlb_set1);
             } else {
-                uint32_t set = dtlbUnit.setIndex(mem_addr);
                 if (!dtlbUnit.access(mem_addr))
                     ++dtlb_miss;
-                if (set == dtlb_set0) {
-                    // Displaces slot 0's page from MRU of this set.
-                    dtlb_page0 = data_page;
-                } else {
-                    dtlb_page1 = dtlb_page0;
-                    dtlb_set1 = dtlb_set0;
-                    dtlb_page0 = data_page;
-                    dtlb_set0 = set;
-                }
-            }
-            if (data_page != page_memo0 && data_page != page_memo1) {
                 dataPages.insert(data_page);
-                page_memo1 = page_memo0;
-                page_memo0 = data_page;
+                last_data_page = data_page;
             }
-            uint64_t data_line = mem_addr >> 6;
-            if (data_line != last_obs_line) {
-                last_obs_line = data_line;
-                auto advice = prefetcher.observe(mem_addr);
-                if (advice.prefetchLines > 0) {
-                    uint64_t first = advice.prefetchFrom >> 6;
-                    uint64_t last = first + advice.prefetchLines - 1;
-                    // The range the new burst does NOT replace (the
-                    // other stream's burst, usually) keeps its claim
-                    // only while no fill touches one of its sets.
-                    bool replaces0 = first <= pf_hi0 && last >= pf_lo0;
-                    uint64_t keep_lo = replaces0 ? pf_lo1 : pf_lo0;
-                    uint64_t keep_hi = replaces0 ? pf_hi1 : pf_hi0;
-                    for (uint64_t line = first; line <= last; ++line) {
-                        if ((line >= pf_lo0 && line <= pf_hi0) ||
-                            (line >= pf_lo1 && line <= pf_hi1))
-                            continue;  // still MRU at every level
-                        uint64_t line_addr = line << 6;
-                        l1dCache.prefetch(line_addr);
-                        l2Cache.prefetch(line_addr);
-                        if (has_l3)
-                            l3Cache.prefetch(line_addr);
-                        // A fill into a slotted set dethrones that
-                        // slot's line from MRU; forget it.
-                        uint32_t pset = l1dCache.setIndex(line_addr);
-                        if (pset == l1d_set0)
-                            l1d_line0 = ~0ull;
-                        if (pset == l1d_set1)
-                            l1d_line1 = ~0ull;
-                        for (uint64_t m = keep_lo; m <= keep_hi; ++m) {
-                            if (l1dCache.setIndex(m << 6) == pset ||
-                                l2Cache.setIndex(m << 6) ==
-                                    l2Cache.setIndex(line_addr) ||
-                                (has_l3 &&
-                                 l3Cache.setIndex(m << 6) ==
-                                     l3Cache.setIndex(line_addr))) {
-                                keep_lo = 1;
-                                keep_hi = 0;
-                                break;
-                            }
-                        }
-                    }
-                    pf_lo0 = first;
-                    pf_hi0 = last;
-                    pf_lo1 = keep_lo;
-                    pf_hi1 = keep_hi;
-                }
+            auto advice = prefetcher.observe(mem_addr);
+            for (uint32_t p = 0; p < advice.prefetchLines; ++p) {
+                uint64_t line_addr = advice.prefetchFrom +
+                                     static_cast<uint64_t>(p) * 64;
+                l1dCache.prefetch(line_addr);
+                l2Cache.prefetch(line_addr);
+                if (has_l3)
+                    l3Cache.prefetch(line_addr);
             }
-            if (!is_write && data_line == l1d_line0) {
-                ++l1d_repeats;
-            } else if (!is_write && data_line == l1d_line1) {
-                ++l1d_repeats;
-                std::swap(l1d_line0, l1d_line1);
-                std::swap(l1d_set0, l1d_set1);
-            } else {
-                uint32_t set = l1dCache.setIndex(mem_addr);
-                bool l1d_hit = l1dCache.access(mem_addr, is_write);
-                if (!l1d_hit) {
-                    ++l1d_miss;
-                    if (!l2Cache.access(mem_addr, is_write)) {
-                        ++l2_from_l1d;
-                        if (!has_l3 ||
-                            !l3Cache.access(mem_addr, is_write)) {
-                            ++l3_miss;
-                            if (is_write)
-                                ++store_l3_miss;
-                        }
-                    }
-                }
-                // This walk touched real sets; drop a burst memo if
-                // any of its lines' MRU position could have been
-                // disturbed. A hit only touches this line's own L1D
-                // set — re-touching a memoised line itself leaves it
-                // MRU, so only *other* memoised lines aliasing the
-                // same set matter. A miss also walks L2/L3 (a
-                // memoised line is L1D-resident by construction, so
-                // a miss line is never memoised).
-                auto demand_clash = [&](uint64_t lo, uint64_t hi) {
-                    for (uint64_t m = lo; m <= hi; ++m) {
-                        if (m == data_line)
-                            continue;
-                        if (l1dCache.setIndex(m << 6) == set ||
-                            (!l1d_hit &&
-                             (l2Cache.setIndex(m << 6) ==
-                                  l2Cache.setIndex(mem_addr) ||
-                              (has_l3 &&
-                               l3Cache.setIndex(m << 6) ==
-                                   l3Cache.setIndex(mem_addr)))))
-                            return true;
-                    }
-                    return false;
-                };
-                if (demand_clash(pf_lo0, pf_hi0)) {
-                    pf_lo0 = 1;
-                    pf_hi0 = 0;
-                }
-                if (demand_clash(pf_lo1, pf_hi1)) {
-                    pf_lo1 = 1;
-                    pf_hi1 = 0;
-                }
-                // The accessed line is now MRU of its set; record it.
-                // A write to an already-slotted line keeps its slot
-                // (same line, same set, dirty now set by the walk).
-                if (data_line == l1d_line1) {
-                    std::swap(l1d_line0, l1d_line1);
-                    std::swap(l1d_set0, l1d_set1);
-                } else if (data_line != l1d_line0) {
-                    if (set == l1d_set0) {
-                        l1d_line0 = data_line;
-                    } else {
-                        l1d_line1 = l1d_line0;
-                        l1d_set1 = l1d_set0;
-                        l1d_line0 = data_line;
-                        l1d_set0 = set;
-                    }
+            if (!l1dCache.access(mem_addr)) {
+                ++l1d_miss;
+                if (!l2Cache.access(mem_addr)) {
+                    ++l2_from_l1d;
+                    if (!has_l3 || !l3Cache.access(mem_addr))
+                        ++l3_miss;
                 }
             }
         }
@@ -343,7 +171,6 @@ SimCpu::consumeBatch(const OpBlockView &ops)
     itlbUnit.creditRepeatHits(itlb_repeats);
     dtlbUnit.creditRepeatHits(dtlb_repeats);
     l1iCache.creditRepeatHits(l1i_repeats);
-    l1dCache.creditRepeatHits(l1d_repeats);
     itlbMisses += itlb_miss;
     dtlbMisses += dtlb_miss;
     l1iMissCount += l1i_miss;
@@ -351,7 +178,6 @@ SimCpu::consumeBatch(const OpBlockView &ops)
     l2MissesFromL1i += l2_from_l1i;
     l2MissesFromL1d += l2_from_l1d;
     l3MissesTotal += l3_miss;
-    storesMissingL3 += store_l3_miss;
 }
 
 CpuReport

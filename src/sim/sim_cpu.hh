@@ -108,9 +108,10 @@ class SimCpu : public TraceSink
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: event counters accumulate in locals, the
-     * footprint-set inserts are line/page-memoized across the block,
-     * and the L3 presence check is hoisted out of the loop.
+     * Batch-native path: consume()'s event sequence over the block's
+     * field arrays, with counters and the mix tally committed once per
+     * block. Only same-page ITLB, same-line L1I and same-page DTLB
+     * re-hits skip their walks (credited as repeat hits).
      */
     void consumeBatch(const OpBlockView &ops) override;
 
@@ -149,7 +150,6 @@ class SimCpu : public TraceSink
     uint64_t l2MissesFromL1i = 0;
     uint64_t l2MissesFromL1d = 0;
     uint64_t l3MissesTotal = 0;
-    uint64_t storesMissingL3 = 0;
     std::unordered_set<uint64_t> codeLines;
     std::unordered_set<uint64_t> dataPages;
 };

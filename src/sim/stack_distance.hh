@@ -17,13 +17,12 @@
  * simulations.
  *
  * The batch path reuses the block machinery it shares with the
- * FootprintSweep oracle (sim/line_runs.hh): line ids are precomputed
- * with the AVX2-dispatched shift and each stream is run-length
- * compressed once, so only run heads reach the tree — the count-1 tail of a run
- * is a guaranteed distance-zero reuse. The three streams are
- * independent (separate stacks, maps and histograms), so with a
- * worker cap above 1 they profile in parallel on the shared pool,
- * bit-identical to the serial order.
+ * FootprintSweep oracle (sim/line_runs.hh): each stream is shifted to
+ * line ids and run-length compressed once, so only run heads reach the
+ * tree — the count-1 tail of a run is a guaranteed distance-zero
+ * reuse. The three streams are independent (separate stacks, maps and
+ * histograms), so with a worker cap above 1 they profile in parallel
+ * on the shared pool, bit-identical to the serial order.
  *
  * What this profile is *not*: a set-associative model. The conflict
  * misses an 8-way rung sees do not exist here — though the gap runs
@@ -71,8 +70,8 @@ class StackDistanceProfile : public TraceSink
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: one line-id precompute + RLE pass per block
-     * (shared with FootprintSweep), then each stream's run heads walk
+     * Batch-native path: one line-id + RLE pass per block (shared
+     * with FootprintSweep), then each stream's run heads walk
      * that stream's stack tree — in parallel across the three streams
      * when a worker cap was given.
      */

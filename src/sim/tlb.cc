@@ -24,7 +24,7 @@ Tlb::Tlb(const TlbConfig &config) : cfg(config), tags(toCacheConfig(config))
 bool
 Tlb::access(uint64_t addr)
 {
-    return tags.access(addr, false);
+    return tags.access(addr);
 }
 
 } // namespace wcrt

@@ -39,9 +39,6 @@ class Tlb
     /** Credit guaranteed same-page repeat hits (see Cache). */
     void creditRepeatHits(uint64_t n) { tags.creditRepeatHits(n); }
 
-    /** Set index @p addr's page maps to (see Cache::setIndex). */
-    uint32_t setIndex(uint64_t addr) const { return tags.setIndex(addr); }
-
     uint64_t accesses() const { return tags.accesses(); }
     uint64_t misses() const { return tags.misses(); }
     double missRatio() const { return tags.missRatio(); }

@@ -1,10 +1,5 @@
 #include "trace/mix_counter.hh"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define WCRT_MIX_AVX2 1
-#endif
-
 namespace wcrt {
 
 void
@@ -29,126 +24,31 @@ MixCounter::consume(const MicroOp &op)
     }
 }
 
-namespace {
-
-/** Per-block tallies accumulated on the stack, committed once. */
-struct MixTally
-{
-    uint64_t kinds[numOpKinds] = {};
-    uint64_t intAddr = 0;
-    uint64_t fpAddr = 0;
-    uint64_t compute = 0;
-};
-
-/**
- * Scalar kind/purpose tally over the SoA arrays. Reading two narrow
- * byte arrays with no per-op branches gives the compiler a clean
- * autovectorization target; it is also the tail loop behind the AVX2
- * path.
- */
-void
-tallyScalar(const OpKind *kinds, const IntPurpose *purposes,
-            size_t begin, size_t end, MixTally &t)
-{
-    for (size_t i = begin; i < end; ++i) {
-        OpKind k = kinds[i];
-        ++t.kinds[static_cast<size_t>(k)];
-        uint64_t is_alu = k == OpKind::IntAlu;
-        uint64_t ia =
-            is_alu & (purposes[i] == IntPurpose::IntAddress ? 1u : 0u);
-        uint64_t fa =
-            is_alu & (purposes[i] == IntPurpose::FpAddress ? 1u : 0u);
-        t.intAddr += ia;
-        t.fpAddr += fa;
-        // isInt covers IntAlu too, so subtracting the two address
-        // flavours leaves exactly the per-op path's compute bump.
-        t.compute += (isInt(k) ? 1u : 0u) - ia - fa;
-    }
-}
-
-#ifdef WCRT_MIX_AVX2
-
-/**
- * AVX2 tally: per 32-op vector, one compare/movemask/popcount per
- * kind builds the histogram, two paired compares classify IntAlu
- * purposes, and a signed `kind < 3` compare counts integer arithmetic
- * (IntAlu=0, IntMul=1, IntDiv=2). Returns the index tallied up to;
- * the caller finishes the tail with tallyScalar.
- */
-__attribute__((target("avx2"))) size_t
-tallyAvx2(const OpKind *kinds, const IntPurpose *purposes, size_t count,
-          MixTally &t)
-{
-    const auto *kb = reinterpret_cast<const int8_t *>(kinds);
-    const auto *pb = reinterpret_cast<const int8_t *>(purposes);
-    const __m256i v_alu =
-        _mm256_set1_epi8(static_cast<int8_t>(OpKind::IntAlu));
-    const __m256i v_ia =
-        _mm256_set1_epi8(static_cast<int8_t>(IntPurpose::IntAddress));
-    const __m256i v_fa =
-        _mm256_set1_epi8(static_cast<int8_t>(IntPurpose::FpAddress));
-    const __m256i v_three = _mm256_set1_epi8(3);
-    size_t i = 0;
-    for (; i + 32 <= count; i += 32) {
-        __m256i vk = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(kb + i));
-        for (size_t k = 0; k < numOpKinds; ++k) {
-            __m256i eq = _mm256_cmpeq_epi8(
-                vk, _mm256_set1_epi8(static_cast<int8_t>(k)));
-            t.kinds[k] += static_cast<unsigned>(
-                __builtin_popcount(_mm256_movemask_epi8(eq)));
-        }
-        __m256i vp = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pb + i));
-        __m256i alu = _mm256_cmpeq_epi8(vk, v_alu);
-        uint64_t ia = static_cast<unsigned>(__builtin_popcount(
-            _mm256_movemask_epi8(
-                _mm256_and_si256(alu, _mm256_cmpeq_epi8(vp, v_ia)))));
-        uint64_t fa = static_cast<unsigned>(__builtin_popcount(
-            _mm256_movemask_epi8(
-                _mm256_and_si256(alu, _mm256_cmpeq_epi8(vp, v_fa)))));
-        // All kind values are < 127, so signed compare is safe.
-        uint64_t is_int = static_cast<unsigned>(__builtin_popcount(
-            _mm256_movemask_epi8(_mm256_cmpgt_epi8(v_three, vk))));
-        t.intAddr += ia;
-        t.fpAddr += fa;
-        t.compute += is_int - ia - fa;
-    }
-    return i;
-}
-
-bool
-haveAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2");
-    return have;
-}
-
-#endif // WCRT_MIX_AVX2
-
-} // namespace
-
 void
 MixCounter::consumeBatch(const OpBlockView &ops)
 {
-    // Accumulate in stack locals so the inner loop touches no member
-    // state; commit once per block. The purpose breakdown is computed
-    // branchlessly — op kinds arrive in data-dependent order, so any
-    // per-op branch here is a mispredict, not a hint. Only kinds[]
-    // and purposes[] are read: 2 bytes of cache traffic per op.
-    MixTally t;
-    size_t i = 0;
-#ifdef WCRT_MIX_AVX2
-    if (ops.count >= 64 && haveAvx2())
-        i = tallyAvx2(ops.kinds, ops.purposes, ops.count, t);
-#endif
-    tallyScalar(ops.kinds, ops.purposes, i, ops.count, t);
-    for (size_t k = 0; k < numOpKinds; ++k)
-        kindCounts[k] += t.kinds[k];
-    intAddressOps += t.intAddr;
-    fpAddressOps += t.fpAddr;
-    computeIntOps += t.compute;
-    totalOps += ops.count;
+    // Tally in stack locals so the loop touches no member state, then
+    // commit once per block. The purpose breakdown is branchless — op
+    // kinds arrive in data-dependent order, so any per-op branch here
+    // is a mispredict, not a hint. Only kinds[] and purposes[] are
+    // read: 2 bytes of cache traffic per op.
+    std::array<uint64_t, numOpKinds> kinds{};
+    uint64_t int_addr = 0, fp_addr = 0, compute = 0;
+    for (size_t i = 0; i < ops.count; ++i) {
+        OpKind k = ops.kinds[i];
+        ++kinds[static_cast<size_t>(k)];
+        uint64_t is_alu = k == OpKind::IntAlu;
+        uint64_t ia =
+            is_alu & (ops.purposes[i] == IntPurpose::IntAddress ? 1u : 0u);
+        uint64_t fa =
+            is_alu & (ops.purposes[i] == IntPurpose::FpAddress ? 1u : 0u);
+        int_addr += ia;
+        fp_addr += fa;
+        // isInt covers IntAlu too, so subtracting the two address
+        // flavours leaves exactly the per-op path's compute bump.
+        compute += (isInt(k) ? 1u : 0u) - ia - fa;
+    }
+    addTallies(kinds, int_addr, fp_addr, compute, ops.count);
 }
 
 uint64_t

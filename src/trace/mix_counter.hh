@@ -25,10 +25,9 @@ class MixCounter : public TraceSink
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: histograms the block's kinds[] / purposes[]
-     * arrays into flat tallies and commits once. The scalar loop is
-     * written to autovectorize; on x86-64 an AVX2 compare/popcount
-     * path takes over at runtime when the CPU supports it.
+     * Batch-native path: one branchless pass histograms the block's
+     * kinds[] / purposes[] arrays into local tallies, committed once
+     * through addTallies().
      */
     void consumeBatch(const OpBlockView &ops) override;
 

@@ -18,6 +18,7 @@
 
 #include "base/rng.hh"
 #include "core/metrics.hh"
+#include "core/profiler.hh"
 #include "sim/corun.hh"
 #include "sim/footprint.hh"
 #include "sim/inorder_core.hh"
@@ -25,6 +26,7 @@
 #include "trace/mix_counter.hh"
 #include "trace/sampling.hh"
 #include "tracefile/trace_writer.hh"
+#include "workloads/registry.hh"
 
 namespace wcrt {
 namespace {
@@ -85,11 +87,11 @@ syntheticStream(size_t count)
 /**
  * A streaming-locality stream: sequential code, two strided data
  * streams that confirm the hardware prefetcher, plus occasional
- * random pointer-chase accesses. This is the adversarial input for
- * SimCpu's batch-path repeat filters and prefetch-burst memos —
- * alternating loads and stores re-access lines in the A,B,A,B
- * pattern, streams advance across cache-set boundaries, and the
- * random accesses land in memoised sets at arbitrary points.
+ * random pointer-chase accesses. Loads and stores alternate between
+ * their streams in the A,B,A,B pattern, so consecutive data accesses
+ * change page and line while prefetch bursts fill ahead of both
+ * streams across cache-set boundaries — the interleaving SimCpu's
+ * batch path must replay exactly as consume() does.
  */
 std::vector<MicroOp>
 streamingStream(size_t count)
@@ -153,6 +155,47 @@ feedPerOp(TraceSink &sink, const std::vector<MicroOp> &ops)
         sink.consume(op);
 }
 
+/**
+ * Replay `ops` through SimCpu per op and at every tested block size on
+ * both shipped machines — the Xeon (L3, degree-4 prefetcher) and the
+ * Atom (no L3, degree-2 prefetcher) — and require the same metric
+ * vector and the same raw counters of every cache and TLB.
+ */
+void
+expectSimCpuBitIdentical(const std::vector<MicroOp> &ops)
+{
+    auto expect_counts = [](const auto &got, const auto &base,
+                            const char *name) {
+        EXPECT_EQ(got.accesses(), base.accesses()) << name;
+        EXPECT_EQ(got.misses(), base.misses()) << name;
+    };
+    for (const MachineConfig &machine : {xeonE5645(), atomD510()}) {
+        SCOPED_TRACE(machine.name);
+        SimCpu per_op(machine);
+        feedPerOp(per_op, ops);
+        CpuReport base_report = per_op.report();
+        MetricVector base = toMetricVector(base_report);
+        for (size_t block : kBlockSizes) {
+            SCOPED_TRACE("block " + std::to_string(block));
+            SimCpu batched(machine);
+            feedBlocked(batched, ops, block);
+            CpuReport report = batched.report();
+            EXPECT_EQ(report.instructions, base_report.instructions);
+            EXPECT_EQ(report.cycles, base_report.cycles);
+            MetricVector got = toMetricVector(report);
+            for (size_t m = 0; m < numMetrics; ++m)
+                EXPECT_EQ(got[m], base[m])
+                    << "metric " << metricInfos()[m].name;
+            expect_counts(batched.l1i(), per_op.l1i(), "L1I");
+            expect_counts(batched.l1d(), per_op.l1d(), "L1D");
+            expect_counts(batched.l2(), per_op.l2(), "L2");
+            expect_counts(batched.l3(), per_op.l3(), "L3");
+            expect_counts(batched.itlb(), per_op.itlb(), "ITLB");
+            expect_counts(batched.dtlb(), per_op.dtlb(), "DTLB");
+        }
+    }
+}
+
 void
 expectOpsEqual(const std::vector<MicroOp> &a,
                const std::vector<MicroOp> &b)
@@ -194,39 +237,23 @@ TEST(BatchDispatch, MixCounterMatchesPerOp)
 
 TEST(BatchDispatch, SimCpuReportBitIdentical)
 {
-    auto ops = syntheticStream(kStreamOps);
-    SimCpu per_op(xeonE5645());
-    feedPerOp(per_op, ops);
-    MetricVector base = toMetricVector(per_op.report());
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        SimCpu batched(xeonE5645());
-        feedBlocked(batched, ops, block);
-        CpuReport report = batched.report();
-        EXPECT_EQ(report.instructions, per_op.report().instructions);
-        EXPECT_EQ(report.cycles, per_op.report().cycles);
-        MetricVector got = toMetricVector(report);
-        for (size_t m = 0; m < numMetrics; ++m)
-            EXPECT_EQ(got[m], base[m])
-                << "metric " << metricInfos()[m].name;
+    {
+        SCOPED_TRACE("synthetic");
+        expectSimCpuBitIdentical(syntheticStream(kStreamOps));
     }
+    // A recorded real workload: framework code, JVM-style dispatch and
+    // data-dependent access patterns no synthetic stream mimics.
+    SCOPED_TRACE("recorded H-WordCount");
+    WorkloadPtr w = findWorkload("H-WordCount").make(0.05);
+    TraceRecorder recorder;
+    runThroughSink(*w, recorder);
+    ASSERT_GT(recorder.trace().size(), kStreamOps);
+    expectSimCpuBitIdentical(recorder.trace());
 }
 
 TEST(BatchDispatch, SimCpuBitIdenticalOnStreamingPattern)
 {
-    auto ops = streamingStream(kStreamOps);
-    SimCpu per_op(xeonE5645());
-    feedPerOp(per_op, ops);
-    MetricVector base = toMetricVector(per_op.report());
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        SimCpu batched(xeonE5645());
-        feedBlocked(batched, ops, block);
-        MetricVector got = toMetricVector(batched.report());
-        for (size_t m = 0; m < numMetrics; ++m)
-            EXPECT_EQ(got[m], base[m])
-                << "metric " << metricInfos()[m].name;
-    }
+    expectSimCpuBitIdentical(streamingStream(kStreamOps));
 }
 
 TEST(BatchDispatch, FootprintSweepCurvesMatch)

@@ -54,14 +54,6 @@ TEST(Cache, FullyAssociativeKeepsWorkingSet)
     EXPECT_FALSE(c.access(8 * 64));
 }
 
-TEST(Cache, AccessRangeCountsSpannedLines)
-{
-    Cache c(smallCache(4096, 4));
-    // 100 bytes starting 10 bytes before a line boundary spans 3 lines.
-    EXPECT_EQ(c.accessRange(64 - 10, 100, false), 3u);
-    EXPECT_EQ(c.accessRange(64 - 10, 100, false), 0u);
-}
-
 TEST(Cache, InvalidateDropsContentsKeepsStats)
 {
     Cache c(smallCache());
