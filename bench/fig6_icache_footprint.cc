@@ -79,16 +79,7 @@ main(int argc, char **argv)
     std::cout << "PARSEC instruction footprint "
               << kneeLabel(parsec.curve) << " (paper: ~128 KB)\n";
 
-    bool diverged = false;
-    if (mode == MrcMode::Verify) {
-        double group_div = std::max(hadoop.maxDivergence,
-                                    parsec.maxDivergence);
-        diverged = group_div > kMrcOracleDivergenceBound;
-        std::cout << "max |stack - oracle| over both groups: "
-                  << formatFixed(group_div * 100, 3) << "% (bound "
-                  << formatFixed(kMrcOracleDivergenceBound * 100, 1)
-                  << "%): " << (diverged ? "EXCEEDED" : "ok") << "\n";
-    }
+    bool diverged = divergenceExceeded(hadoop, parsec);
 
     auto group = benchGroup(scn, "Hadoop");
     if (group.empty())

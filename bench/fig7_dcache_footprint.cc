@@ -19,10 +19,12 @@ main(int argc, char **argv)
     initBench(argc, argv, kBenchUsesAll | kBenchUsesMrcMode);
     ScenarioSpec scn = loadBenchScenario("fig7_dcache.scn");
     double scale = benchScale() * scn.scaleFactor;
-    auto hadoop = averageSweep(benchGroup(scn, "Hadoop"),
-                               scn.sweepKind, scale);
-    auto parsec = averageSweep(benchGroup(scn, "PARSEC"),
-                               scn.sweepKind, scale);
+    GroupSweep hadoop_sweep = averageSweepMrc(benchGroup(scn, "Hadoop"),
+                                              scn.sweepKind, scale);
+    GroupSweep parsec_sweep = averageSweepMrc(benchGroup(scn, "PARSEC"),
+                                              scn.sweepKind, scale);
+    const std::vector<double> &hadoop = hadoop_sweep.curve;
+    const std::vector<double> &parsec = parsec_sweep.curve;
 
     printSweepFigure(
         "=== Figure 7: data cache miss ratio vs capacity ===",
@@ -43,5 +45,8 @@ main(int argc, char **argv)
                   << formatFixed(max_gap * 100, 3)
                   << "% (paper: curves close after 64 KB)\n";
     }
-    return 0;
+
+    // Verify mode is a CI gate here as in fig6: a stack-vs-oracle
+    // gap past the documented bound fails the run.
+    return divergenceExceeded(hadoop_sweep, parsec_sweep) ? 1 : 0;
 }

@@ -19,10 +19,12 @@ main(int argc, char **argv)
     initBench(argc, argv, kBenchUsesAll | kBenchUsesMrcMode);
     ScenarioSpec scn = loadBenchScenario("fig8_unified.scn");
     double scale = benchScale() * scn.scaleFactor;
-    auto hadoop = averageSweep(benchGroup(scn, "Hadoop"),
-                               scn.sweepKind, scale);
-    auto parsec = averageSweep(benchGroup(scn, "PARSEC"),
-                               scn.sweepKind, scale);
+    GroupSweep hadoop_sweep = averageSweepMrc(benchGroup(scn, "Hadoop"),
+                                              scn.sweepKind, scale);
+    GroupSweep parsec_sweep = averageSweepMrc(benchGroup(scn, "PARSEC"),
+                                              scn.sweepKind, scale);
+    const std::vector<double> &hadoop = hadoop_sweep.curve;
+    const std::vector<double> &parsec = parsec_sweep.curve;
 
     printSweepFigure(
         "=== Figure 8: unified cache miss ratio vs capacity ===",
@@ -38,5 +40,8 @@ main(int argc, char **argv)
     std::cout << "\nMax |Hadoop - PARSEC| gap past 1024 KB: "
               << formatFixed(max_gap * 100, 3)
               << "% (paper: curves close after 1024 KB)\n";
-    return 0;
+
+    // Verify mode is a CI gate here as in fig6: a stack-vs-oracle
+    // gap past the documented bound fails the run.
+    return divergenceExceeded(hadoop_sweep, parsec_sweep) ? 1 : 0;
 }

@@ -74,6 +74,27 @@ averageSweepMrc(const std::vector<WorkloadEntry> &entries,
     return out;
 }
 
+/**
+ * The verify-mode gate the footprint figures share: print the worst
+ * stack-vs-oracle divergence over both groups against the documented
+ * kMrcOracleDivergenceBound. Prints nothing outside verify mode.
+ *
+ * @return true when the bound is exceeded (the figure exits 1).
+ */
+inline bool
+divergenceExceeded(const GroupSweep &a, const GroupSweep &b)
+{
+    if (benchOptions().mrcMode != MrcMode::Verify)
+        return false;
+    double worst = std::max(a.maxDivergence, b.maxDivergence);
+    bool exceeded = worst > kMrcOracleDivergenceBound;
+    std::cout << "max |stack - oracle| over both groups: "
+              << formatFixed(worst * 100, 3) << "% (bound "
+              << formatFixed(kMrcOracleDivergenceBound * 100, 1)
+              << "%): " << (exceeded ? "EXCEEDED" : "ok") << "\n";
+    return exceeded;
+}
+
 /** averageSweepMrc() returning just the averaged curve. */
 inline std::vector<double>
 averageSweep(const std::vector<WorkloadEntry> &entries, SweepKind kind,
@@ -97,7 +118,7 @@ liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
         runThroughSink(*w, sweep);
         return sweep.missRatios(kind);
     }
-    StackDistanceProfile profile;
+    StackDistanceProfile profile(kind);
     runThroughSink(*w, profile);
     return profile.missRatios(kind, paperSweepSizesKb());
 }

@@ -610,7 +610,7 @@ BM_MrcSinglePass(benchmark::State &state)
     uint64_t ops_read = 0;
     double sink = 0.0;
     for (auto _ : state) {
-        StackDistanceProfile profile;
+        StackDistanceProfile profile(SweepKind::Instruction);
         ops_read += reader.replayInto(profile);
         auto curve = profile.missRatios(SweepKind::Instruction, sizes);
         sink += curve.back();

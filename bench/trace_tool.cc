@@ -31,7 +31,9 @@
  * the replay layer's MrcMode plumbing — the single-pass
  * stack-distance profile by default, the per-rung set-associative
  * oracle, or both (verify) with the divergence per rung — as a table
- * or machine-readable JSON.
+ * or machine-readable JSON. The JSON also carries the trace's op
+ * count, the profiled stream's accesses and distinct lines (0 in
+ * oracle mode) and the wall time of the replay.
  *
  * `serve` and `attach` are the cross-process pair (the shm ring
  * transport, docs/SHM_TRANSPORT.md): `serve` executes workloads and
@@ -44,6 +46,7 @@
  */
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -456,8 +459,12 @@ cmdMrc(int argc, char **argv)
 
     TraceReader probe(path);
     std::string workload = probe.meta().workload;
+    auto t0 = std::chrono::steady_clock::now();
     MrcResult r = replaySweepLadder(path, kind, sizes, mode, jobs,
                                     assoc, line_bytes);
+    double wall_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
 
     if (json) {
         std::cout << "{\n"
@@ -467,7 +474,12 @@ cmdMrc(int argc, char **argv)
                   << "  \"kind\": \"" << kind_name << "\",\n"
                   << "  \"mode\": \"" << toString(mode) << "\",\n"
                   << "  \"assoc\": " << assoc << ",\n"
-                  << "  \"line_bytes\": " << line_bytes << ",\n";
+                  << "  \"line_bytes\": " << line_bytes << ",\n"
+                  << "  \"ops\": " << probe.opCount() << ",\n"
+                  << "  \"accesses\": " << r.accesses << ",\n"
+                  << "  \"distinct_lines\": " << r.distinctLines
+                  << ",\n"
+                  << "  \"wall_s\": " << jsonDouble(wall_s) << ",\n";
         auto emit_list = [](const char *name, auto &&fmt, size_t n,
                             bool last = false) {
             std::cout << "  \"" << name << "\": [";
@@ -753,9 +765,7 @@ cmdAttach(int argc, char **argv)
                 // Mirror replaySweepLadder's StackDistance mode so
                 // the curve is bit-identical to `trace_tool mrc` on
                 // the equivalent file.
-                unsigned workers = replayWorkers(jobs);
-                StackDistanceProfile profile(
-                    line_bytes, workers > 1 ? workers : 0);
+                StackDistanceProfile profile(kind, line_bytes);
                 TraceReader reader(
                     std::make_unique<ShmSource>(streams[i]), display);
                 reader.replayInto(profile);

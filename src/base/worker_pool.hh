@@ -3,9 +3,11 @@
  * Persistent worker pool with caller-participating completion waits.
  *
  * Every parallel path in the toolkit needs the same machinery:
- * FootprintSweep fans one block out to its (rung, stream) caches,
- * StackDistanceProfile to its three streams, and the replay runners
- * fan N independent trace replays out over the machine. Each runs a
+ * FootprintSweep fans one block out to its (rung, stream) caches, a
+ * three-stream StackDistanceProfile to its streams (the one-stream
+ * profile replaySweepLadder uses runs on the caller alone), and the
+ * replay runners fan N independent trace replays out over the
+ * machine. Each runs a
  * task of `count` independent indices through runBounded(); pool
  * threads and the calling thread claim indices from a shared atomic
  * counter, so the caller never idles while work remains and a pool of

@@ -68,8 +68,8 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Run-length compression of the three reference streams, shared
-    // with the stack-distance profile (sim/line_runs.hh). A run's tail
+    // Run-length compression of the three reference streams
+    // (sim/line_runs.hh), built once for all K rungs. A run's tail
     // re-touches the line its head just made MRU of its set, so every
     // rung walks only run heads.
     runs.build(batch, lineShift);

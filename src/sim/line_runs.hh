@@ -1,17 +1,17 @@
 /**
  * @file
- * Shared per-block cache-line reference machinery for the capacity
- * sinks.
+ * Per-block cache-line reference runs for the FootprintSweep oracle.
  *
- * Both miss-ratio paths — the rung-laddered FootprintSweep and the
- * single-pass StackDistanceProfile — consume the same three reference
- * streams (instruction, data, unified) and both want them as
- * run-length-compressed line ids rather than raw ops: consecutive
- * accesses to the same line are guaranteed MRU hits in any LRU cache
- * and distance-zero reuses in any stack profile, so only run heads
- * need real work. This module owns the block-level stage they share:
- * the one-pass address→line-id shift and run-length compression of
- * the three streams.
+ * The sweep consumes three reference streams (instruction, data,
+ * unified) and walks each of its 3×K (rung, stream) caches over them.
+ * It wants them as run-length-compressed line ids rather than raw
+ * ops: consecutive accesses to the same line are guaranteed MRU hits
+ * in any LRU cache, so only run heads need a tag walk. Building the
+ * runs once per block amortizes the address→line-id shift and the
+ * compression over all K rungs. (StackDistanceProfile does not use
+ * them: it profiles one stack per stream, walks the block's columns
+ * directly and catches back-to-back repeats with its own last-line
+ * check.)
  */
 
 #ifndef WCRT_SIM_LINE_RUNS_HH
@@ -28,10 +28,9 @@ namespace wcrt {
  * One run-length-compressed reference: `count` back-to-back accesses
  * to `line`. Accesses 2..count re-touch the line while it is
  * necessarily still the most recently used line of the stream
- * (nothing intervened in this stream's access order), so every
- * consumer handles the head once and credits the tail — a guaranteed
- * hit in every cache rung, a distance-zero reuse in a stack profile.
- * Runs merge regardless of read/write sense.
+ * (nothing intervened in this stream's access order), so the sweep
+ * walks the head once and credits the tail as a guaranteed hit in
+ * every cache rung. Runs merge regardless of read/write sense.
  */
 struct LineRun
 {
@@ -57,10 +56,6 @@ class LineRunStreams
      * @param line_shift log2(line size) for the address→line shift.
      */
     void build(const OpBlockView &batch, uint32_t line_shift);
-
-    const std::vector<LineRun> &instr() const { return instrRuns; }
-    const std::vector<LineRun> &data() const { return dataRuns; }
-    const std::vector<LineRun> &unified() const { return uniRuns; }
 
     /** Stream by FootprintSweep's index convention (0/1/2 = i/d/u). */
     const std::vector<LineRun> &

@@ -23,55 +23,83 @@ mixLine(uint64_t x)
 /** Initial open-addressing capacity (power of two). */
 constexpr size_t kInitialMapSlots = 1 << 10;
 
+/** log2 of a validated power-of-two line size. */
+uint32_t
+lineShiftOf(uint32_t line_bytes)
+{
+    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
+        wcrt_fatal("stack-distance profile: line size must be a power "
+                   "of two, got ", line_bytes);
+    return static_cast<uint32_t>(std::countr_zero(line_bytes));
+}
+
+/** Slot-space size: a power of two holding whole 64-slot words. */
+size_t
+slotSpace(size_t initial_slots)
+{
+    return std::bit_ceil(std::max<size_t>(initial_slots, 64));
+}
+
+/** Mask of the bits of a word strictly below bit `b`. */
+uint64_t
+below(uint64_t b)
+{
+    return (1ull << b) - 1;
+}
+
 } // namespace
 
 StackDistanceProfile::StackDistanceProfile(uint32_t line_bytes,
                                            unsigned workers,
                                            size_t initial_slots)
-    : lineBytes(line_bytes)
+    : lineShift(lineShiftOf(line_bytes)), lineBytes(line_bytes),
+      poolCap(workers)
 {
-    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
-        wcrt_fatal("stack-distance profile: line size must be a power "
-                   "of two, got ", line_bytes);
-    lineShift = static_cast<uint32_t>(std::countr_zero(line_bytes));
-    poolCap = workers;
-    size_t slots = std::bit_ceil(std::max<size_t>(initial_slots, 16));
-    instrStream.init(slots);
-    dataStream.init(slots);
-    uniStream.init(slots);
+    for (Stream &st : streams)
+        st.init(slotSpace(initial_slots));
+}
+
+StackDistanceProfile::StackDistanceProfile(SweepKind only,
+                                           uint32_t line_bytes,
+                                           size_t initial_slots)
+    : firstKind(static_cast<size_t>(only)), endKind(firstKind + 1),
+      lineShift(lineShiftOf(line_bytes)), lineBytes(line_bytes)
+{
+    streams[firstKind].init(slotSpace(initial_slots));
 }
 
 void
 StackDistanceProfile::Stream::init(size_t slots)
 {
     slotCap = slots;
-    fenwick.assign(slotCap + 1, 0);
+    bits.assign(slotCap / 64, 0);
+    wordTree.assign(bits.size() + 1, 0);
     keys.assign(kInitialMapSlots, kEmptyKey);
     vals.assign(kInitialMapSlots, 0);
 }
 
 void
-StackDistanceProfile::Stream::bump(uint64_t d, uint64_t n)
+StackDistanceProfile::Stream::bump(uint64_t d)
 {
     if (d >= hist.size())
         hist.resize(std::max<size_t>(d + 1, hist.size() * 2), 0);
-    hist[d] += n;
+    ++hist[d];
 }
 
 void
-StackDistanceProfile::Stream::fenAdd(size_t slot, int64_t delta)
+StackDistanceProfile::Stream::wordAdd(size_t word, int64_t delta)
 {
-    for (size_t i = slot + 1; i <= slotCap; i += i & (~i + 1))
-        fenwick[i] = static_cast<uint64_t>(
-            static_cast<int64_t>(fenwick[i]) + delta);
+    for (size_t i = word + 1; i <= bits.size(); i += i & (~i + 1))
+        wordTree[i] = static_cast<uint64_t>(
+            static_cast<int64_t>(wordTree[i]) + delta);
 }
 
 uint64_t
-StackDistanceProfile::Stream::fenPrefix(size_t slot) const
+StackDistanceProfile::Stream::wordPrefix(size_t words) const
 {
     uint64_t sum = 0;
-    for (size_t i = slot + 1; i > 0; i -= i & (~i + 1))
-        sum += fenwick[i];
+    for (size_t i = words; i > 0; i -= i & (~i + 1))
+        sum += wordTree[i];
     return sum;
 }
 
@@ -110,94 +138,125 @@ StackDistanceProfile::Stream::growMapIfNeeded()
 void
 StackDistanceProfile::Stream::compact()
 {
-    // Renumber the live slots densely, preserving their order — only
-    // the relative order of last-access slots enters any rank query,
-    // so every future distance is unchanged. Regrow the slot space to
-    // keep at least half free: with >= slotCap/2 accesses between
-    // compactions, the O(live log live) renumber amortizes to O(log)
-    // per access.
-    std::vector<uint64_t> order;
-    order.reserve(live);
-    for (size_t j = 0; j < keys.size(); ++j)
-        if (keys[j] != kEmptyKey)
-            order.push_back(vals[j]);
-    std::sort(order.begin(), order.end());
-    while (slotCap < 2 * (live + 1))
-        slotCap *= 2;
-    fenwick.assign(slotCap + 1, 0);
+    // Renumber every live slot to its rank among the live slots —
+    // order-preserving, and only the relative order of last-access
+    // slots enters any rank query, so every future distance is
+    // unchanged. Regrow the slot space to keep at least half free:
+    // with >= slotCap/2 accesses between compactions, the
+    // O(map + slots/64) renumber amortizes to O(1) per access.
+    std::vector<uint64_t> rank(bits.size());  // live slots before word
+    uint64_t seen = 0;
+    for (size_t w = 0; w < bits.size(); ++w) {
+        rank[w] = seen;
+        seen += static_cast<uint64_t>(std::popcount(bits[w]));
+    }
     for (size_t j = 0; j < keys.size(); ++j) {
         if (keys[j] == kEmptyKey)
             continue;
-        size_t idx = static_cast<size_t>(
-            std::lower_bound(order.begin(), order.end(), vals[j]) -
-            order.begin());
-        vals[j] = idx;
+        uint64_t p = vals[j];
+        vals[j] = rank[p >> 6] + static_cast<uint64_t>(std::popcount(
+                                     bits[p >> 6] & below(p & 63)));
     }
-    // O(n) Fenwick build over the dense prefix of set bits.
-    for (size_t i = 1; i <= live; ++i)
-        fenwick[i] = 1;
-    for (size_t i = 1; i <= slotCap; ++i) {
+    while (slotCap < 2 * (live + 1))
+        slotCap *= 2;
+    // The renumbered slots are exactly the dense prefix [0, live).
+    bits.assign(slotCap / 64, 0);
+    std::fill_n(bits.begin(), live / 64, ~0ull);
+    if (live % 64 != 0)
+        bits[live / 64] = below(live % 64);
+    // O(n) Fenwick build over the word popcounts.
+    wordTree.assign(bits.size() + 1, 0);
+    for (size_t i = 1; i <= bits.size(); ++i) {
+        wordTree[i] += static_cast<uint64_t>(std::popcount(bits[i - 1]));
         size_t parent = i + (i & (~i + 1));
-        if (parent <= slotCap)
-            fenwick[parent] += fenwick[i];
+        if (parent <= bits.size())
+            wordTree[parent] += wordTree[i];
     }
     clock = live;
 }
 
 void
-StackDistanceProfile::Stream::access(uint64_t line, uint32_t count)
+StackDistanceProfile::Stream::access(uint64_t line)
 {
-    total += count;
+    ++total;
     if (line == lastLine) {
-        // The stream's previous run touched this line — every access
-        // of this run reuses the stack's top entry at distance zero.
-        bump(0, count);
+        // The stream's previous reference touched this line: a reuse
+        // of the stack's top entry at distance zero.
+        bump(0);
         return;
     }
     lastLine = line;
     if (clock == slotCap)
         compact();
     size_t i = probe(line);
+    uint64_t now = clock++;
+    bits[now >> 6] |= 1ull << (now & 63);
     if (keys[i] == kEmptyKey) {
-        // First touch: compulsory miss at every capacity; the run's
-        // tail re-touches the line at distance zero.
+        // First touch: compulsory miss at every capacity.
         keys[i] = line;
-        vals[i] = clock;
+        vals[i] = now;
         ++live;
         ++cold;
-        if (count > 1)
-            bump(0, count - 1);
-        fenAdd(clock, +1);
-        ++clock;
+        wordAdd(now >> 6, +1);
         growMapIfNeeded();
-    } else {
-        // Reuse: the distance is the number of live lines whose
-        // last-access slot is more recent than this line's — a rank
-        // query against the Fenwick tree.
-        uint64_t prev = vals[i];
-        uint64_t d = live - fenPrefix(static_cast<size_t>(prev));
-        bump(d, 1);
-        if (count > 1)
-            bump(0, count - 1);
-        fenAdd(static_cast<size_t>(prev), -1);
-        fenAdd(clock, +1);
-        vals[i] = clock;
-        ++clock;
+        return;
+    }
+    // Reuse: the distance is the number of live lines whose
+    // last-access slot is more recent than this line's — every live
+    // slot but this one, less those before it: the whole words below
+    // its word from the tree, the lower bits of its own word by
+    // popcount. (The bit just set for `now` sits above `prev`.)
+    uint64_t prev = vals[i];
+    size_t word = prev >> 6;
+    uint64_t before =
+        wordPrefix(word) + static_cast<uint64_t>(std::popcount(
+                               bits[word] & below(prev & 63)));
+    bump(live - 1 - before);
+    bits[word] &= ~(1ull << (prev & 63));
+    if (word != now >> 6) {
+        wordAdd(word, -1);
+        wordAdd(now >> 6, +1);
+    }
+    vals[i] = now;
+}
+
+void
+StackDistanceProfile::walk(Stream &st, SweepKind kind,
+                           const OpBlockView &batch) const
+{
+    // Per-op reference order within the stream, so back-to-back
+    // repeats land on the lastLine check exactly as in consume().
+    switch (kind) {
+      case SweepKind::Instruction:
+        for (size_t i = 0; i < batch.count; ++i)
+            st.access(batch.pcs[i] >> lineShift);
+        break;
+      case SweepKind::Data:
+        for (size_t i = 0; i < batch.count; ++i)
+            if (batch.memSizes[i] != 0)
+                st.access(batch.memAddrs[i] >> lineShift);
+        break;
+      case SweepKind::Unified:
+        for (size_t i = 0; i < batch.count; ++i) {
+            st.access(batch.pcs[i] >> lineShift);
+            if (batch.memSizes[i] != 0)
+                st.access(batch.memAddrs[i] >> lineShift);
+        }
+        break;
     }
 }
 
 void
 StackDistanceProfile::consume(const MicroOp &op)
 {
+    OpBlockView one;
+    one.pcs = &op.pc;
+    one.memAddrs = &op.memAddr;
+    one.memSizes = &op.memSize;
+    one.count = 1;
     ++ops;
-    uint64_t pc_line = op.pc >> lineShift;
-    instrStream.access(pc_line, 1);
-    uniStream.access(pc_line, 1);
-    if (op.memSize > 0) {
-        uint64_t mem_line = op.memAddr >> lineShift;
-        dataStream.access(mem_line, 1);
-        uniStream.access(mem_line, 1);
-    }
+    for (size_t k = firstKind; k < endKind; ++k)
+        walk(streams[k], static_cast<SweepKind>(k), one);
 }
 
 void
@@ -206,37 +265,32 @@ StackDistanceProfile::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Distances are write-sense-blind, and runs merge across
-    // read/write alternation — maximal compression, with the per-op
-    // order within each stream preserved exactly.
-    runs.build(batch, lineShift);
-    auto stream_task = [&](size_t s) {
-        Stream &st = s == 0 ? instrStream
-                     : s == 1 ? dataStream
-                              : uniStream;
-        for (const LineRun &r : runs.stream(s))
-            st.access(r.line, r.count);
+    auto stream_task = [&](size_t j) {
+        size_t k = firstKind + j;
+        walk(streams[k], static_cast<SweepKind>(k), batch);
     };
+    // Only the three-stream profile carries a pool cap.
+    size_t tracked = endKind - firstKind;
     if (poolCap > 1) {
-        WorkerPool::shared().runBounded(3, std::min(poolCap, 3u),
-                                        stream_task);
+        WorkerPool::shared().runBounded(
+            tracked, std::min<unsigned>(poolCap, tracked), stream_task);
     } else {
-        for (size_t s = 0; s < 3; ++s)
-            stream_task(s);
+        for (size_t j = 0; j < tracked; ++j)
+            stream_task(j);
     }
 }
 
 const StackDistanceProfile::Stream &
 StackDistanceProfile::streamFor(SweepKind kind) const
 {
-    switch (kind) {
-      case SweepKind::Instruction:
-        return instrStream;
-      case SweepKind::Data:
-        return dataStream;
-      default:
-        return uniStream;
-    }
+    static const char *const kNames[] = {"instruction", "data",
+                                         "unified"};
+    size_t k = static_cast<size_t>(kind);
+    if (k < firstKind || k >= endKind)
+        wcrt_fatal("stack-distance profile: asked for the ", kNames[k],
+                   " stream of a profile that tracks only the ",
+                   kNames[firstKind], " stream");
+    return streams[k];
 }
 
 std::vector<double>

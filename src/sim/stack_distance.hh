@@ -10,19 +10,22 @@
  * access to the same line — is below C (Mattson's inclusion
  * property). This sink maintains an LRU stack per reference stream
  * (instruction / data / unified) as an order-statistic structure — a
- * Fenwick tree over last-access time slots plus an open-addressing
- * line→slot map — and counts a distance histogram in O(log N) per
- * distinct-line reference. A capacity ladder of any length is then a
- * histogram walk: K rungs cost one profile pass instead of K cache
+ * bitmap with one bit per last-access time slot, a Fenwick tree over
+ * the popcounts of its 64-slot words, and an open-addressing
+ * line→slot map — and counts a distance histogram in O(log(N/64))
+ * tree steps per reference. A capacity ladder of any length is then
+ * a histogram walk: K rungs cost one profile pass instead of K cache
  * simulations.
  *
- * The batch path reuses the block machinery it shares with the
- * FootprintSweep oracle (sim/line_runs.hh): each stream is shifted to
- * line ids and run-length compressed once, so only run heads reach the
- * tree — the count-1 tail of a run is a guaranteed distance-zero
- * reuse. The three streams are independent (separate stacks, maps and
- * histograms), so with a worker cap above 1 they profile in parallel
- * on the shared pool, bit-identical to the serial order.
+ * A profile tracks either all three streams or, when built for one
+ * SweepKind, only that one — a single-curve caller pays for one
+ * stack, not three. The batch path walks the block's pc / address
+ * columns straight into each tracked stream; a line repeated
+ * back-to-back is caught by the stream's last-line check and counted
+ * as a distance-zero reuse without touching the tree. The three
+ * streams of a full profile are independent (separate stacks, maps
+ * and histograms), so with a worker cap above 1 they profile in
+ * parallel on the shared pool, bit-identical to the serial order.
  *
  * What this profile is *not*: a set-associative model. The conflict
  * misses an 8-way rung sees do not exist here — though the gap runs
@@ -36,11 +39,11 @@
 #ifndef WCRT_SIM_STACK_DISTANCE_HH
 #define WCRT_SIM_STACK_DISTANCE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "sim/footprint.hh"
-#include "sim/line_runs.hh"
 #include "trace/microop.hh"
 
 namespace wcrt {
@@ -52,28 +55,39 @@ class StackDistanceProfile : public TraceSink
 {
   public:
     /**
+     * Profile all three reference streams.
+     *
      * @param line_bytes Cache-line size the distances are counted in
      *        (paper: 64; must be a power of two).
      * @param workers Executor cap for the per-stream fan-out on the
      *        shared worker pool; 0 or 1 profiles all three streams on
      *        the calling thread (bit-identical either way).
      * @param initial_slots Starting capacity of the time-slot space
-     *        (power of two). The profile compacts and regrows the
-     *        slot space as the clock fills it; the default is sized
-     *        so steady-state traces rarely compact. Tests shrink it
-     *        to exercise the compaction path.
+     *        (rounded up to a power of two of at least 64). The
+     *        profile compacts and regrows the slot space as the clock
+     *        fills it; the default is sized so steady-state traces
+     *        rarely compact. Tests shrink it to exercise the
+     *        compaction path.
      */
     explicit StackDistanceProfile(uint32_t line_bytes = 64,
                                   unsigned workers = 0,
                                   size_t initial_slots = 1 << 16);
 
+    /**
+     * Profile only the `only` stream, on the calling thread. Its
+     * accessors reject every other kind (wcrt_fatal). Results for
+     * `only` are bit-identical to the three-stream profile's.
+     */
+    explicit StackDistanceProfile(SweepKind only,
+                                  uint32_t line_bytes = 64,
+                                  size_t initial_slots = 1 << 16);
+
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: one line-id + RLE pass per block (shared
-     * with FootprintSweep), then each stream's run heads walk
-     * that stream's stack tree — in parallel across the three streams
-     * when a worker cap was given.
+     * Batch-native path: each tracked stream walks the block's pc /
+     * address columns in per-op order — in parallel across the three
+     * streams when a worker cap was given.
      */
     void consumeBatch(const OpBlockView &ops) override;
 
@@ -112,14 +126,16 @@ class StackDistanceProfile : public TraceSink
      * One reference stream's LRU stack profile.
      *
      * The stack is represented positionally: every live line owns one
-     * set bit in a Fenwick tree indexed by its last-access time slot,
-     * so "distinct lines touched since slot t" is a rank query
-     * (live - prefix(t)) in O(log slots). The clock allocates slots
-     * monotonically; when it reaches the slot capacity the live slots
-     * are renumbered densely (compact()) — order-preserving, so every
-     * later distance is unchanged — and the slot space regrows to
-     * keep at least half free, which makes compaction amortized
-     * O(log) per access.
+     * set bit in a bitmap indexed by its last-access time slot, so
+     * "distinct lines touched since slot p" is a rank query. A
+     * Fenwick tree over the popcounts of the bitmap's 64-slot words
+     * answers the whole words before p; a masked popcount of p's own
+     * word finishes it. The clock allocates slots monotonically; when
+     * it reaches the slot capacity every live slot is renumbered to
+     * its bitmap rank (compact()) — order-preserving, so every later
+     * distance is unchanged — and the slot space regrows to keep at
+     * least half free, which makes compaction amortized O(1) per
+     * access.
      */
     struct Stream
     {
@@ -131,32 +147,36 @@ class StackDistanceProfile : public TraceSink
         std::vector<uint64_t> keys;  //!< line ids, kEmptyKey = free
         std::vector<uint64_t> vals;  //!< last-access time slot
         size_t live = 0;             //!< distinct lines seen
-        std::vector<uint64_t> fenwick;  //!< 1-based BIT over slots
+        std::vector<uint64_t> bits;  //!< one bit per live time slot
+        std::vector<uint64_t> wordTree;  //!< 1-based BIT of popcounts
         uint64_t clock = 0;          //!< next unused time slot
-        size_t slotCap = 0;          //!< fenwick capacity (slots)
+        size_t slotCap = 0;          //!< bitmap capacity (slots)
         std::vector<uint64_t> hist;  //!< hist[d] = reuses at distance d
         uint64_t cold = 0;           //!< first-touch misses
         uint64_t total = 0;          //!< accesses profiled
-        uint64_t lastLine = kNoLine; //!< merges runs across blocks
+        uint64_t lastLine = kNoLine; //!< back-to-back repeat check
 
         void init(size_t slots);
-        void access(uint64_t line, uint32_t count);
+        void access(uint64_t line);
 
       private:
-        void bump(uint64_t d, uint64_t n);
-        void fenAdd(size_t slot, int64_t delta);
-        uint64_t fenPrefix(size_t slot) const;
+        void bump(uint64_t d);
+        void wordAdd(size_t word, int64_t delta);
+        uint64_t wordPrefix(size_t words) const;
         size_t probe(uint64_t line) const;
         void growMapIfNeeded();
         void compact();
     };
 
+    /** Feed one block's `kind` references into `st`, in op order. */
+    void walk(Stream &st, SweepKind kind, const OpBlockView &batch) const;
+
     const Stream &streamFor(SweepKind kind) const;
 
-    Stream instrStream;
-    Stream dataStream;
-    Stream uniStream;
-    LineRunStreams runs;  //!< per-block RLE scratch
+    //! Indexed by SweepKind; only [firstKind, endKind) are tracked.
+    std::array<Stream, 3> streams;
+    size_t firstKind = 0;
+    size_t endKind = 3;
     uint32_t lineShift = 6;
     uint32_t lineBytes = 64;
     unsigned poolCap = 0;  //!< executor cap on the shared pool

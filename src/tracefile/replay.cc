@@ -110,19 +110,21 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     if (sizes_kb.empty())
         return result;
 
-    // One decode pass total in every mode: the sink(s) spread their
-    // own internal work over the shared pool per block, so a single
-    // TraceReader feeds the whole ladder instead of each worker
-    // re-decoding the trace for its share. The worker request is
-    // resolved exactly once, here, and handed down as executor caps.
+    // One decode pass total in every mode. The stack-distance profile
+    // tracks only the requested stream, on the calling thread; the
+    // oracle sweep spreads its (rung, stream) walks over the shared
+    // pool per block. The worker request is resolved exactly once,
+    // here, and handed down to the oracle as its executor cap.
     unsigned workers = replayWorkers(threads);
     unsigned sink_workers = workers > 1 ? workers : 0;
     switch (mode) {
       case MrcMode::StackDistance: {
-        StackDistanceProfile profile(line_bytes, sink_workers);
+        StackDistanceProfile profile(kind, line_bytes);
         TraceReader reader(trace_path);
         reader.replayInto(profile);
         result.ratios = profile.missRatios(kind, sizes_kb);
+        result.accesses = profile.accesses(kind);
+        result.distinctLines = profile.distinctLines(kind);
         break;
       }
       case MrcMode::ShardedOracle: {
@@ -135,9 +137,8 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
       case MrcMode::Verify: {
         // One decode, two sinks: the tee delivers every block to both
         // the profile and the sweep, so the comparison can never be
-        // skewed by two decodes seeing different chunk boundaries. The
-        // sinks keep their internal parallelism.
-        StackDistanceProfile profile(line_bytes, sink_workers);
+        // skewed by two decodes seeing different chunk boundaries.
+        StackDistanceProfile profile(kind, line_bytes);
         FootprintSweep sweep(sizes_kb, assoc, line_bytes, sink_workers);
         TeeSink tee;
         tee.addSink(&profile);
@@ -145,6 +146,8 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         TraceReader reader(trace_path);
         reader.replayInto(tee);
         result.ratios = profile.missRatios(kind, sizes_kb);
+        result.accesses = profile.accesses(kind);
+        result.distinctLines = profile.distinctLines(kind);
         result.oracleRatios = sweep.missRatios(kind);
         for (size_t i = 0; i < result.ratios.size(); ++i)
             result.maxDivergence = std::max(

@@ -60,10 +60,10 @@ std::vector<CpuReport> replayOnConfigs(
 /**
  * How a miss-ratio curve (MRC) is computed from a trace.
  *
- * StackDistance is the primary path: one decode pass feeds one
- * Mattson reuse-distance profile and the whole curve — any ladder —
- * falls out of the distance histogram (fully-associative LRU;
- * sim/stack_distance.hh). ShardedOracle is the validation path: the
+ * StackDistance is the primary path: one decode pass feeds a
+ * Mattson reuse-distance profile of the one requested stream and the
+ * whole curve — any ladder — falls out of the distance histogram
+ * (fully-associative LRU; sim/stack_distance.hh). ShardedOracle is the validation path: the
  * set-associative FootprintSweep reference oracle, bit-exact for the
  * paper's 8-way rungs, at the cost of one tag walk per rung (the
  * enumerator keeps its historical name; the oracle walks each cache
@@ -108,19 +108,28 @@ struct MrcResult
     std::vector<double> oracleRatios;
     /** max |ratios - oracleRatios| over the ladder (Verify only). */
     double maxDivergence = 0.0;
+    /**
+     * References the stack-distance profile counted in the measured
+     * stream, and the distinct lines among them (StackDistance and
+     * Verify modes; 0 in ShardedOracle mode).
+     */
+    uint64_t accesses = 0;
+    uint64_t distinctLines = 0;
 };
 
 /**
  * Replay one trace across a cache-capacity ladder in the selected
  * MrcMode: one decode pass in every mode (Verify tees the decoded
- * blocks into both sinks), with the sinks spreading their internal
- * work over the shared pool under the worker cap.
+ * blocks into both sinks). The stack-distance profile tracks only the
+ * `kind` stream, on the calling thread; the worker cap reaches only
+ * the oracle sweep, which spreads its (rung, stream) walks over the
+ * shared pool.
  *
  * @param trace_path Captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
- * @param threads Worker cap (0 → hardware threads).
+ * @param threads Oracle worker cap (0 → hardware threads).
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the single-pass stack-distance MRC layer: bit-exact
- * equivalence between the Mattson profile's curve and the
- * fully-associative LRU cache sweep on randomized traces under every
- * delivery partition, the compaction and parallel paths, the replay
+ * Tests for the single-pass stack-distance MRC layer: every distance
+ * pinned against a brute-force LRU stack, bit-exact equivalence
+ * between the Mattson profile's curve and the fully-associative LRU
+ * cache sweep on randomized traces under every delivery partition,
+ * the one-stream, compaction and parallel paths, the replay
  * layer's MrcMode plumbing (stack / oracle / verify) with its
  * documented stack-vs-oracle divergence bound, and the knee finder's
  * "no knee within ladder" semantics.
@@ -11,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <vector>
 
 #include "base/rng.hh"
@@ -200,6 +203,129 @@ TEST(StackDistance, BatchDeliveryMatchesPerOp)
     }
 }
 
+/**
+ * The brute-force Mattson reference: an explicit LRU stack (top at
+ * the back) per stream, where a reuse's distance is simply the line's
+ * depth in the stack. Quadratic, so it only serves the short test
+ * streams — but it shares no code or idea with the profile's
+ * bitmap-and-word-tree rank queries.
+ */
+struct MattsonReference
+{
+    std::vector<uint64_t> hist;  //!< exact size: max distance + 1
+    uint64_t cold = 0;
+    uint64_t total = 0;
+
+    void
+    access(std::vector<uint64_t> &stack, uint64_t line)
+    {
+        ++total;
+        auto it = std::find(stack.rbegin(), stack.rend(), line);
+        if (it == stack.rend()) {
+            ++cold;
+            stack.push_back(line);
+            return;
+        }
+        size_t d = static_cast<size_t>(it - stack.rbegin());
+        if (d >= hist.size())
+            hist.resize(d + 1, 0);
+        ++hist[d];
+        stack.erase(std::next(it).base());
+        stack.push_back(line);
+    }
+};
+
+MattsonReference
+mattson(const std::vector<MicroOp> &ops, SweepKind kind)
+{
+    MattsonReference ref;
+    std::vector<uint64_t> stack;
+    for (const MicroOp &op : ops) {
+        if (kind != SweepKind::Data)
+            ref.access(stack, op.pc >> 6);
+        if (kind != SweepKind::Instruction && op.memSize > 0)
+            ref.access(stack, op.memAddr >> 6);
+    }
+    return ref;
+}
+
+/** A histogram without its trailing zero buckets (growth slack). */
+std::vector<uint64_t>
+trimmed(std::vector<uint64_t> hist)
+{
+    while (!hist.empty() && hist.back() == 0)
+        hist.pop_back();
+    return hist;
+}
+
+const SweepKind kAllKinds[] = {SweepKind::Instruction, SweepKind::Data,
+                               SweepKind::Unified};
+
+/**
+ * Every distance of every stream, pinned against the brute-force
+ * stack: the three-stream profile and each one-stream profile, fed
+ * per op (block 0) and at every block size, in the default slot
+ * space and in the 64-slot minimum that compacts every few dozen
+ * accesses.
+ */
+void
+expectMatchesMattson(const std::vector<MicroOp> &ops)
+{
+    std::vector<MattsonReference> refs;
+    for (SweepKind kind : kAllKinds)
+        refs.push_back(mattson(ops, kind));
+    auto feed = [&](TraceSink &sink, size_t block) {
+        if (block == 0)
+            feedPerOp(sink, ops);
+        else
+            feedBlocked(sink, ops, block);
+    };
+    for (size_t slots : {size_t{1} << 16, size_t{64}}) {
+        for (size_t block : {size_t{0}, size_t{1}, size_t{7},
+                             size_t{4096}}) {
+            SCOPED_TRACE("slots " + std::to_string(slots) + ", block " +
+                         std::to_string(block));
+            StackDistanceProfile all(64, 0, slots);
+            feed(all, block);
+            for (SweepKind kind : kAllKinds) {
+                const MattsonReference &ref =
+                    refs[static_cast<size_t>(kind)];
+                StackDistanceProfile one(kind, 64, slots);
+                feed(one, block);
+                EXPECT_EQ(one.histogram(kind), all.histogram(kind));
+                for (const StackDistanceProfile *p : {&all, &one}) {
+                    SCOPED_TRACE(p == &all ? "three-stream profile"
+                                           : "one-stream profile");
+                    EXPECT_EQ(trimmed(p->histogram(kind)), ref.hist);
+                    EXPECT_EQ(p->coldMisses(kind), ref.cold);
+                    EXPECT_EQ(p->distinctLines(kind), ref.cold);
+                    EXPECT_EQ(p->accesses(kind), ref.total);
+                    EXPECT_EQ(p->instructions(), ops.size());
+                }
+            }
+        }
+    }
+}
+
+TEST(StackDistance, EveryDistanceMatchesMattsonOnRandomTrace)
+{
+    expectMatchesMattson(syntheticStream(kStreamOps));
+}
+
+TEST(StackDistance, EveryDistanceMatchesMattsonOnStreamingTrace)
+{
+    expectMatchesMattson(streamingStream(kStreamOps));
+}
+
+TEST(StackDistanceDeathTest, OneStreamProfileRejectsOtherKinds)
+{
+    StackDistanceProfile data(SweepKind::Data);
+    EXPECT_DEATH(data.histogram(SweepKind::Instruction),
+                 "tracks only the data stream");
+    EXPECT_DEATH(data.missRatios(SweepKind::Unified, {16}),
+                 "tracks only the data stream");
+}
+
 TEST(StackDistance, SlotCompactionPreservesEveryDistance)
 {
     // A tiny initial slot space forces many compaction/regrow cycles
@@ -325,32 +451,61 @@ TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
 {
     std::string path = writeTrace("modes", syntheticStream(kStreamOps));
     auto sizes = paperSweepSizesKb();
-
-    MrcResult oracle = replaySweepLadder(
-        path, SweepKind::Unified, sizes, MrcMode::ShardedOracle, 1);
-    MrcResult stack = replaySweepLadder(
-        path, SweepKind::Unified, sizes, MrcMode::StackDistance, 1);
-    MrcResult verify = replaySweepLadder(
-        path, SweepKind::Unified, sizes, MrcMode::Verify, 1);
-
-    // The oracle mode is a plain FootprintSweep replay of the trace.
     FootprintSweep sweep(sizes);
     TraceReader(path).replayInto(sweep);
-    EXPECT_EQ(oracle.ratios, sweep.missRatios(SweepKind::Unified));
-    EXPECT_TRUE(oracle.oracleRatios.empty());
-    EXPECT_EQ(oracle.maxDivergence, 0.0);
 
-    // Verify computes both models over one decode: its stack curve
-    // matches stack mode, its oracle curve matches oracle mode, and
-    // the divergence is exactly the max gap between them.
-    EXPECT_EQ(verify.ratios, stack.ratios);
-    EXPECT_EQ(verify.oracleRatios, oracle.ratios);
-    double max_gap = 0.0;
-    for (size_t i = 0; i < sizes.size(); ++i)
-        max_gap = std::max(max_gap, std::abs(verify.ratios[i] -
-                                             verify.oracleRatios[i]));
-    EXPECT_EQ(verify.maxDivergence, max_gap);
+    for (SweepKind kind : kAllKinds) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        MrcResult oracle = replaySweepLadder(
+            path, kind, sizes, MrcMode::ShardedOracle, 1);
+        MrcResult stack = replaySweepLadder(
+            path, kind, sizes, MrcMode::StackDistance, 1);
+        MrcResult verify = replaySweepLadder(
+            path, kind, sizes, MrcMode::Verify, 1);
 
+        // The oracle mode is a plain FootprintSweep replay of the
+        // trace.
+        EXPECT_EQ(oracle.ratios, sweep.missRatios(kind));
+        EXPECT_TRUE(oracle.oracleRatios.empty());
+        EXPECT_EQ(oracle.maxDivergence, 0.0);
+
+        // Verify computes both models over one decode: its stack
+        // curve matches stack mode, its oracle curve matches oracle
+        // mode, and the divergence is exactly the max gap between
+        // them.
+        EXPECT_EQ(verify.ratios, stack.ratios);
+        EXPECT_EQ(verify.oracleRatios, oracle.ratios);
+        double max_gap = 0.0;
+        for (size_t i = 0; i < sizes.size(); ++i)
+            max_gap = std::max(max_gap, std::abs(verify.ratios[i] -
+                                                 verify.oracleRatios[i]));
+        EXPECT_EQ(verify.maxDivergence, max_gap);
+    }
+
+    fs::remove(path);
+}
+
+TEST(Mrc, ResultCountsMatchADirectlyReplayedProfile)
+{
+    std::string path =
+        writeTrace("counts", streamingStream(kStreamOps));
+    auto sizes = paperSweepSizesKb();
+    StackDistanceProfile direct;
+    TraceReader(path).replayInto(direct);
+    for (SweepKind kind : kAllKinds) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        for (MrcMode mode : {MrcMode::StackDistance, MrcMode::Verify}) {
+            MrcResult r = replaySweepLadder(path, kind, sizes, mode, 1);
+            EXPECT_EQ(r.accesses, direct.accesses(kind));
+            EXPECT_EQ(r.distinctLines, direct.distinctLines(kind));
+            EXPECT_EQ(r.ratios, direct.missRatios(kind, sizes));
+        }
+        // The oracle builds no profile, so it reports no counts.
+        MrcResult oracle = replaySweepLadder(path, kind, sizes,
+                                             MrcMode::ShardedOracle, 1);
+        EXPECT_EQ(oracle.accesses, 0u);
+        EXPECT_EQ(oracle.distinctLines, 0u);
+    }
     fs::remove(path);
 }
 
