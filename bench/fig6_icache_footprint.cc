@@ -79,7 +79,7 @@ main(int argc, char **argv)
     std::cout << "PARSEC instruction footprint "
               << kneeLabel(parsec.curve) << " (paper: ~128 KB)\n";
 
-    bool diverged = divergenceExceeded(hadoop, parsec);
+    bool diverged = divergenceExceeded({&hadoop, &parsec});
 
     auto group = benchGroup(scn, "Hadoop");
     if (group.empty())

@@ -43,5 +43,5 @@ main(int argc, char **argv)
 
     // Verify mode is a CI gate here as in fig6: a stack-vs-oracle
     // gap past the documented bound fails the run.
-    return divergenceExceeded(hadoop_sweep, parsec_sweep) ? 1 : 0;
+    return divergenceExceeded({&hadoop_sweep, &parsec_sweep}) ? 1 : 0;
 }

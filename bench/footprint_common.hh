@@ -19,7 +19,9 @@
 #ifndef WCRT_BENCH_FOOTPRINT_COMMON_HH
 #define WCRT_BENCH_FOOTPRINT_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -76,31 +78,30 @@ averageSweepMrc(const std::vector<WorkloadEntry> &entries,
 
 /**
  * The verify-mode gate the footprint figures share: print the worst
- * stack-vs-oracle divergence over both groups against the documented
- * kMrcOracleDivergenceBound. Prints nothing outside verify mode.
+ * stack-vs-oracle divergence over the figure's groups against the
+ * documented kMrcOracleDivergenceBound. Prints nothing outside verify
+ * mode.
  *
  * @return true when the bound is exceeded (the figure exits 1).
  */
 inline bool
-divergenceExceeded(const GroupSweep &a, const GroupSweep &b)
+divergenceExceeded(std::initializer_list<const GroupSweep *> groups)
 {
     if (benchOptions().mrcMode != MrcMode::Verify)
         return false;
-    double worst = std::max(a.maxDivergence, b.maxDivergence);
+    double worst = 0.0;
+    for (const GroupSweep *g : groups)
+        worst = std::max(worst, g->maxDivergence);
     bool exceeded = worst > kMrcOracleDivergenceBound;
-    std::cout << "max |stack - oracle| over both groups: "
-              << formatFixed(worst * 100, 3) << "% (bound "
+    std::cout << "max |stack - oracle| over "
+              << (groups.size() == 2
+                      ? std::string("both groups")
+                      : "all " + std::to_string(groups.size()) +
+                            " groups")
+              << ": " << formatFixed(worst * 100, 3) << "% (bound "
               << formatFixed(kMrcOracleDivergenceBound * 100, 1)
               << "%): " << (exceeded ? "EXCEEDED" : "ok") << "\n";
     return exceeded;
-}
-
-/** averageSweepMrc() returning just the averaged curve. */
-inline std::vector<double>
-averageSweep(const std::vector<WorkloadEntry> &entries, SweepKind kind,
-             double scale)
-{
-    return averageSweepMrc(entries, kind, scale).curve;
 }
 
 /**

@@ -307,6 +307,11 @@ BM_BatchDispatchSimCpuBatch(benchmark::State &state)
 }
 BENCHMARK(BM_BatchDispatchSimCpuBatch);
 
+/**
+ * Encode + CRC + write, fed the way capture feeds the writer: 4096-op
+ * blocks through consumeBatch() (consumeOps chunks the ops through
+ * one), not one consume() per op.
+ */
 void
 BM_TraceWrite(benchmark::State &state)
 {
@@ -320,8 +325,7 @@ BM_TraceWrite(benchmark::State &state)
     uint64_t ops_written = 0;
     for (auto _ : state) {
         TraceWriter writer(path, meta, layout);
-        for (const auto &op : ops)
-            writer.consume(op);
+        writer.consumeOps(ops.data(), ops.size());
         writer.finish();
         payload_bytes += writer.payloadBytes();
         ops_written += writer.opsWritten();

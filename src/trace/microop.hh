@@ -152,6 +152,27 @@ struct OpBlockView
         return op;
     }
 
+    /**
+     * One-op view over `op`'s own fields, for per-op entry points that
+     * forward to a batch path. `taken` holds op.taken as a 0/1 byte;
+     * the view is valid while `op` and `*taken` are.
+     */
+    static OpBlockView
+    of(const MicroOp &op, const uint8_t *taken)
+    {
+        OpBlockView v;
+        v.kinds = &op.kind;
+        v.purposes = &op.purpose;
+        v.pcs = &op.pc;
+        v.sizes = &op.size;
+        v.memAddrs = &op.memAddr;
+        v.memSizes = &op.memSize;
+        v.targets = &op.target;
+        v.takens = taken;
+        v.count = 1;
+        return v;
+    }
+
     /** Zero-copy sub-view of `len` ops starting at `offset`. */
     OpBlockView
     slice(size_t offset, size_t len) const
@@ -177,9 +198,11 @@ struct OpBlockView
  * Emitters (Tracer, TraceReader) fill a block and hand its view() to
  * TraceSink::consumeBatch in one virtual call instead of one call per
  * op. The storage is allocated once and recycled with clear(), so
- * steady-state emission performs no allocation. The trace decoder
- * writes straight into the field arrays via the mutable raw*()
- * pointers and then publishes the fill with setUsed().
+ * steady-state emission performs no allocation. The Tracer pushes
+ * field by field with the eight-argument push(), so no MicroOp is
+ * assembled per op; the trace decoder writes straight into the field
+ * arrays via the mutable raw*() pointers and then publishes the fill
+ * with setUsed().
  */
 class OpBlock
 {
@@ -191,19 +214,31 @@ class OpBlock
     {
     }
 
-    /** Append one op, scattering fields; the caller checks full(). */
+    /**
+     * Append one op given field by field, straight into the columns;
+     * the caller checks full().
+     */
+    void
+    push(OpKind kind, IntPurpose purpose, uint64_t pc, uint8_t size,
+         uint64_t mem_addr, uint8_t mem_size, uint64_t target, bool taken)
+    {
+        kinds[used] = kind;
+        purposes[used] = purpose;
+        pcs[used] = pc;
+        sizes[used] = size;
+        memAddrs[used] = mem_addr;
+        memSizes[used] = mem_size;
+        targets[used] = target;
+        takens[used] = taken ? 1 : 0;
+        ++used;
+    }
+
+    /** Append one op, scattering its fields; the caller checks full(). */
     void
     push(const MicroOp &op)
     {
-        kinds[used] = op.kind;
-        purposes[used] = op.purpose;
-        pcs[used] = op.pc;
-        sizes[used] = op.size;
-        memAddrs[used] = op.memAddr;
-        memSizes[used] = op.memSize;
-        targets[used] = op.target;
-        takens[used] = op.taken ? 1 : 0;
-        ++used;
+        push(op.kind, op.purpose, op.pc, op.size, op.memAddr, op.memSize,
+             op.target, op.taken);
     }
 
     /** Drop the contents, keep the storage. */

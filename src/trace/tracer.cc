@@ -1,10 +1,51 @@
 #include "trace/tracer.hh"
 
+#include <array>
+
 #include "base/logging.hh"
 
 namespace wcrt {
 
 namespace {
+
+/**
+ * One non-branch overhead-walk step, chosen by the step's hash mod 89.
+ * The table spells out every field the pick decides, so the walk
+ * selects the memory operand and the purpose by loads, not branches.
+ */
+struct WalkPick
+{
+    OpKind kind;
+    uint8_t memSize;           //!< 8 for loads/stores, else 0
+    IntPurpose purpose[2];     //!< [0] common case, [1] 3-in-20 case
+    uint64_t addrMask;         //!< word-aligns scratch addresses, or 0
+};
+
+/**
+ * 33 loads and 11 stores to the function's scratch words, 36 integer
+ * ALU ops, 3 multiplies and 6 others. Framework integer work is
+ * overwhelmingly address arithmetic (record offsets, buffer positions,
+ * object field displacements): 17 in 20 ALU ops compute addresses.
+ */
+constexpr std::array<WalkPick, 89> walkPicks = [] {
+    constexpr IntPurpose none = IntPurpose::None;
+    constexpr IntPurpose compute = IntPurpose::Compute;
+    std::array<WalkPick, 89> picks{};
+    for (size_t pick = 0; pick < picks.size(); ++pick) {
+        if (pick < 33)
+            picks[pick] = {OpKind::Load, 8, {none, none}, ~7ull};
+        else if (pick < 44)
+            picks[pick] = {OpKind::Store, 8, {none, none}, ~7ull};
+        else if (pick < 80)
+            picks[pick] = {OpKind::IntAlu, 0,
+                           {IntPurpose::IntAddress, compute}, 0};
+        else if (pick < 83)
+            picks[pick] = {OpKind::IntMul, 0, {compute, compute}, 0};
+        else
+            picks[pick] = {OpKind::Other, 0, {none, none}, 0};
+    }
+    return picks;
+}();
 
 /** Cheap deterministic per-offset hash for overhead-walk decisions. */
 uint64_t
@@ -94,18 +135,10 @@ Tracer::emit(OpKind kind, IntPurpose purpose, uint64_t mem_addr,
              uint8_t mem_size, uint64_t target, bool taken)
 {
     Frame &f = top();
-    MicroOp op;
-    op.kind = kind;
-    op.purpose = purpose;
-    op.pc = f.base + f.cursor;
-    op.size = opBytes;
-    op.memAddr = mem_addr;
-    op.memSize = mem_size;
-    op.target = target;
-    op.taken = taken;
-    f.cursor = (f.cursor + opBytes) % f.bytes;
+    block.push(kind, purpose, f.base + f.cursor, opBytes, mem_addr,
+               mem_size, target, taken);
+    f.cursor = nextCursor(f.cursor, f.bytes);
     ++emitted;
-    block.push(op);
     if (block.full())
         deliverBlock();
 }
@@ -148,7 +181,8 @@ Tracer::enter(FunctionId f, bool indirect)
                     (static_cast<uint64_t>(nth) * profile.rotationBytes) %
                         span;
         }
-        overheadWalk(frames.back(), profile, start % fn.bytes);
+        overheadWalk(frames.back(), profile.overheadOps,
+                     start % fn.bytes);
         // Park the cursor at the stable user-code region.
         frames.back().cursor = 0;
     }
@@ -301,23 +335,31 @@ Tracer::setOffset(uint64_t offset)
 }
 
 void
-Tracer::overheadWalk(const Frame &frame, const CallProfile &profile,
-                     uint64_t start_offset)
+Tracer::overheadWalk(Frame &f, uint32_t ops, uint64_t start_offset)
 {
     // Lazily give each function a small scratch data region so its
     // bookkeeping loads/stores have stable, function-local addresses.
-    uint64_t &scratch = scratchBase[frame.fid.index];
+    uint64_t &scratch = scratchBase[f.fid.index];
     if (scratch == 0) {
         scratch = scratchHeap
-                      .alloc(layout.function(frame.fid).name + ".scratch",
+                      .alloc(layout.function(f.fid).name + ".scratch",
                              scratchBytes)
                       .base;
     }
 
-    Frame &f = top();
-    f.cursor = start_offset % f.bytes;
-    for (uint32_t i = 0; i < profile.overheadOps; ++i) {
-        uint64_t h = mixOffset(f.base, f.cursor);
+    // The walk pushes straight into the block with the frame held in
+    // locals; the frame and the op count are written back before every
+    // delivery, so a sink that throws leaves them exactly where per-op
+    // emission would have.
+    const uint64_t base = f.base;
+    const uint64_t bytes = f.bytes;
+    const uint64_t data = scratch;
+    const uint64_t emitted_before = emitted;
+    uint64_t cursor = start_offset;
+    for (uint32_t i = 0; i < ops; ++i) {
+        uint64_t h = mixOffset(base, cursor);
+        uint64_t next = nextCursor(cursor, bytes);
+        uint64_t resume = next;
         // Control transfers are placed by walk position (constant per
         // call for a given overheadOps), so the *number* of branches a
         // call contributes to global history is deterministic; data-
@@ -328,45 +370,36 @@ Tracer::overheadWalk(const Frame &frame, const CallProfile &profile,
             // essentially never fires. Falls through, so it needs
             // neither predictor training nor a BTB entry.
             uint64_t target_offset =
-                (f.cursor + opBytes + ((h >> 24) % 13) * 16) % f.bytes;
-            emit(OpKind::BranchCond, IntPurpose::None, 0, 0,
-                 f.base + target_offset, false);
-            continue;
-        }
-        if (i % 41 == 20) {
+                (cursor + opBytes + ((h >> 24) % 13) * 16) % bytes;
+            block.push(OpKind::BranchCond, IntPurpose::None,
+                       base + cursor, opBytes, 0, 0,
+                       base + target_offset, false);
+        } else if (i % 41 == 20) {
             // Unconditional skip over a cold block — how compiled
             // framework code actually jumps around; costs at most a
             // BTB resteer, never a direction mispredict.
             uint64_t target_offset =
-                (f.cursor + opBytes + ((h >> 24) % 13) * 16) % f.bytes;
-            emit(OpKind::BranchUncond, IntPurpose::None, 0, 0,
-                 f.base + target_offset, true);
-            f.cursor = target_offset;
-            continue;
-        }
-        uint64_t pick = h % 89;
-        if (pick < 33) {
-            uint64_t addr = scratch + (h >> 8) % scratchBytes;
-            emit(OpKind::Load, IntPurpose::None, addr & ~7ull, 8, 0,
-                 false);
-        } else if (pick < 44) {
-            uint64_t addr = scratch + (h >> 8) % scratchBytes;
-            emit(OpKind::Store, IntPurpose::None, addr & ~7ull, 8, 0,
-                 false);
-        } else if (pick < 80) {
-            // Framework integer work is overwhelmingly address
-            // arithmetic: record offsets, buffer positions, object
-            // field displacements.
-            IntPurpose purpose = ((h >> 12) % 20) < 17
-                                     ? IntPurpose::IntAddress
-                                     : IntPurpose::Compute;
-            emit(OpKind::IntAlu, purpose, 0, 0, 0, false);
-        } else if (pick < 83) {
-            emit(OpKind::IntMul, IntPurpose::Compute, 0, 0, 0, false);
+                (cursor + opBytes + ((h >> 24) % 13) * 16) % bytes;
+            block.push(OpKind::BranchUncond, IntPurpose::None,
+                       base + cursor, opBytes, 0, 0,
+                       base + target_offset, true);
+            resume = target_offset;
         } else {
-            emit(OpKind::Other, IntPurpose::None, 0, 0, 0, false);
+            const WalkPick &pick = walkPicks[h % 89];
+            block.push(pick.kind, pick.purpose[(h >> 12) % 20 >= 17],
+                       base + cursor, opBytes,
+                       (data + (h >> 8) % scratchBytes) & pick.addrMask,
+                       pick.memSize, 0, false);
         }
+        if (block.full()) {
+            f.cursor = next;
+            emitted = emitted_before + i + 1;
+            deliverBlock();
+        }
+        cursor = resume;
     }
+    f.cursor = cursor;
+    emitted = emitted_before + ops;
 }
 
 } // namespace wcrt

@@ -16,11 +16,17 @@
  * software stacks becomes a measurable cache phenomenon: deep stacks
  * execute more framework code spread over more static bytes.
  *
- * Transport: emitted ops accumulate into an OpBlock and reach the sink
- * as whole blocks via TraceSink::consumeBatch, not one virtual call
- * per op. The block drains automatically when it fills, when the call
- * stack returns to depth zero, and on destruction; call flush()
- * explicitly before inspecting sink state mid-emission.
+ * Transport: emitted ops are pushed field by field into an OpBlock and
+ * reach the sink as whole blocks via TraceSink::consumeBatch, not one
+ * virtual call per op. The block drains automatically when it fills,
+ * when the call stack returns to depth zero, and on destruction; call
+ * flush() explicitly before inspecting sink state mid-emission.
+ *
+ * Overhead walks push straight into the block with the frame held in
+ * locals and each step's kind, memory operand and purpose looked up
+ * in a table, and cursors advance without a divide. The frame and op
+ * count are written back before every delivery, so a sink that throws
+ * sees the same state per-op emission would leave.
  */
 
 #ifndef WCRT_TRACE_TRACER_HH
@@ -170,8 +176,9 @@ class Tracer
 
     void emit(OpKind kind, IntPurpose purpose, uint64_t mem_addr,
               uint8_t mem_size, uint64_t target, bool taken);
-    void overheadWalk(const Frame &frame, const CallProfile &profile,
-                      uint64_t start_offset);
+
+    /** Emit `ops` overhead ops into `f` from `start_offset` (< size). */
+    void overheadWalk(Frame &f, uint32_t ops, uint64_t start_offset);
     void setOffset(uint64_t offset);
     Frame &top();
     const Frame &top() const;
@@ -196,6 +203,19 @@ class Tracer
 
     static constexpr uint32_t opBytes = 4;
     static constexpr uint64_t scratchBytes = 2048;
+
+    /**
+     * `(cursor + opBytes) % bytes` without the divide. Exact because
+     * a cursor is always below its function's size and CodeLayout
+     * rounds every size to a multiple of 16 bytes, so the sum wraps at
+     * most once.
+     */
+    static uint64_t
+    nextCursor(uint64_t cursor, uint64_t bytes)
+    {
+        cursor += opBytes;
+        return cursor >= bytes ? cursor - bytes : cursor;
+    }
 
     /** Bytes at each function's start reserved for user emission. */
     static constexpr uint64_t userReserve = 256;

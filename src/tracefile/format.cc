@@ -84,19 +84,6 @@ Decoder::string()
     return s;
 }
 
-bool
-needsExtension(const MicroOp &op)
-{
-    if (op.size != defaultOpSize)
-        return true;
-    if ((op.memSize > 0 || op.memAddr != 0) != impliedHasMem(op.kind))
-        return true;
-    bool has_target = op.target != 0;
-    if (has_target != isControl(op.kind) && has_target)
-        return true;
-    return false;
-}
-
 } // namespace tracefile
 
 const char *

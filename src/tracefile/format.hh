@@ -65,6 +65,9 @@ inline constexpr uint32_t version = 1;
 /** Default ops per chunk (64 Ki ops ≈ a few hundred KB encoded). */
 inline constexpr uint32_t defaultChunkOps = 64 * 1024;
 
+/** Fixed prefix of a chunk or footer: (opCount, payloadBytes, crc). */
+inline constexpr size_t chunkPrefixBytes = 12;
+
 /** @name Per-op flags byte layout. */
 /** @{ */
 inline constexpr uint8_t kindMask = 0x0f;
@@ -98,6 +101,29 @@ inline constexpr size_t maxEncodedOpBytes = 3 + 3 * 10 + 1;
  * replay hot path.
  */
 uint32_t crc32(const uint8_t *data, size_t len);
+
+/**
+ * Store an LEB128-encoded unsigned value (1-10 bytes) at `out`.
+ * @return One past the last byte written.
+ */
+inline uint8_t *
+putVarint(uint8_t *out, uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *out++ = static_cast<uint8_t>(v);
+    return out;
+}
+
+/** Store a zigzag LEB128-encoded signed delta at `out`. */
+inline uint8_t *
+putVarintSigned(uint8_t *out, int64_t v)
+{
+    uint64_t u = static_cast<uint64_t>(v);
+    return putVarint(out, (u << 1) ^ static_cast<uint64_t>(v >> 63));
+}
 
 /** Append an LEB128-encoded unsigned value. */
 inline void
@@ -174,13 +200,6 @@ class Decoder
     const uint8_t *cur;
     const uint8_t *end;
 };
-
-/**
- * True when an op round-trips through the compact default encoding
- * (size 4, memory operands only on loads/stores, targets only on
- * control transfers); otherwise the encoder emits an extension byte.
- */
-bool needsExtension(const MicroOp &op);
 
 /** Default memory-operand presence implied by the op kind. */
 constexpr bool

@@ -708,19 +708,18 @@ ShmChunkSink::~ShmChunkSink()
 void
 ShmChunkSink::consume(const MicroOp &op)
 {
-    if (finished)
-        wcrt_panic("ShmChunkSink::consume after finish");
-    if (encoder.add(op))
-        flushChunk();
+    uint8_t taken = op.taken ? 1 : 0;
+    consumeBatch(OpBlockView::of(op, &taken));
 }
 
 void
 ShmChunkSink::consumeBatch(const OpBlockView &ops)
 {
     if (finished)
-        wcrt_panic("ShmChunkSink::consumeBatch after finish");
-    for (size_t i = 0; i < ops.count; ++i) {
-        if (encoder.add(ops[i]))
+        wcrt_panic("ShmChunkSink: ops consumed after finish");
+    for (size_t i = 0; i < ops.count;) {
+        i = encoder.add(ops, i);
+        if (encoder.full())
             flushChunk();
     }
 }
@@ -731,7 +730,7 @@ ShmChunkSink::flushChunk()
     uint32_t ops = encoder.pendingOps();
     if (ops == 0)
         return;
-    encoder.takeFrame(frame);
+    std::span<const uint8_t> frame = encoder.takeFrame();
     if (ring.push(frame.data(), frame.size(), policy)) {
         streamedOps += ops;
         streamedBytes += frame.size();

@@ -308,7 +308,6 @@ class ShmChunkSink : public TraceSink
     ShmRing &ring;
     ShmPolicy policy;
     tracefile::ChunkEncoder encoder;
-    std::vector<uint8_t> frame;  //!< reusable framed-chunk buffer
     uint64_t streamedOps = 0;
     uint64_t streamedBytes = 0;
     uint64_t droppedOps = 0;

@@ -11,6 +11,15 @@ using namespace tracefile;
 namespace {
 
 void
+storeU32(uint8_t *out, uint32_t v)
+{
+    out[0] = static_cast<uint8_t>(v);
+    out[1] = static_cast<uint8_t>(v >> 8);
+    out[2] = static_cast<uint8_t>(v >> 16);
+    out[3] = static_cast<uint8_t>(v >> 24);
+}
+
+void
 putU32(std::vector<uint8_t> &out, uint32_t v)
 {
     out.push_back(static_cast<uint8_t>(v));
@@ -34,7 +43,7 @@ std::vector<uint8_t>
 framePayload(uint32_t first, const std::vector<uint8_t> &payload)
 {
     std::vector<uint8_t> frame;
-    frame.reserve(12 + payload.size());
+    frame.reserve(chunkPrefixBytes + payload.size());
     putU32(frame, first);
     putU32(frame, static_cast<uint32_t>(payload.size()));
     putU32(frame, crc32(payload.data(), payload.size()));
@@ -94,63 +103,28 @@ encodeFooterFrame(uint64_t total_ops, const IoCounters &io,
     return framePayload(0, payload);  // opCount 0 marks the footer
 }
 
-bool
-ChunkEncoder::add(const MicroOp &op)
+ChunkEncoder::ChunkEncoder(uint32_t chunk_ops)
+    : chunkOps(chunk_ops ? chunk_ops : defaultChunkOps),
+      buf(chunkPrefixBytes)
 {
-    uint8_t flags = static_cast<uint8_t>(op.kind) & kindMask;
-    flags |= static_cast<uint8_t>(static_cast<uint8_t>(op.purpose)
-                                  << purposeShift) & purposeMask;
-    if (op.taken)
-        flags |= takenBit;
-
-    bool has_mem;
-    bool has_target;
-    if (needsExtension(op)) {
-        flags |= extBit;
-        buf.push_back(flags);
-        has_mem = op.memSize > 0 || op.memAddr != 0;
-        has_target = isControl(op.kind) || op.target != 0;
-        uint8_t ext = 0;
-        ext |= has_mem ? extHasMem : 0;
-        ext |= op.size != defaultOpSize ? extHasSize : 0;
-        ext |= has_target ? extHasTarget : 0;
-        buf.push_back(ext);
-        if (op.size != defaultOpSize)
-            buf.push_back(op.size);
-    } else {
-        buf.push_back(flags);
-        has_mem = impliedHasMem(op.kind);
-        has_target = isControl(op.kind);
-    }
-
-    putVarintSigned(buf, static_cast<int64_t>(op.pc - prevPc));
-    prevPc = op.pc;
-    if (has_mem) {
-        putVarintSigned(buf, static_cast<int64_t>(op.memAddr - prevMem));
-        prevMem = op.memAddr;
-        buf.push_back(op.memSize);
-    }
-    if (has_target)
-        putVarintSigned(buf, static_cast<int64_t>(op.target - op.pc));
-
-    return ++bufOps >= chunkOps;
 }
 
-void
-ChunkEncoder::takeFrame(std::vector<uint8_t> &frame)
+std::span<const uint8_t>
+ChunkEncoder::takeFrame()
 {
     if (bufOps == 0)
         wcrt_panic("ChunkEncoder::takeFrame with no pending ops");
-    frame.clear();
-    frame.reserve(12 + buf.size());
-    putU32(frame, bufOps);
-    putU32(frame, static_cast<uint32_t>(buf.size()));
-    putU32(frame, crc32(buf.data(), buf.size()));
-    frame.insert(frame.end(), buf.begin(), buf.end());
-    buf.clear();
+    size_t payload = len - chunkPrefixBytes;
+    storeU32(buf.data(), bufOps);
+    storeU32(buf.data() + 4, static_cast<uint32_t>(payload));
+    storeU32(buf.data() + 8,
+             crc32(buf.data() + chunkPrefixBytes, payload));
+    std::span<const uint8_t> frame(buf.data(), len);
+    len = chunkPrefixBytes;
     bufOps = 0;
     prevPc = 0;
     prevMem = 0;
+    return frame;
 }
 
 } // namespace tracefile
@@ -179,7 +153,7 @@ TraceWriter::~TraceWriter()
 }
 
 void
-TraceWriter::writeFrame(const std::vector<uint8_t> &f)
+TraceWriter::writeFrame(std::span<const uint8_t> f)
 {
     out.write(reinterpret_cast<const char *>(f.data()),
               static_cast<std::streamsize>(f.size()));
@@ -189,20 +163,18 @@ TraceWriter::writeFrame(const std::vector<uint8_t> &f)
 void
 TraceWriter::consume(const MicroOp &op)
 {
-    if (finished)
-        wcrt_panic("TraceWriter::consume after finish");
-    if (encoder.add(op))
-        flushChunk();
-    ++totalOps;
+    uint8_t taken = op.taken ? 1 : 0;
+    consumeBatch(OpBlockView::of(op, &taken));
 }
 
 void
 TraceWriter::consumeBatch(const OpBlockView &ops)
 {
     if (finished)
-        wcrt_panic("TraceWriter::consumeBatch after finish");
-    for (size_t i = 0; i < ops.count; ++i) {
-        if (encoder.add(ops[i]))
+        wcrt_panic("TraceWriter: ops consumed after finish");
+    for (size_t i = 0; i < ops.count;) {
+        i = encoder.add(ops, i);
+        if (encoder.full())
             flushChunk();
     }
     totalOps += ops.count;
@@ -213,9 +185,9 @@ TraceWriter::flushChunk()
 {
     if (encoder.pendingOps() == 0)
         return;
-    encoder.takeFrame(frame);
+    std::span<const uint8_t> frame = encoder.takeFrame();
     writeFrame(frame);
-    payloadTotal += frame.size() - 12;
+    payloadTotal += frame.size() - chunkPrefixBytes;
 }
 
 void

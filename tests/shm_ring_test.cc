@@ -190,16 +190,31 @@ sampleData()
     return data;
 }
 
+/**
+ * Feed `ops` one at a time, or (`batched`) in 4096-op blocks through
+ * consumeBatch() — the path capture takes.
+ */
+void
+feedOps(TraceSink &sink, const std::vector<MicroOp> &ops, bool batched)
+{
+    if (batched) {
+        sink.consumeOps(ops.data(), ops.size());
+        return;
+    }
+    for (const auto &op : ops)
+        sink.consume(op);
+}
+
 /** The `.wtrace` file the equivalent file-backed capture writes. */
 std::vector<uint8_t>
-fileBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops)
+fileBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops,
+             bool batched = false)
 {
     std::string path = tempTracePath("reference");
     {
         TraceWriter writer(path, sampleMeta(), sampleLayout(),
                            chunk_ops);
-        for (const auto &op : ops)
-            writer.consume(op);
+        feedOps(writer, ops, batched);
         writer.finish(sampleIo(), sampleData());
     }
     std::ifstream f(path, std::ios::binary);
@@ -213,7 +228,7 @@ fileBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops)
 /** Stream the same ops through a ring; returns the drained bytes. */
 std::vector<uint8_t>
 ringBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops,
-             const std::string &tag)
+             const std::string &tag, bool batched = false)
 {
     std::string name = testRing(tag);
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer,
@@ -223,8 +238,7 @@ ringBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops,
     std::thread producer([&] {
         ShmChunkSink sink(prod, sampleMeta(), sampleLayout(),
                           ShmPolicy::Block, chunk_ops);
-        for (const auto &op : ops)
-            sink.consume(op);
+        feedOps(sink, ops, batched);
         sink.finish(sampleIo(), sampleData());
     });
     ShmSource drained(cons);
@@ -617,6 +631,11 @@ TEST(ShmTransport, RingStreamBitIdenticalToFile)
     std::vector<uint8_t> via_ring = ringBytesFor(ops, 7, "identical");
     ASSERT_GT(via_file.size(), 0u);
     EXPECT_EQ(via_file, via_ring);
+
+    // Capture's batch path (one block straddling every 7-op chunk)
+    // must frame the very same bytes on both transports.
+    EXPECT_EQ(fileBytesFor(ops, 7, true), via_file);
+    EXPECT_EQ(ringBytesFor(ops, 7, "identical-batch", true), via_file);
 }
 
 TEST(ShmTransport, ReaderOverRingMatchesFileReader)

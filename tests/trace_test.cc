@@ -240,6 +240,96 @@ TEST_F(TracerTest, RotationSpreadsFootprint)
     t.ret();
 }
 
+/** FNV-1a 64 over every field of every op, fed as fixed-width ints. */
+uint64_t
+opsDigest(const std::vector<MicroOp> &ops)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &op : ops) {
+        mix(static_cast<uint64_t>(op.kind));
+        mix(static_cast<uint64_t>(op.purpose));
+        mix(op.pc);
+        mix(op.size);
+        mix(op.memAddr);
+        mix(op.memSize);
+        mix(op.target);
+        mix(op.taken ? 1 : 0);
+    }
+    return h;
+}
+
+// Pins the exact ops emission produces — overhead walks included — so
+// a faster emitter cannot drift: functions from one 16-byte line to
+// 64 KB, walks short enough to end before their first scheduled
+// branch and long enough to cross a whole 4096-op block, all three
+// rotation regimes, nested and repeated calls between straight-line
+// loads, stores and branches. Every recorded trace depends on these
+// ops, so the digest moves only when the emission model itself does.
+TEST_F(TracerTest, EmissionDigestIsPinned)
+{
+    auto add = [&](const char *name, uint32_t bytes, uint32_t overhead,
+                   uint32_t rotation) {
+        CallProfile p;
+        p.overheadOps = overhead;
+        p.rotationBytes = rotation;
+        return layout.addFunction(name, CodeLayer::Framework, bytes, p);
+    };
+    FunctionId line = add("fw.line", 16, 1, 0);
+    FunctionId stub = add("fw.stub", 112, 9, 512);
+    FunctionId mid = add("fw.mid", 16 * 1024, 41, 4096);
+    FunctionId big = add("fw.big", 64 * 1024, 200, 512);
+    FunctionId huge = add("fw.huge", 64 * 1024, 5000, 4096);
+    FunctionId flat = add("fw.flat", 16 * 1024, 200, 0);
+
+    Tracer t(layout, sink);
+    t.call(app);
+    for (uint64_t rep = 0; rep < 5; ++rep) {
+        t.load(0x10000 + rep * 64, 8);
+        t.call(line);
+        t.intAlu(IntPurpose::Compute, 3);
+        t.branchForward(rep % 2 == 0, 16);
+        t.ret();
+        {
+            Tracer::Scope s(t, stub);
+            t.store(0x20000 + rep * 8, 4);
+            {
+                Tracer::Scope inner(t, mid);
+                t.loop(3, [&](uint64_t i) {
+                    t.load(0x30000 + i * 8);
+                    t.call(big);
+                    t.branchIndirect(rep * 7 + i);
+                    t.ret();
+                });
+            }
+            t.branch(rep % 3 == 0, 8);
+        }
+        if (rep % 2 == 1) {
+            Tracer::Scope s(t, huge);
+            t.other(2);
+            t.call(line);
+            t.ret();
+        }
+        t.callIndirect(flat);
+        t.fpMul(2);
+        t.store(0x40000 + rep * 16, 8);
+        t.ret();
+        t.callIndirect(stub);
+        t.ret();
+    }
+    t.ret();
+
+    EXPECT_EQ(t.opCount(), sink.ops.size());
+    EXPECT_EQ(sink.ops.size(), 14490u);
+    EXPECT_EQ(opsDigest(sink.ops), 0x3a0dd4c0ce4cc14cull)
+        << std::hex << "0x" << opsDigest(sink.ops);
+}
+
 TEST_F(TracerTest, MemOpsCarryAddresses)
 {
     Tracer t(layout, sink);

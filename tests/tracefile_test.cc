@@ -15,8 +15,10 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/strings.hh"
 #include "core/profiler.hh"
 #include "core/trace_cache.hh"
 #include "sim/footprint.hh"
@@ -307,6 +309,161 @@ TEST(TraceFile, ReplayDeliversWholeChunksAsSingleBatches)
     for (size_t i = 0; i + 1 < sink.batchSizes.size(); ++i)
         EXPECT_EQ(sink.batchSizes[i], 7u) << "chunk " << i;
     EXPECT_EQ(sink.batchSizes.back(), ops.size() % 7);
+    fs::remove(path);
+}
+
+/**
+ * Ops at the encoder's edges: pc, memory and target deltas that need
+ * 9- and 10-byte varints, whether the previous op in the chunk is one
+ * of these or the chunk starts here (deltas against 0), and zero
+ * targets and addresses that the compact form still covers.
+ */
+std::vector<MicroOp>
+edgeOps()
+{
+    std::vector<MicroOp> ops;
+
+    MicroOp near;
+    near.kind = OpKind::Load;
+    near.pc = 0x400000;
+    near.memAddr = 0x1000;
+    near.memSize = 8;
+    ops.push_back(near);
+
+    MicroOp far_load = near;  // pc and mem jump by ~2^60 / 2^57
+    far_load.pc = 0x400000 + (1ull << 60);
+    far_load.memAddr = 0x1000 + (1ull << 57);
+    ops.push_back(far_load);
+
+    MicroOp wrap_store;  // INT64_MIN pc delta, 2^63-scale mem delta
+    wrap_store.kind = OpKind::Store;
+    wrap_store.pc = far_load.pc + (1ull << 63);
+    wrap_store.memAddr = far_load.memAddr + 0x7000000000000000ull;
+    wrap_store.memSize = 4;
+    ops.push_back(wrap_store);
+
+    MicroOp far_branch;  // 2^57 target delta
+    far_branch.kind = OpKind::BranchCond;
+    far_branch.pc = 0x400010;
+    far_branch.target = far_branch.pc + (1ull << 57);
+    far_branch.taken = true;
+    ops.push_back(far_branch);
+
+    MicroOp far_call;  // 2^62 target delta
+    far_call.kind = OpKind::Call;
+    far_call.pc = 0x400014;
+    far_call.target = far_call.pc + (1ull << 62);
+    far_call.taken = true;
+    ops.push_back(far_call);
+
+    MicroOp wrap_ret;  // INT64_MIN target delta
+    wrap_ret.kind = OpKind::Return;
+    wrap_ret.pc = 0x400018;
+    wrap_ret.target = wrap_ret.pc + (1ull << 63);
+    wrap_ret.taken = true;
+    ops.push_back(wrap_ret);
+
+    MicroOp top_alu;  // non-control target at the top of the space
+    top_alu.kind = OpKind::IntAlu;
+    top_alu.purpose = IntPurpose::Compute;
+    top_alu.pc = 0xfffffffffffffff0ull;
+    top_alu.target = UINT64_MAX;
+    ops.push_back(top_alu);
+
+    MicroOp zero_ret;  // control op whose target is 0: still compact
+    zero_ret.kind = OpKind::Return;
+    zero_ret.pc = 0x400020;
+    zero_ret.taken = true;
+    ops.push_back(zero_ret);
+
+    MicroOp null_load;  // load of address 0: still compact
+    null_load.kind = OpKind::Load;
+    null_load.pc = 0x400024;
+    null_load.memSize = 8;
+    ops.push_back(null_load);
+
+    return ops;
+}
+
+/** The whole file as bytes. */
+std::vector<uint8_t>
+slurpFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::vector<uint8_t>((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+}
+
+/** FNV-1a 64 over raw bytes. */
+uint64_t
+fnv1aBytes(const std::vector<uint8_t> &bytes)
+{
+    return fnv1a(std::string_view(
+        reinterpret_cast<const char *>(bytes.data()), bytes.size()));
+}
+
+// Capture reaches the writer through consumeBatch() with Tracer-sized
+// blocks; tools and tests also feed it one op at a time. Every
+// delivery shape must write the same bytes, and those bytes are pinned
+// by digest so an encoder rewrite cannot drift from the format.
+TEST(TraceFile, WriterBytesPinnedOnEveryDeliveryPath)
+{
+    // Several default-size chunks of awkward ops, with the edge ops at
+    // the start and recurring mid-chunk.
+    std::vector<MicroOp> ops = edgeOps();
+    auto sample = awkwardOps();
+    auto edges = edgeOps();
+    for (int rep = 0; rep < 14000; ++rep) {
+        ops.insert(ops.end(), sample.begin(), sample.end());
+        if (rep % 997 == 0)
+            ops.insert(ops.end(), edges.begin(), edges.end());
+    }
+    ASSERT_GT(ops.size(), 2u * tracefile::defaultChunkOps);
+
+    // Digests of the bytes format version 1 defines for these ops at
+    // each chunk size; they move only with a version bump.
+    const struct
+    {
+        uint32_t chunkOps;
+        uint64_t digest;
+    } cases[] = {
+        {1, 0xe69f921da5bd9059ull},
+        {7, 0x8aa2d1ac1f0e8239ull},
+        {tracefile::defaultChunkOps, 0x46eb79b7f1cfb26cull},
+    };
+    const size_t blocks[] = {0, 1, 7, 4096};  // 0 = per-op consume()
+
+    std::string path = tempTracePath("pinned-bytes");
+    for (const auto &c : cases) {
+        SCOPED_TRACE("chunk_ops " + std::to_string(c.chunkOps));
+        for (size_t block : blocks) {
+            SCOPED_TRACE("block " + std::to_string(block));
+            {
+                TraceWriter writer(path, sampleMeta(), sampleLayout(),
+                                   c.chunkOps);
+                if (block == 0) {
+                    for (const auto &op : ops)
+                        writer.consume(op);
+                } else {
+                    OpBlock buf(block);
+                    for (const auto &op : ops) {
+                        buf.push(op);
+                        if (buf.full()) {
+                            writer.consumeBlock(buf);
+                            buf.clear();
+                        }
+                    }
+                    writer.consumeBlock(buf);
+                }
+                writer.finish();
+                EXPECT_EQ(writer.opsWritten(), ops.size());
+            }
+            std::vector<uint8_t> bytes = slurpFile(path);
+            EXPECT_EQ(fnv1aBytes(bytes), c.digest)
+                << std::hex << "0x" << fnv1aBytes(bytes) << " over "
+                << std::dec << bytes.size() << " bytes";
+        }
+    }
     fs::remove(path);
 }
 
