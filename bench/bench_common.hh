@@ -34,6 +34,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -281,9 +282,13 @@ average(const std::vector<WorkloadRun> &runs, Getter &&get)
     return s.mean();
 }
 
-/** Average over the runs matching a category. */
+/**
+ * Average over the runs matching a category, or nullopt when none
+ * does: an empty class has no average, and a printed 0 would read as
+ * a measurement. Callers print "n/a" for it.
+ */
 template <typename Getter>
-double
+std::optional<double>
 averageByCategory(const std::vector<WorkloadRun> &runs, AppCategory cat,
                   Getter &&get)
 {
@@ -291,12 +296,17 @@ averageByCategory(const std::vector<WorkloadRun> &runs, AppCategory cat,
     for (const auto &r : runs)
         if (r.category == cat)
             s.add(get(r));
+    if (s.count() == 0)
+        return std::nullopt;
     return s.mean();
 }
 
-/** Average over the runs matching a system behaviour class. */
+/**
+ * Average over the runs matching a system behaviour class, or nullopt
+ * when none does (see averageByCategory()).
+ */
 template <typename Getter>
-double
+std::optional<double>
 averageByBehavior(const std::vector<WorkloadRun> &runs,
                   SystemBehavior behavior, Getter &&get)
 {
@@ -304,6 +314,8 @@ averageByBehavior(const std::vector<WorkloadRun> &runs,
     for (const auto &r : runs)
         if (r.sysBehavior == behavior)
             s.add(get(r));
+    if (s.count() == 0)
+        return std::nullopt;
     return s.mean();
 }
 

@@ -74,22 +74,27 @@ main(int argc, char **argv)
     for (auto cat :
          {AppCategory::Service, AppCategory::DataAnalysis,
           AppCategory::InteractiveAnalysis}) {
-        std::cout << "  " << toString(cat) << ": "
-                  << formatFixed(averageByCategory(reps, cat, branch), 1)
-                  << "% / "
-                  << formatFixed(averageByCategory(reps, cat, integer),
-                                 1)
-                  << "%\n";
+        std::cout << "  " << toString(cat) << ": ";
+        if (auto br = averageByCategory(reps, cat, branch))
+            std::cout << formatFixed(*br, 1) << "% / "
+                      << formatFixed(
+                             *averageByCategory(reps, cat, integer), 1)
+                      << "%\n";
+        else
+            std::cout << "n/a\n";
     }
     std::cout << "By system behaviour (branch% / integer%):\n";
     for (auto b :
          {SystemBehavior::CpuIntensive, SystemBehavior::IoIntensive,
           SystemBehavior::Hybrid}) {
-        std::cout << "  " << toString(b) << ": "
-                  << formatFixed(averageByBehavior(reps, b, branch), 1)
-                  << "% / "
-                  << formatFixed(averageByBehavior(reps, b, integer), 1)
-                  << "%\n";
+        std::cout << "  " << toString(b) << ": ";
+        if (auto br = averageByBehavior(reps, b, branch))
+            std::cout << formatFixed(*br, 1) << "% / "
+                      << formatFixed(*averageByBehavior(reps, b, integer),
+                                     1)
+                      << "%\n";
+        else
+            std::cout << "n/a\n";
     }
 
     // FP capacity implication: achieved GFLOPS vs machine peak.

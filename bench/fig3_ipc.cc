@@ -53,17 +53,17 @@ main(int argc, char **argv)
     for (auto cat :
          {AppCategory::Service, AppCategory::DataAnalysis,
           AppCategory::InteractiveAnalysis}) {
+        auto avg = averageByCategory(reps, cat, ipc);
         std::cout << "  " << toString(cat) << ": "
-                  << formatFixed(averageByCategory(reps, cat, ipc), 2)
-                  << "\n";
+                  << (avg ? formatFixed(*avg, 2) : "n/a") << "\n";
     }
     std::cout << "By system behaviour:\n";
     for (auto b :
          {SystemBehavior::CpuIntensive, SystemBehavior::IoIntensive,
           SystemBehavior::Hybrid}) {
+        auto avg = averageByBehavior(reps, b, ipc);
         std::cout << "  " << toString(b) << ": "
-                  << formatFixed(averageByBehavior(reps, b, ipc), 2)
-                  << "\n";
+                  << (avg ? formatFixed(*avg, 2) : "n/a") << "\n";
     }
 
     // Section 5.5: the MPI vs JVM-stack IPC gap.

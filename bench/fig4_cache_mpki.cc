@@ -85,13 +85,15 @@ main(int argc, char **argv)
     for (auto cat :
          {AppCategory::Service, AppCategory::DataAnalysis,
           AppCategory::InteractiveAnalysis}) {
-        std::cout << "  " << toString(cat) << ": "
-                  << formatFixed(averageByCategory(reps, cat, l1i), 1)
-                  << " / "
-                  << formatFixed(averageByCategory(reps, cat, l2), 1)
-                  << " / "
-                  << formatFixed(averageByCategory(reps, cat, l3), 2)
-                  << (cat == AppCategory::Service
+        std::cout << "  " << toString(cat) << ": ";
+        if (auto l1 = averageByCategory(reps, cat, l1i))
+            std::cout << formatFixed(*l1, 1) << " / "
+                      << formatFixed(*averageByCategory(reps, cat, l2), 1)
+                      << " / "
+                      << formatFixed(*averageByCategory(reps, cat, l3), 2);
+        else
+            std::cout << "n/a";
+        std::cout << (cat == AppCategory::Service
                           ? "   (paper: 51 / 32 / 1.2)"
                           : "")
                   << "\n";
@@ -100,13 +102,15 @@ main(int argc, char **argv)
     for (auto b :
          {SystemBehavior::CpuIntensive, SystemBehavior::IoIntensive,
           SystemBehavior::Hybrid}) {
-        std::cout << "  " << toString(b) << ": "
-                  << formatFixed(averageByBehavior(reps, b, l1i), 1)
-                  << " / "
-                  << formatFixed(averageByBehavior(reps, b, l2), 1)
-                  << " / "
-                  << formatFixed(averageByBehavior(reps, b, l3), 2)
-                  << "\n";
+        std::cout << "  " << toString(b) << ": ";
+        if (auto l1 = averageByBehavior(reps, b, l1i))
+            std::cout << formatFixed(*l1, 1) << " / "
+                      << formatFixed(*averageByBehavior(reps, b, l2), 1)
+                      << " / "
+                      << formatFixed(*averageByBehavior(reps, b, l3), 2)
+                      << "\n";
+        else
+            std::cout << "n/a\n";
     }
 
     // Section 5.5 contrast.

@@ -46,21 +46,25 @@ main(int argc, char **argv)
     for (auto cat :
          {AppCategory::Service, AppCategory::DataAnalysis,
           AppCategory::InteractiveAnalysis}) {
-        std::cout << "  " << toString(cat) << ": "
-                  << formatFixed(averageByCategory(reps, cat, itlb), 3)
-                  << " / "
-                  << formatFixed(averageByCategory(reps, cat, dtlb), 3)
-                  << "\n";
+        std::cout << "  " << toString(cat) << ": ";
+        if (auto it = averageByCategory(reps, cat, itlb))
+            std::cout << formatFixed(*it, 3) << " / "
+                      << formatFixed(*averageByCategory(reps, cat, dtlb), 3)
+                      << "\n";
+        else
+            std::cout << "n/a\n";
     }
     std::cout << "By system behaviour (ITLB / DTLB):\n";
     for (auto b :
          {SystemBehavior::CpuIntensive, SystemBehavior::IoIntensive,
           SystemBehavior::Hybrid}) {
-        std::cout << "  " << toString(b) << ": "
-                  << formatFixed(averageByBehavior(reps, b, itlb), 3)
-                  << " / "
-                  << formatFixed(averageByBehavior(reps, b, dtlb), 3)
-                  << "\n";
+        std::cout << "  " << toString(b) << ": ";
+        if (auto it = averageByBehavior(reps, b, itlb))
+            std::cout << formatFixed(*it, 3) << " / "
+                      << formatFixed(*averageByBehavior(reps, b, dtlb), 3)
+                      << "\n";
+        else
+            std::cout << "n/a\n";
     }
     return 0;
 }

@@ -64,10 +64,8 @@ main(int argc, char **argv)
     // cannot drift apart.
     ScenarioSpec scn = loadBenchScenario("fig6_icache.scn");
     double scale = benchScale() * scn.scaleFactor;
-    auto hadoop = averageSweepMrc(benchGroup(scn, "Hadoop"),
-                                  scn.sweepKind, scale);
-    auto parsec = averageSweepMrc(benchGroup(scn, "PARSEC"),
-                                  scn.sweepKind, scale);
+    auto hadoop = benchSweep(scn, "Hadoop", scale);
+    auto parsec = benchSweep(scn, "PARSEC", scale);
 
     printSweepFigure(
         "=== Figure 6: instruction cache miss ratio vs capacity ===",

@@ -19,10 +19,8 @@ main(int argc, char **argv)
     initBench(argc, argv, kBenchUsesAll | kBenchUsesMrcMode);
     ScenarioSpec scn = loadBenchScenario("fig7_dcache.scn");
     double scale = benchScale() * scn.scaleFactor;
-    GroupSweep hadoop_sweep = averageSweepMrc(benchGroup(scn, "Hadoop"),
-                                              scn.sweepKind, scale);
-    GroupSweep parsec_sweep = averageSweepMrc(benchGroup(scn, "PARSEC"),
-                                              scn.sweepKind, scale);
+    SweepCellResult hadoop_sweep = benchSweep(scn, "Hadoop", scale);
+    SweepCellResult parsec_sweep = benchSweep(scn, "PARSEC", scale);
     const std::vector<double> &hadoop = hadoop_sweep.curve;
     const std::vector<double> &parsec = parsec_sweep.curve;
 

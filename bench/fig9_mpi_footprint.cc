@@ -18,12 +18,9 @@ main(int argc, char **argv)
     initBench(argc, argv, kBenchUsesAll | kBenchUsesMrcMode);
     ScenarioSpec scn = loadBenchScenario("fig9_mpi.scn");
     double scale = benchScale() * scn.scaleFactor;
-    GroupSweep hadoop = averageSweepMrc(benchGroup(scn, "Hadoop"),
-                                        scn.sweepKind, scale);
-    GroupSweep parsec = averageSweepMrc(benchGroup(scn, "PARSEC"),
-                                        scn.sweepKind, scale);
-    GroupSweep mpi = averageSweepMrc(benchGroup(scn, "MPI"),
-                                     scn.sweepKind, scale);
+    SweepCellResult hadoop = benchSweep(scn, "Hadoop", scale);
+    SweepCellResult parsec = benchSweep(scn, "PARSEC", scale);
+    SweepCellResult mpi = benchSweep(scn, "MPI", scale);
 
     printSweepFigure(
         "=== Figure 9: instruction cache miss ratio vs capacity ===",

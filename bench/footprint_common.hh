@@ -2,9 +2,12 @@
  * @file
  * Shared driver for the Figure 6-9 cache-capacity sweeps.
  *
- * Each figure averages miss-ratio-vs-capacity curves over a workload
- * group (the Hadoop representatives, PARSEC, the MPI versions) on the
- * paper's Atom-like in-order simulator configuration.
+ * Each figure averages miss-ratio-vs-capacity curves over the workload
+ * groups of its checked-in scenario (the Hadoop representatives,
+ * PARSEC, the MPI versions) on the paper's Atom-like in-order
+ * simulator configuration. The average is scenario/runner.hh's
+ * averageSweep(), the same routine a scenario_tool sweep cell runs, so
+ * the two paths cannot drift apart.
  *
  * The sweeps are record-once/replay-many: each workload is captured
  * into the trace cache on first use, then the stored trace is
@@ -29,52 +32,13 @@
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
+#include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "sim/footprint.hh"
 #include "sim/stack_distance.hh"
 #include "tracefile/replay.hh"
 
 namespace wcrt::bench {
-
-/** A workload group's averaged curve under the active --mrc-mode. */
-struct GroupSweep
-{
-    std::vector<double> curve;  //!< averaged over the group
-    //! Verify mode: largest per-rung |stack - oracle| any workload in
-    //! the group showed (0 in the single-model modes).
-    double maxDivergence = 0.0;
-};
-
-/**
- * Average replayed sweep curves over a set of workload factories,
- * through the active --mrc-mode, collecting the worst verify-mode
- * divergence across the group.
- */
-inline GroupSweep
-averageSweepMrc(const std::vector<WorkloadEntry> &entries,
-                SweepKind kind, double scale)
-{
-    auto sizes = paperSweepSizesKb();
-    GroupSweep out;
-    out.curve.assign(sizes.size(), 0.0);
-    if (entries.empty())
-        return out;
-    TraceCache &cache = benchTraceCache();
-    for (const auto &entry : entries) {
-        std::string path = cache.ensure(
-            entry.name, scale, [&] { return entry.make(scale); });
-        MrcResult r = replaySweepLadder(path, kind, sizes,
-                                        benchOptions().mrcMode,
-                                        benchOptions().jobs);
-        out.maxDivergence = std::max(out.maxDivergence,
-                                     r.maxDivergence);
-        for (size_t i = 0; i < out.curve.size(); ++i)
-            out.curve[i] += r.ratios[i];
-    }
-    for (auto &v : out.curve)
-        v /= static_cast<double>(entries.size());
-    return out;
-}
 
 /**
  * The verify-mode gate the footprint figures share: print the worst
@@ -85,12 +49,12 @@ averageSweepMrc(const std::vector<WorkloadEntry> &entries,
  * @return true when the bound is exceeded (the figure exits 1).
  */
 inline bool
-divergenceExceeded(std::initializer_list<const GroupSweep *> groups)
+divergenceExceeded(std::initializer_list<const SweepCellResult *> groups)
 {
     if (benchOptions().mrcMode != MrcMode::Verify)
         return false;
     double worst = 0.0;
-    for (const GroupSweep *g : groups)
+    for (const SweepCellResult *g : groups)
         worst = std::max(worst, g->maxDivergence);
     bool exceeded = worst > kMrcOracleDivergenceBound;
     std::cout << "max |stack - oracle| over "
@@ -166,6 +130,19 @@ benchGroup(const ScenarioSpec &spec, const std::string &group)
         if (filterAllows(e.name))
             out.push_back(e);
     return out;
+}
+
+/**
+ * One scenario group's averaged curve (averageSweep()) under the
+ * bench's --filter, --mrc-mode and --jobs, from its trace cache.
+ */
+inline SweepCellResult
+benchSweep(const ScenarioSpec &spec, const std::string &group,
+           double scale)
+{
+    return averageSweep(spec, benchGroup(spec, group), scale,
+                        benchOptions().mrcMode, benchTraceCache(),
+                        benchOptions().jobs);
 }
 
 /** The Hadoop-stack representatives (the paper's Section 5.4 choice). */

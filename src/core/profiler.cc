@@ -1,5 +1,7 @@
 #include "core/profiler.hh"
 
+#include <utility>
+
 #include "tracefile/replay.hh"
 
 namespace wcrt {
@@ -13,21 +15,15 @@ profileWorkload(Workload &workload, const MachineConfig &machine,
     run.category = workload.category();
     run.stackKind = workload.stack();
 
-    RunEnv env;
-    workload.setup(env);
-    FunctionId driver = env.layout.addFunction(
-        "driver.main", CodeLayer::Application, 512);
+    DriverFrame frame(workload);
     SimCpu cpu(machine);
-    Tracer tracer(env.layout, cpu);
-    tracer.call(driver);
-    workload.execute(env, tracer);
-    tracer.ret();
+    frame.run(cpu);
 
     run.report = cpu.report();
     run.metrics = toMetricVector(run.report);
-    run.io = env.io;
-    run.data = env.data;
-    run.sysProfile = computeProfile(run.report.instructions, env.io,
+    run.io = frame.env.io;
+    run.data = frame.env.data;
+    run.sysProfile = computeProfile(run.report.instructions, run.io,
                                     node);
     run.sysBehavior = classifySystemBehavior(run.sysProfile);
     return run;
@@ -36,15 +32,9 @@ profileWorkload(Workload &workload, const MachineConfig &machine,
 RunEnv
 runThroughSink(Workload &workload, TraceSink &sink)
 {
-    RunEnv env;
-    workload.setup(env);
-    FunctionId driver = env.layout.addFunction(
-        "driver.main", CodeLayer::Application, 512);
-    Tracer tracer(env.layout, sink);
-    tracer.call(driver);
-    workload.execute(env, tracer);
-    tracer.ret();
-    return env;
+    DriverFrame frame(workload);
+    frame.run(sink);
+    return std::move(frame.env);
 }
 
 WorkloadRun

@@ -7,6 +7,7 @@
 #include "stack/kvstore/store.hh"
 #include "stack/run_env.hh"
 #include "stack/sql/vectorized.hh"
+#include "trace/sampling.hh"
 #include "trace/tracer.hh"
 #include "workloads/registry.hh"
 
@@ -14,28 +15,23 @@ namespace wcrt {
 
 namespace {
 
-/** Op-count sink for sessions nobody wants a trace from. */
-class CountingSink : public TraceSink
-{
-  public:
-    void consume(const MicroOp &) override { ++ops; }
-    void consumeBatch(const OpBlockView &batch) override
-    {
-        ops += batch.count;
-    }
-    uint64_t ops = 0;
-};
+/** Dataset-generation seed of the kv-get and sql-filter datasets. */
+constexpr uint64_t kDatasetSeed = 7;
 
 /**
  * Session scaffolding shared by the concrete targets: a private
- * RunEnv, a sink (counting, or the caller's recorder) and a Tracer.
+ * RunEnv, a sink (counting, or the caller's recorder) and a Tracer,
+ * plus the (actor, request) position of the next per-request draw.
  * Subclass constructors register their code regions against env.layout
  * before buildTracer().
  */
 class SessionBase : public ActorSession
 {
   public:
-    explicit SessionBase(TraceSink *record) : record(record) {}
+    SessionBase(uint64_t actor, TraceSink *record)
+        : actor(actor), record(record)
+    {
+    }
 
     uint64_t traceOps() const override { return tracer->opCount(); }
 
@@ -48,10 +44,15 @@ class SessionBase : public ActorSession
             env.layout, record ? *record : counting);
     }
 
+    /** This request's index; advances once per request. */
+    uint64_t nextRequest() { return requests++; }
+
     RunEnv env;
     std::unique_ptr<Tracer> tracer;
+    const uint64_t actor;
 
   private:
+    uint64_t requests = 0;
     CountingSink counting;
     TraceSink *record;
 };
@@ -62,26 +63,33 @@ class SessionBase : public ActorSession
 class KvGetTarget : public TrafficTarget
 {
   public:
-    KvGetTarget(double scale, uint64_t seed)
-        : catalog(heap, scale, seed), data(catalog.profSearch()),
-          zipf(data.keys.size(), 0.9)
+    KvGetTarget(double scale, RequestDraws draws)
+        : catalog(heap, scale, kDatasetSeed), data(catalog.profSearch()),
+          keyDraw(std::move(draws.key)),
+          docBytes(std::move(draws.docBytes))
     {
+        if (!keyDraw) {
+            keyDraw = [zipf = ZipfSampler(data.keys.size(), 0.9)](
+                          uint64_t, uint64_t, Rng &rng) {
+                return zipf.sample(rng);
+            };
+        }
     }
 
     std::string name() const override { return "kv-get"; }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t, uint64_t, TraceSink *record) override
+        uint64_t actor_id, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(*this, record);
+        return std::make_unique<Session>(*this, actor_id, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const KvGetTarget &t, TraceSink *record)
-            : SessionBase(record), target(t),
+        Session(const KvGetTarget &t, uint64_t actor, TraceSink *record)
+            : SessionBase(actor, record), target(t),
               store(env.layout, t.data)
         {
             buildTracer();
@@ -90,7 +98,14 @@ class KvGetTarget : public TrafficTarget
         void
         request(Rng &rng) override
         {
-            store.get(*tracer, env, target.zipf.sample(rng));
+            uint64_t n = nextRequest();
+            store.get(*tracer, env,
+                      target.keyDraw(actor, n, rng) %
+                          target.data.keys.size());
+            // The response document travels the wire: account its
+            // bytes like the stack engines account their I/O.
+            if (target.docBytes)
+                env.io.networkBytes += target.docBytes(actor, n, rng);
         }
 
       private:
@@ -100,8 +115,9 @@ class KvGetTarget : public TrafficTarget
 
     VirtualHeap heap;  //!< owns the shared dataset's addresses
     DatasetCatalog catalog;
-    KvDataset data;        //!< immutable once built
-    ZipfSampler zipf;      //!< const; sample() takes the actor rng
+    KvDataset data;                  //!< immutable once built
+    RequestDraw<uint64_t> keyDraw;   //!< const after construction
+    RequestDraw<uint64_t> docBytes;  //!< optional
 };
 
 // ------------------------------------------------------------- sql-filter
@@ -110,28 +126,36 @@ class KvGetTarget : public TrafficTarget
 class SqlFilterTarget : public TrafficTarget
 {
   public:
-    SqlFilterTarget(double scale, uint64_t seed)
-        : catalog(heap, scale, seed), orders(catalog.ecommerceOrders())
+    SqlFilterTarget(double scale, RequestDraws draws)
+        : catalog(heap, scale, kDatasetSeed),
+          orders(catalog.ecommerceOrders()),
+          threshold(std::move(draws.threshold))
     {
         allRows.reserve(orders.rows);
         for (uint64_t r = 0; r < orders.rows; ++r)
             allRows.push_back(r);
+        if (!threshold) {
+            threshold = [](uint64_t, uint64_t, Rng &rng) {
+                return 1.0 + rng.nextDouble() * 500.0;
+            };
+        }
     }
 
     std::string name() const override { return "sql-filter"; }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t, uint64_t, TraceSink *record) override
+        uint64_t actor_id, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(*this, record);
+        return std::make_unique<Session>(*this, actor_id, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const SqlFilterTarget &t, TraceSink *record)
-            : SessionBase(record), target(t), engine(env.layout)
+        Session(const SqlFilterTarget &t, uint64_t actor,
+                TraceSink *record)
+            : SessionBase(actor, record), target(t), engine(env.layout)
         {
             buildTracer();
         }
@@ -142,10 +166,10 @@ class SqlFilterTarget : public TrafficTarget
             // SELECT order_id, amount FROM orders WHERE amount > x —
             // x drawn per request, so selectivity (and the projected
             // row count) varies with the request stream.
-            double threshold = 1.0 + rng.nextDouble() * 500.0;
+            double x = target.threshold(actor, nextRequest(), rng);
             Selection sel = engine.filterFloat64(
                 env, *tracer, target.orders, "amount", target.allRows,
-                [threshold](double v) { return v > threshold; });
+                [x](double v) { return v > x; });
             engine.project(env, *tracer, target.orders,
                            {"order_id", "amount"}, sel);
         }
@@ -157,8 +181,9 @@ class SqlFilterTarget : public TrafficTarget
 
     VirtualHeap heap;
     DatasetCatalog catalog;
-    DataTable orders;       //!< immutable once built
-    Selection allRows;      //!< the scan-everything selection
+    DataTable orders;               //!< immutable once built
+    Selection allRows;              //!< the scan-everything selection
+    RequestDraw<double> threshold;  //!< const after construction
 };
 
 // -------------------------------------------------------- workload:<name>
@@ -178,18 +203,18 @@ class WorkloadTarget : public TrafficTarget
     }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t, uint64_t, TraceSink *record) override
+        uint64_t actor_id, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(entry, scale, record);
+        return std::make_unique<Session>(entry, scale, actor_id, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const WorkloadEntry &entry, double scale,
+        Session(const WorkloadEntry &entry, double scale, uint64_t actor,
                 TraceSink *record)
-            : SessionBase(record), workload(entry.make(scale))
+            : SessionBase(actor, record), workload(entry.make(scale))
         {
             workload->setup(env);
             buildTracer();
@@ -222,12 +247,13 @@ trafficTargetNames()
 }
 
 std::unique_ptr<TrafficTarget>
-makeTrafficTarget(const std::string &name, double scale, uint64_t seed)
+makeTrafficTarget(const std::string &name, double scale,
+                  RequestDraws draws)
 {
     if (name == "kv-get")
-        return std::make_unique<KvGetTarget>(scale, seed);
+        return std::make_unique<KvGetTarget>(scale, std::move(draws));
     if (name == "sql-filter")
-        return std::make_unique<SqlFilterTarget>(scale, seed);
+        return std::make_unique<SqlFilterTarget>(scale, std::move(draws));
     constexpr const char *prefix = "workload:";
     if (name.rfind(prefix, 0) == 0) {
         const WorkloadEntry &entry =

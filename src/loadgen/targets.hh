@@ -12,6 +12,10 @@
  *  - "sql-filter": one vectorized filter + project query over the
  *    e-commerce ORDER table per request, with a per-request random
  *    predicate — the Impala-style interactive-analysis op.
+ *
+ *    Both take their per-request parameters from RequestDraws: the
+ *    built-in draws on the actor's Rng, or a caller's (the scenario
+ *    runner passes its seeded generators).
  *  - "workload:<roster name>": any workload registered in
  *    workloads/registry driven as a macro-request (one full
  *    execute() per request) — job submissions as a traffic stream.
@@ -24,6 +28,7 @@
 #ifndef WCRT_LOADGEN_TARGETS_HH
 #define WCRT_LOADGEN_TARGETS_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,16 +41,43 @@ namespace wcrt {
 const std::vector<std::string> &trafficTargetNames();
 
 /**
+ * One per-request draw, evaluated at (actor, the session's request
+ * index) with the actor's request Rng. The built-in draws consume the
+ * Rng; a counter-based draw may ignore it and depend on the position
+ * alone.
+ */
+template <typename T>
+using RequestDraw =
+    std::function<T(uint64_t actor, uint64_t request, Rng &rng)>;
+
+/**
+ * The per-request draws of kv-get and sql-filter. An empty draw keeps
+ * the target's built-in one.
+ */
+struct RequestDraws
+{
+    /** kv-get key rank, taken modulo the key count (built-in: Zipf
+     *  0.9 over the keys). */
+    RequestDraw<uint64_t> key;
+    /** kv-get response-document bytes, added to the session's network
+     *  counter (built-in: none). */
+    RequestDraw<uint64_t> docBytes;
+    /** sql-filter predicate threshold, `amount > x` (built-in:
+     *  uniform [1, 501)). */
+    RequestDraw<double> threshold;
+};
+
+/**
  * Build a traffic target by name: one of trafficTargetNames(), or
  * "workload:<name>" for any entry findWorkload() resolves. Panics on
  * an unknown name.
  *
  * @param name Target name.
  * @param scale Dataset scale (same meaning as workload scale).
- * @param seed Dataset-generation seed.
+ * @param draws Per-request draws; workload targets ignore them.
  */
 std::unique_ptr<TrafficTarget> makeTrafficTarget(
-    const std::string &name, double scale, uint64_t seed = 7);
+    const std::string &name, double scale, RequestDraws draws = {});
 
 } // namespace wcrt
 

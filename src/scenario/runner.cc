@@ -3,222 +3,63 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "datagen/datasets.hh"
-#include "stack/kvstore/store.hh"
-#include "stack/run_env.hh"
-#include "stack/sql/vectorized.hh"
-#include "trace/tracer.hh"
+#include "core/profiler.hh"
 
 namespace wcrt {
-
-namespace {
-
-/** Op-count sink for sessions nobody wants a trace from. */
-class CountingSink : public TraceSink
-{
-  public:
-    void consume(const MicroOp &) override { ++ops; }
-    void consumeBatch(const OpBlockView &batch) override
-    {
-        ops += batch.count;
-    }
-    uint64_t ops = 0;
-};
-
-/**
- * Session scaffolding for the generator-backed targets, mirroring the
- * loadgen targets: a private RunEnv, a sink, a Tracer, plus the
- * (actor, op) counter that positions every generator draw.
- */
-class GenSessionBase : public ActorSession
-{
-  public:
-    GenSessionBase(uint64_t scenario_seed, uint64_t actor,
-                   TraceSink *record)
-        : scenarioSeed(scenario_seed), actor(actor), record(record)
-    {
-    }
-
-    uint64_t traceOps() const override { return tracer->opCount(); }
-
-  protected:
-    void
-    buildTracer()
-    {
-        tracer = std::make_unique<Tracer>(
-            env.layout, record ? *record : counting);
-    }
-
-    /** The next draw position; advances once per request. */
-    GenCtx
-    nextCtx()
-    {
-        return {scenarioSeed, actor, op++};
-    }
-
-    RunEnv env;
-    std::unique_ptr<Tracer> tracer;
-
-  private:
-    uint64_t scenarioSeed;
-    uint64_t actor;
-    uint64_t op = 0;
-    CountingSink counting;
-    TraceSink *record;
-};
-
-/**
- * kv-get with the key rank drawn by a scenario generator instead of
- * the target's built-in Zipf, plus optional per-response document
- * accounting (doc-gen) into the session's network counter.
- */
-class GenKvTarget : public TrafficTarget
-{
-  public:
-    GenKvTarget(double scale, uint64_t dataset_seed,
-                uint64_t scenario_seed, ValueGen key_gen,
-                const ValueGen *doc_gen)
-        : catalog(heap, scale, dataset_seed),
-          data(catalog.profSearch()), keyGen(std::move(key_gen)),
-          scenarioSeed(scenario_seed)
-    {
-        if (doc_gen)
-            docGen = std::make_unique<ValueGen>(*doc_gen);
-    }
-
-    std::string name() const override { return "kv-get"; }
-
-    std::unique_ptr<ActorSession> startSession(
-        uint64_t actor_id, uint64_t, TraceSink *record) override
-    {
-        return std::make_unique<Session>(*this, actor_id, record);
-    }
-
-  private:
-    class Session : public GenSessionBase
-    {
-      public:
-        Session(const GenKvTarget &t, uint64_t actor,
-                TraceSink *record)
-            : GenSessionBase(t.scenarioSeed, actor, record),
-              target(t), store(env.layout, t.data)
-        {
-            buildTracer();
-        }
-
-        void
-        request(Rng &) override
-        {
-            GenCtx ctx = nextCtx();
-            uint64_t index =
-                target.keyGen.drawIndex(ctx) % target.data.keys.size();
-            store.get(*tracer, env, index);
-            if (target.docGen) {
-                // The response document travels the wire: account its
-                // bytes like the stack engines account their I/O.
-                env.io.networkBytes +=
-                    target.docGen->drawText(ctx).size();
-            }
-        }
-
-      private:
-        const GenKvTarget &target;
-        KvStore store;
-    };
-
-    VirtualHeap heap;  //!< owns the shared dataset's addresses
-    DatasetCatalog catalog;
-    KvDataset data;    //!< immutable once built
-    ValueGen keyGen;
-    std::unique_ptr<ValueGen> docGen;  //!< optional
-    uint64_t scenarioSeed;
-};
-
-/**
- * sql-filter with the per-request predicate threshold drawn by a
- * scenario generator instead of the target's built-in uniform.
- */
-class GenSqlTarget : public TrafficTarget
-{
-  public:
-    GenSqlTarget(double scale, uint64_t dataset_seed,
-                 uint64_t scenario_seed, ValueGen query_gen)
-        : catalog(heap, scale, dataset_seed),
-          orders(catalog.ecommerceOrders()),
-          queryGen(std::move(query_gen)), scenarioSeed(scenario_seed)
-    {
-        allRows.reserve(orders.rows);
-        for (uint64_t r = 0; r < orders.rows; ++r)
-            allRows.push_back(r);
-    }
-
-    std::string name() const override { return "sql-filter"; }
-
-    std::unique_ptr<ActorSession> startSession(
-        uint64_t actor_id, uint64_t, TraceSink *record) override
-    {
-        return std::make_unique<Session>(*this, actor_id, record);
-    }
-
-  private:
-    class Session : public GenSessionBase
-    {
-      public:
-        Session(const GenSqlTarget &t, uint64_t actor,
-                TraceSink *record)
-            : GenSessionBase(t.scenarioSeed, actor, record),
-              target(t), engine(env.layout)
-        {
-            buildTracer();
-        }
-
-        void
-        request(Rng &) override
-        {
-            double threshold =
-                target.queryGen.drawScalar(nextCtx());
-            Selection sel = engine.filterFloat64(
-                env, *tracer, target.orders, "amount", target.allRows,
-                [threshold](double v) { return v > threshold; });
-            engine.project(env, *tracer, target.orders,
-                           {"order_id", "amount"}, sel);
-        }
-
-      private:
-        const GenSqlTarget &target;
-        VectorizedEngine engine;
-    };
-
-    VirtualHeap heap;
-    DatasetCatalog catalog;
-    DataTable orders;   //!< immutable once built
-    Selection allRows;  //!< the scan-everything selection
-    ValueGen queryGen;
-    uint64_t scenarioSeed;
-};
-
-/** Dataset-generation seed shared with makeTrafficTarget()'s default. */
-constexpr uint64_t kDatasetSeed = 7;
-
-} // namespace
 
 std::unique_ptr<TrafficTarget>
 makeScenarioTarget(const ScenarioSpec &spec, double scale)
 {
-    if (spec.target == "kv-get" && !spec.keyGen.empty()) {
-        const ValueGen *doc = nullptr;
-        if (!spec.docGen.empty())
-            doc = &spec.generators.at(spec.docGen);
-        return std::make_unique<GenKvTarget>(
-            scale, kDatasetSeed, spec.seed,
-            spec.generators.at(spec.keyGen), doc);
+    // Every draw reads its generator at (scenario seed, actor, request
+    // index), so a request stream is the same at any worker count.
+    const uint64_t seed = spec.seed;
+    auto gen = [&spec](const std::string &name) {
+        return spec.generators.at(name);
+    };
+    RequestDraws draws;
+    if (!spec.keyGen.empty()) {
+        draws.key = [g = gen(spec.keyGen), seed](uint64_t actor,
+                                                uint64_t request, Rng &) {
+            return g.drawIndex({seed, actor, request});
+        };
     }
-    if (spec.target == "sql-filter" && !spec.queryGen.empty()) {
-        return std::make_unique<GenSqlTarget>(
-            scale, kDatasetSeed, spec.seed,
-            spec.generators.at(spec.queryGen));
+    if (!spec.docGen.empty()) {
+        draws.docBytes = [g = gen(spec.docGen), seed](
+                             uint64_t actor, uint64_t request, Rng &) {
+            return g.drawText({seed, actor, request}).size();
+        };
     }
-    return makeTrafficTarget(spec.target, scale);
+    if (!spec.queryGen.empty()) {
+        draws.threshold = [g = gen(spec.queryGen), seed](
+                              uint64_t actor, uint64_t request, Rng &) {
+            return g.drawScalar({seed, actor, request});
+        };
+    }
+    return makeTrafficTarget(spec.target, scale, std::move(draws));
+}
+
+SweepCellResult
+averageSweep(const ScenarioSpec &spec,
+             const std::vector<WorkloadEntry> &group, double scale,
+             MrcMode mode, TraceCache &cache, unsigned jobs)
+{
+    SweepCellResult out;
+    out.curve.assign(spec.sizesKb.size(), 0.0);
+    if (group.empty())
+        return out;
+    for (const auto &entry : group) {
+        std::string path = cache.ensure(
+            entry.name, scale, [&] { return entry.make(scale); });
+        MrcResult r = replaySweepLadder(path, spec.sweepKind,
+                                        spec.sizesKb, mode, jobs,
+                                        spec.assoc, spec.lineBytes);
+        out.maxDivergence = std::max(out.maxDivergence, r.maxDivergence);
+        for (size_t i = 0; i < out.curve.size(); ++i)
+            out.curve[i] += r.ratios[i];
+    }
+    for (auto &v : out.curve)
+        v /= static_cast<double>(group.size());
+    return out;
 }
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec &spec,
@@ -240,7 +81,8 @@ ScenarioRunner::runCell(const ScenarioCell &cell)
     out.cell = cell;
     switch (spec.kind) {
       case ScenarioKind::Sweep:
-        out.sweep = runSweepCell(cell);
+        out.sweep = averageSweep(spec, cell.group.entries, cell.scale,
+                                 cell.mode, cache, opt.jobs);
         break;
       case ScenarioKind::Traffic:
         out.traffic = runTrafficCell(cell);
@@ -249,34 +91,6 @@ ScenarioRunner::runCell(const ScenarioCell &cell)
         out.replay = runReplayCell(cell);
         break;
     }
-    return out;
-}
-
-SweepCellResult
-ScenarioRunner::runSweepCell(const ScenarioCell &cell)
-{
-    // Mirrors bench/footprint_common.hh averageSweepMrc() exactly:
-    // same cache keys, same ladder call, same sum order — the source
-    // of the scenario-vs-bench bit-identity guarantee.
-    SweepCellResult out;
-    out.curve.assign(spec.sizesKb.size(), 0.0);
-    if (cell.group.entries.empty())
-        return out;
-    for (const auto &entry : cell.group.entries) {
-        std::string path = cache.ensure(
-            entry.name, cell.scale,
-            [&] { return entry.make(cell.scale); });
-        MrcResult r = replaySweepLadder(path, spec.sweepKind,
-                                        spec.sizesKb, cell.mode,
-                                        opt.jobs, spec.assoc,
-                                        spec.lineBytes);
-        out.maxDivergence =
-            std::max(out.maxDivergence, r.maxDivergence);
-        for (size_t i = 0; i < out.curve.size(); ++i)
-            out.curve[i] += r.ratios[i];
-    }
-    for (auto &v : out.curve)
-        v /= static_cast<double>(cell.group.entries.size());
     return out;
 }
 
@@ -350,7 +164,9 @@ ScenarioRunner::runReplayCell(const ScenarioCell &cell)
             entry.name, cell.scale,
             [&] { return entry.make(cell.scale); }));
     }
-    out.reports = replayTracesOn(paths, cell.machine, opt.jobs);
+    for (WorkloadRun &run : profileTraces(paths, cell.machine, {},
+                                          opt.jobs))
+        out.reports.push_back(std::move(run.report));
     return out;
 }
 

@@ -1,22 +1,23 @@
 /**
  * @file
  * The scenario runner: executes expanded cells against the three
- * engines a scenario kind names.
+ * engines a scenario kind names. It composes existing machinery and
+ * owns none of its own:
  *
- *  - sweep cells replicate the figure benches' averageSweepMrc()
- *    arithmetic exactly — same trace-cache keys, same
- *    replaySweepLadder() call, same sum-then-divide entry order — so a
- *    scenario-driven curve is bit-identical to the hand-coded bench's
- *    for the same roster, scale and MrcMode.
- *  - traffic cells drive loadgen::Orchestrator. Phases declared with
- *    `rate-x` are fractions of a measured per-actor capacity: the
- *    runner probes mu1 first with a strictly serial closed loop (one
- *    actor, jobs=1), the service_latency idiom. When the scenario
- *    names [generators], the runner builds generator-backed targets
- *    whose per-request draws are pure functions of (scenario seed,
- *    actor, op index) — bit-identical at jobs=1 and jobs=N.
- *  - replay cells replay each group member's cached trace through
- *    SimCpu on the cell's machine config via replayTracesOn().
+ *  - sweep cells call averageSweep(), the one group average the
+ *    fig6–9 benches call too, so a scenario-driven curve is
+ *    bit-identical to the bench's for the same roster, scale and
+ *    MrcMode.
+ *  - traffic cells drive loadgen::Orchestrator on the loadgen target
+ *    the scenario names. Phases declared with `rate-x` are fractions
+ *    of a measured per-actor capacity: the runner probes mu1 first
+ *    with a strictly serial closed loop (one actor, jobs=1), the
+ *    service_latency idiom. Generators named by key-gen / doc-gen /
+ *    query-gen become the target's per-request draws, evaluated at
+ *    (scenario seed, actor, request index) — bit-identical at jobs=1
+ *    and jobs=N.
+ *  - replay cells profile each group member's cached trace on the
+ *    cell's machine config through profileTraces().
  */
 
 #ifndef WCRT_SCENARIO_RUNNER_HH
@@ -74,12 +75,26 @@ struct CellResult
 
 /**
  * Build the traffic target a scenario describes: the named loadgen
- * target, swapped for a generator-backed implementation when the
- * scenario references [generators] entries (key-gen / query-gen /
- * doc-gen).
+ * target, with the [generators] entries the scenario references
+ * (key-gen / doc-gen / query-gen) as its per-request draws.
  */
 std::unique_ptr<TrafficTarget> makeScenarioTarget(
     const ScenarioSpec &spec, double scale);
+
+/**
+ * A workload group's average miss-ratio curve: each entry's trace
+ * (captured into `cache` at `scale` on first use) replayed across the
+ * spec's ladder — sweep kind, sizes, associativity, line size — in
+ * `mode`. Curves are summed in roster order, then divided by the group
+ * size; an empty group yields an all-zero curve. Sweep cells and the
+ * fig6–9 benches both average through here.
+ *
+ * @param jobs Worker cap handed to replaySweepLadder().
+ */
+SweepCellResult averageSweep(const ScenarioSpec &spec,
+                             const std::vector<WorkloadEntry> &group,
+                             double scale, MrcMode mode,
+                             TraceCache &cache, unsigned jobs);
 
 /**
  * Executes one scenario's cells. Owns the trace cache, so a multi-cell
@@ -102,7 +117,6 @@ class ScenarioRunner
     const RunnerOptions &options() const { return opt; }
 
   private:
-    SweepCellResult runSweepCell(const ScenarioCell &cell);
     TrafficCellResult runTrafficCell(const ScenarioCell &cell);
     ReplayCellResult runReplayCell(const ScenarioCell &cell);
 

@@ -11,9 +11,9 @@
  * hand-written bench `main()`s. Three kinds dispatch to the three
  * existing engines:
  *
- *  - `sweep`   -> replaySweepLadder() miss-ratio curves (MrcMode)
+ *  - `sweep`   -> averageSweep() group miss-ratio curves (MrcMode)
  *  - `traffic` -> loadgen::Orchestrator phases
- *  - `replay`  -> replayOnConfigs() machine-model reports
+ *  - `replay`  -> profileTraces() machine-model reports
  *
  * The `[matrix]` section declares axes (scale, group, mode, machine);
  * expansion is the odometer cross-product — the first declared axis

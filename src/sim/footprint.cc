@@ -68,11 +68,30 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Run-length compression of the three reference streams
-    // (sim/line_runs.hh), built once for all K rungs. A run's tail
-    // re-touches the line its head just made MRU of its set, so every
-    // rung walks only run heads.
-    runs.build(batch, lineShift);
+    // Run-length compression of the three reference streams, built
+    // once for all K rungs: instruction = every op's pc line, data =
+    // the line of each memory access, unified = pc line then memory
+    // line per op (the per-op path's order). A run's tail re-touches
+    // the line its head just made MRU of its set, so every rung walks
+    // only run heads.
+    auto extend = [](std::vector<LineRun> &stream, uint64_t line) {
+        if (!stream.empty() && stream.back().line == line)
+            ++stream.back().count;
+        else
+            stream.push_back(LineRun{line, 1});
+    };
+    for (auto &stream : runs)
+        stream.clear();
+    for (size_t i = 0; i < batch.count; ++i) {
+        uint64_t pc_line = batch.pcs[i] >> lineShift;
+        extend(runs[0], pc_line);
+        extend(runs[2], pc_line);
+        if (batch.memSizes[i] != 0) {
+            uint64_t mem_line = batch.memAddrs[i] >> lineShift;
+            extend(runs[1], mem_line);
+            extend(runs[2], mem_line);
+        }
+    }
 
     // Every (rung, stream) cache is independent: each task walks one
     // whole cache, so the counts are bit-identical to a sequential
@@ -85,7 +104,7 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
                    : stream == 1 ? dcaches[k]
                                  : ucaches[k];
         uint64_t credits = 0;
-        for (const LineRun &r : runs.stream(stream)) {
+        for (const LineRun &r : runs[stream]) {
             c.accessLine(r.line);
             credits += r.count - 1;
         }

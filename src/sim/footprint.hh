@@ -13,12 +13,12 @@
  * `--mrc-mode=oracle|verify`; the default MRC path is the single-pass
  * stack-distance profile (sim/stack_distance.hh). It is kept plain on
  * purpose: each block is shifted to line ids and run-length compressed
- * once (sim/line_runs.hh) — consecutive accesses to one line are
- * guaranteed MRU hits in every rung, so only run heads walk a tag
- * array and each tail is credited as hits — and each of the 3 x K
- * (rung, stream) caches is then walked whole, as one task on the
- * process-wide WorkerPool::shared() when a worker cap above 1 is
- * given. Miss and access counts stay bit-identical to the per-op path.
+ * once per stream — consecutive accesses to one line are guaranteed
+ * MRU hits in every rung, so only run heads walk a tag array and each
+ * tail is credited as hits — and each of the 3 x K (rung, stream)
+ * caches is then walked whole, as one task on the process-wide
+ * WorkerPool::shared() when a worker cap above 1 is given. Miss and
+ * access counts stay bit-identical to the per-op path.
  */
 
 #ifndef WCRT_SIM_FOOTPRINT_HH
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "sim/cache.hh"
-#include "sim/line_runs.hh"
 #include "trace/microop.hh"
 
 namespace wcrt {
@@ -77,12 +76,25 @@ class FootprintSweep : public TraceSink
     uint64_t instructions() const { return ops; }
 
   private:
+    /**
+     * `count` back-to-back accesses to `line` in one stream: accesses
+     * 2..count re-touch the stream's most recently used line, so they
+     * hit in every rung whatever their read/write sense.
+     */
+    struct LineRun
+    {
+        uint64_t line;
+        uint32_t count;
+    };
+
     std::vector<uint32_t> sizes;
     std::vector<Cache> icaches;
     std::vector<Cache> dcaches;
     std::vector<Cache> ucaches;
     unsigned poolCap = 0;  //!< executor cap on the shared pool
-    LineRunStreams runs;  //!< per-block compressed streams + scratch
+    //! One block's instruction / data / unified runs (the walk's stream
+    //! index 0 / 1 / 2), reused across blocks.
+    std::vector<LineRun> runs[3];
     uint32_t lineShift = 6;
     uint64_t ops = 0;
 };

@@ -11,12 +11,7 @@ namespace wcrt {
 CaptureResult
 captureTrace(Workload &workload, const std::string &path, double scale)
 {
-    RunEnv env;
-    workload.setup(env);
-    // Mirror profileWorkload()'s driver frame exactly: replay fidelity
-    // depends on the capture stream matching a live profile run.
-    FunctionId driver = env.layout.addFunction(
-        "driver.main", CodeLayer::Application, 512);
+    DriverFrame frame(workload);
 
     TraceMeta meta;
     meta.workload = workload.name();
@@ -28,12 +23,9 @@ captureTrace(Workload &workload, const std::string &path, double scale)
     CaptureResult result;
     try {
         {
-            TraceWriter writer(tmp, meta, env.layout);
-            Tracer tracer(env.layout, writer);
-            tracer.call(driver);
-            workload.execute(env, tracer);
-            tracer.ret();
-            writer.finish(env.io, env.data);
+            TraceWriter writer(tmp, meta, frame.env.layout);
+            frame.run(writer);
+            writer.finish(frame.env.io, frame.env.data);
             result.ops = writer.opsWritten();
             result.fileBytes = writer.bytesWritten();
         }
@@ -59,12 +51,7 @@ serveTrace(Workload &workload, ShmRing &ring, double scale,
     // whenever this process is alive (idempotent if already started).
     ring.startHeartbeat();
 
-    RunEnv env;
-    workload.setup(env);
-    // Same driver frame as captureTrace(): the streamed bytes must
-    // match what the file path would have recorded.
-    FunctionId driver = env.layout.addFunction(
-        "driver.main", CodeLayer::Application, 512);
+    DriverFrame frame(workload);
 
     TraceMeta meta;
     meta.workload = workload.name();
@@ -72,12 +59,9 @@ serveTrace(Workload &workload, ShmRing &ring, double scale,
     meta.stackKind = workload.stack();
     meta.scale = scale;
 
-    ShmChunkSink sink(ring, meta, env.layout, policy);
-    Tracer tracer(env.layout, sink);
-    tracer.call(driver);
-    workload.execute(env, tracer);
-    tracer.ret();
-    sink.finish(env.io, env.data);
+    ShmChunkSink sink(ring, meta, frame.env.layout, policy);
+    frame.run(sink);
+    sink.finish(frame.env.io, frame.env.data);
 
     ServeResult result;
     result.ops = sink.opsStreamed();

@@ -159,18 +159,4 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     return result;
 }
 
-std::vector<CpuReport>
-replayTracesOn(const std::vector<std::string> &trace_paths,
-               const MachineConfig &config, unsigned threads)
-{
-    std::vector<CpuReport> reports(trace_paths.size());
-    parallelFor(trace_paths.size(), [&](size_t i) {
-        TraceReader reader(trace_paths[i]);
-        SimCpu cpu(config);
-        reader.replayInto(cpu);
-        reports[i] = cpu.report();
-    }, threads);
-    return reports;
-}
-
 } // namespace wcrt

@@ -3,16 +3,16 @@
  * Parallel multi-config replay runner.
  *
  * One captured trace can feed any number of machine configurations,
- * and N traces can feed one configuration — each replay is an
- * independent read-only pass over a file, so they parallelize
- * perfectly. The helpers here fan jobs out over the process-wide
- * WorkerPool::shared() (each job opens its own TraceReader) and
- * always return results in input order, so parallel runs are
- * bit-identical to serial ones. No path spawns ad-hoc threads: a
- * `threads` request is resolved exactly once (0 = hardware,
- * 1 = strictly serial on the caller, N = bounded-claim cap on the
- * shared pool) and the calling thread always participates in its own
- * fan-out.
+ * and N traces can feed one configuration (profileTraces() in
+ * core/profiler) — each replay is an independent read-only pass over
+ * a file, so they parallelize perfectly. The helpers here fan jobs
+ * out over the process-wide WorkerPool::shared() (each job opens its
+ * own TraceReader) and always return results in input order, so
+ * parallel runs are bit-identical to serial ones. No path spawns
+ * ad-hoc threads: a `threads` request is resolved exactly once
+ * (0 = hardware, 1 = strictly serial on the caller, N = bounded-claim
+ * cap on the shared pool) and the calling thread always participates
+ * in its own fan-out.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH
@@ -140,14 +140,6 @@ MrcResult replaySweepLadder(const std::string &trace_path,
                             MrcMode mode, unsigned threads = 0,
                             uint32_t assoc = 8,
                             uint32_t line_bytes = 64);
-
-/**
- * Replay many traces on one machine configuration, in parallel.
- * Results are indexed like `trace_paths`.
- */
-std::vector<CpuReport> replayTracesOn(
-    const std::vector<std::string> &trace_paths,
-    const MachineConfig &config, unsigned threads = 0);
 
 } // namespace wcrt
 

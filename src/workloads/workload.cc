@@ -38,4 +38,20 @@ toString(StackKind s)
     return "?";
 }
 
+DriverFrame::DriverFrame(Workload &workload) : workload(workload)
+{
+    workload.setup(env);
+    driver = env.layout.addFunction("driver.main",
+                                    CodeLayer::Application, 512);
+}
+
+void
+DriverFrame::run(TraceSink &sink)
+{
+    Tracer tracer(env.layout, sink);
+    tracer.call(driver);
+    workload.execute(env, tracer);
+    tracer.ret();
+}
+
 } // namespace wcrt

@@ -75,6 +75,32 @@ class Workload
 
 using WorkloadPtr = std::unique_ptr<Workload>;
 
+/**
+ * The frame every workload run executes in: setup(), then execute()
+ * inside one Application-layer `driver.main` function (512 B). Live
+ * profiles, trace captures and shm streams all run through it, so a
+ * replayed trace reproduces a live run op for op.
+ */
+class DriverFrame
+{
+  public:
+    /** Run workload.setup() and register driver.main. */
+    explicit DriverFrame(Workload &workload);
+
+    /**
+     * Execute the workload inside driver.main, emitting into `sink`
+     * through a Tracer over env.layout. A sink that snapshots the
+     * layout (a trace writer) is built from env.layout before this.
+     */
+    void run(TraceSink &sink);
+
+    RunEnv env;  //!< the run's layout, heap and I/O / data accounting
+
+  private:
+    Workload &workload;
+    FunctionId driver;
+};
+
 } // namespace wcrt
 
 #endif // WCRT_WORKLOADS_WORKLOAD_HH

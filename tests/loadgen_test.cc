@@ -17,6 +17,9 @@
 #include "loadgen/histogram.hh"
 #include "loadgen/orchestrator.hh"
 #include "loadgen/targets.hh"
+#include "scenario/parser.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 
 namespace wcrt {
 namespace {
@@ -349,6 +352,66 @@ TEST(OrchestratorTargets, UnrecordedPhaseCountsButDoesNotReport)
     EXPECT_EQ(res.phases.front().name, "steady");
     EXPECT_EQ(res.phases.front().requests, 2u * 7u);
     EXPECT_EQ(res.totalRequests, 2u * (5u + 7u));
+}
+
+TEST(OrchestratorTargets, OpStreamsPinnedForDefaultAndGeneratorDraws)
+{
+    // kv-get and sql-filter at jobs=1 with fixed seeds, once with the
+    // targets' built-in draws on the actor Rng and once with scenario
+    // generators (zipf keys plus bytes documents; uniform predicates).
+    // The op counts are pinned constants: however the per-request draw
+    // reaches the target, every request must emit the same stream.
+    struct Case
+    {
+        const char *target;
+        const char *generators;  //!< "" = the target's built-in draws
+        uint64_t totalOps;
+        std::vector<uint64_t> phaseOps;
+    };
+    const std::vector<Case> cases = {
+        {"kv-get", "", 127866, {70141, 34752}},
+        {"kv-get",
+         "key-gen = keys\n"
+         "doc-gen = docs\n"
+         "[generators]\n"
+         "keys = zipf(5000, 0.99)\n"
+         "docs = bytes(128)\n",
+         127996, {69855, 34908}},
+        {"sql-filter", "", 43961, {22965, 12837}},
+        {"sql-filter",
+         "query-gen = amounts\n"
+         "[generators]\n"
+         "amounts = uniform(1, 500)\n",
+         49870, {25962, 13082}},
+    };
+    for (const Case &c : cases) {
+        std::string label =
+            std::string(c.target) + (*c.generators ? " gen" : " default");
+        ScenarioParse parse = parseScenario(parseScenarioText(
+            std::string("[scenario]\n"
+                        "name = pin\n"
+                        "kind = traffic\n"
+                        "seed = 11\n"
+                        "target = ") +
+            c.target + "\n" + c.generators +
+            "[phases]\n"
+            "phase steady = closed, ops=6\n"));
+        ASSERT_TRUE(parse.ok()) << label << ": " << parse.formatIssues();
+        auto target = makeScenarioTarget(parse.spec, 0.05);
+        std::vector<PhaseSpec> phases{warmupPhase(2),
+                                      closedPhase("steady", 6),
+                                      closedPhase("spike", 3)};
+        OrchestratorConfig cfg;
+        cfg.actors = 2;
+        cfg.jobs = 1;
+        cfg.seed = 5;
+        TrafficResult res = Orchestrator(*target, phases, cfg).run();
+        EXPECT_EQ(res.totalTraceOps, c.totalOps) << label;
+        ASSERT_EQ(res.phases.size(), c.phaseOps.size()) << label;
+        for (size_t i = 0; i < c.phaseOps.size(); ++i)
+            EXPECT_EQ(res.phases[i].traceOps, c.phaseOps[i])
+                << label << " phase " << res.phases[i].name;
+    }
 }
 
 } // namespace

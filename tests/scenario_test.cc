@@ -378,10 +378,10 @@ TEST(ScenarioFilesTest, AllCheckedInScenariosValidateAndExpand)
 TEST(ScenarioRunnerTest, SweepCellBitIdenticalToHandCodedBench)
 {
     // The acceptance contract: a scenario-driven fig6 cell reproduces
-    // the bench's averageSweepMrc() arithmetic bit-for-bit, in both
-    // the stack and oracle modes. One roster entry at a tiny scale
-    // keeps the test fast; separate trace dirs prove the identity is
-    // not an artifact of sharing cached files.
+    // a hand-coded replaySweepLadder() call bit-for-bit, in both the
+    // stack and oracle modes. One roster entry at a tiny scale keeps
+    // the test fast; separate trace dirs prove the identity is not an
+    // artifact of sharing cached files.
     ScenarioParse parse = loadScenario(scnPath("fig6_icache.scn"));
     ASSERT_TRUE(parse.ok()) << parse.formatIssues();
     ScenarioSpec spec = parse.spec;
@@ -395,8 +395,8 @@ TEST(ScenarioRunnerTest, SweepCellBitIdenticalToHandCodedBench)
     const double scale = base * spec.scaleFactor;
     for (MrcMode mode :
          {MrcMode::StackDistance, MrcMode::ShardedOracle}) {
-        // Hand-coded path: footprint_common.hh averageSweepMrc() with
-        // a one-entry group.
+        // Hand-coded path: one replaySweepLadder() call on the one
+        // entry.
         TraceCache hand_cache(tempCacheDir(
             std::string("hand-") + toString(mode)));
         std::string path = hand_cache.ensure(

@@ -1235,13 +1235,19 @@ TEST(Replay, TracesOnJobsOneMatchesJobsMany)
         paths.push_back(path);
     }
 
-    auto serial = replayTracesOn(paths, xeonE5645(), 1);
-    auto pooled = replayTracesOn(paths, xeonE5645(), 4);
+    // profileTraces is the one many-traces-on-one-config runner (the
+    // scenario replay cells use it too): its pooled fan-out must match
+    // the strictly serial path report for report, in input order.
+    auto serial = profileTraces(paths, xeonE5645(), {}, 1);
+    auto pooled = profileTraces(paths, xeonE5645(), {}, 4);
     ASSERT_EQ(serial.size(), pooled.size());
     for (size_t i = 0; i < paths.size(); ++i) {
-        EXPECT_EQ(pooled[i].instructions, serial[i].instructions);
-        EXPECT_EQ(pooled[i].ipc, serial[i].ipc);
-        EXPECT_EQ(pooled[i].l1dMpki, serial[i].l1dMpki);
+        EXPECT_EQ(pooled[i].name, names[i]);
+        EXPECT_EQ(pooled[i].report.instructions,
+                  serial[i].report.instructions);
+        EXPECT_EQ(pooled[i].report.ipc, serial[i].report.ipc);
+        EXPECT_EQ(pooled[i].report.l1dMpki, serial[i].report.l1dMpki);
+        EXPECT_EQ(pooled[i].metrics, serial[i].metrics);
     }
     for (const auto &path : paths)
         fs::remove(path);
