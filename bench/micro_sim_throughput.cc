@@ -358,9 +358,9 @@ BM_TraceRead(benchmark::State &state)
     uint64_t payload_bytes = 0;
     uint64_t ops_read = 0;
     for (auto _ : state) {
-        // Pin the transport: this row is the buffered-ifstream
-        // reference the BM_ReplayMmap* rows are compared against.
-        TraceReader reader(path, {TraceIo::Stream, CrcMode::Always});
+        // Open (map + validation scan) plus one replay per iteration;
+        // BM_ReplayMmap times the replay alone.
+        TraceReader reader(path);
         CountingSink counter;
         reader.replayInto(counter);
         payload_bytes += reader.payloadBytes();
@@ -377,26 +377,16 @@ BM_TraceRead(benchmark::State &state)
 BENCHMARK(BM_TraceRead);
 
 /**
- * Repeat-replay rows: one persistent reader, timed replays only.
- * This is the shape of the actual hot loop (sweep ladders and config
- * fans replay the same trace many times), and it is what the
- * transport choice affects: the stream path re-reads and re-copies
- * every chunk payload per replay, the mmap path decodes in place.
- * BM_ReplayStream / BM_ReplayMmap differ only in ReaderOptions —
- * same trace, same counting sink.
+ * Repeat-replay row: one persistent reader, timed replays only. This
+ * is the shape of the actual hot loop (sweep ladders and config fans
+ * replay the same trace many times): every chunk decodes in place
+ * from the file mapping.
  */
 void
-replayTransportRow(benchmark::State &state, const ReaderOptions &opts,
-                   const char *tag)
+BM_ReplayMmap(benchmark::State &state)
 {
-    if ((opts.io == TraceIo::Mmap || opts.io == TraceIo::Auto) &&
-        !mmapAvailable()) {
-        state.SkipWithError("mmap unavailable on this platform");
-        return;
-    }
     auto ops = syntheticOps(64 * 1024);
-    std::string path = benchTracePath(
-        (std::string("wcrt-bench-") + tag + ".wtrace").c_str());
+    std::string path = benchTracePath("wcrt-bench-replay-mmap.wtrace");
     CodeLayout layout;
     layout.addFunction("bench", CodeLayer::Application, 8192);
     TraceMeta meta;
@@ -407,10 +397,9 @@ replayTransportRow(benchmark::State &state, const ReaderOptions &opts,
             writer.consume(op);
         writer.finish();
     }
-    TraceReader reader(path, opts);
+    TraceReader reader(path);
     {
-        // Warm-up replay: touches every page of the mapping (or warms
-        // the stream buffer).
+        // Warm-up replay: touches every page of the mapping.
         CountingSink counter;
         reader.replayInto(counter);
     }
@@ -426,27 +415,12 @@ replayTransportRow(benchmark::State &state, const ReaderOptions &opts,
     state.SetBytesProcessed(static_cast<int64_t>(payload_bytes));
     std::filesystem::remove(path);
 }
-
-void
-BM_ReplayStream(benchmark::State &state)
-{
-    replayTransportRow(state, {TraceIo::Stream, CrcMode::Always},
-                       "replay-stream");
-}
-BENCHMARK(BM_ReplayStream);
-
-void
-BM_ReplayMmap(benchmark::State &state)
-{
-    replayTransportRow(state, {TraceIo::Mmap, CrcMode::Always},
-                       "replay-mmap");
-}
 BENCHMARK(BM_ReplayMmap);
 
 /**
  * The shm-ring transport end to end: a producer thread encodes ops
  * through ShmChunkSink into a shared-memory ring while the consumer
- * drains it (ShmSource) and replays the stream into a counting sink —
+ * drains it (drainRing) and replays the stream into a counting sink —
  * the cross-process serve/attach pipeline, minus the fork, so the row
  * is comparable with BM_TraceWrite + BM_TraceRead (the file pipeline
  * over the same op count).
@@ -454,10 +428,6 @@ BENCHMARK(BM_ReplayMmap);
 void
 BM_ShmRing(benchmark::State &state)
 {
-    if (!shmAvailable()) {
-        state.SkipWithError("shm unavailable on this platform");
-        return;
-    }
     auto ops = dispatchStream(64 * 1024);
     CodeLayout layout;
     layout.addFunction("bench", CodeLayer::Application, 8192);
@@ -478,11 +448,9 @@ BM_ShmRing(benchmark::State &state)
                 sink.consume(op);
             sink.finish();
         });
-        ShmSource drained(consumer_ring);
+        TraceBytes drained = drainRing(consumer_ring);
         producer.join();
-        TraceReader reader(
-            std::make_unique<ShmSource>(drained.payload()),
-            "shm:" + ring_name);
+        TraceReader reader(std::move(drained), "shm:" + ring_name);
         CountingSink counter;
         reader.replayInto(counter);
         payload_bytes += reader.payloadBytes();
@@ -632,13 +600,13 @@ BENCHMARK(BM_MrcSinglePass)->UseRealTime();
 void
 BM_ReplayConfigsPooled(benchmark::State &state)
 {
-    const std::string &path = replayBenchTrace();
     std::vector<MachineConfig> configs{xeonE5645(), atomD510(),
                                        atomInOrderSim(32),
                                        atomInOrderSim(64)};
     uint64_t instructions = 0;
     for (auto _ : state) {
-        auto reports = replayOnConfigs(path, configs, benchJobs());
+        TraceReader reader(replayBenchTrace());
+        auto reports = replayOnConfigs(reader, configs, benchJobs());
         for (const auto &r : reports)
             instructions += r.instructions;
     }

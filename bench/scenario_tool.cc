@@ -6,7 +6,7 @@
  *     scenario_tool expand   <file.scn> [--scale=S]
  *     scenario_tool run      <file.scn> [--json=FILE] [--jobs=N]
  *                            [--trace-dir=D] [--cell=I] [--scale=S]
- *                            [--io=M] [--verify-crc=M]
+ *                            [--verify-crc=M]
  *
  * `validate` parses, resolves and expands every named file, printing
  * every problem found (the parser accumulates issues instead of
@@ -16,6 +16,7 @@
  * executes cells through the kind's engine (sweep ladders, traffic
  * phases, machine replays), printing a table per cell and optionally
  * a machine-readable JSON report with full-precision curves.
+ * `--jobs` and `--cell` take strict decimal counts.
  *
  * Exit status: 0 on success, 1 when validate finds issues or a run
  * fails, 2 on usage errors.
@@ -23,7 +24,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -32,11 +32,15 @@
 
 #include "base/logging.hh"
 #include "base/table.hh"
+#include "cli_flags.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "tracefile/trace_source.hh"
 
 using namespace wcrt;
+using bench::flagValue;
+using bench::parseCount;
+using bench::parseJobs;
 
 namespace {
 
@@ -51,6 +55,7 @@ usage()
            " [--jobs=N]\n"
            "                         [--trace-dir=D] [--cell=I]"
            " [--scale=S]\n"
+           "                         [--verify-crc=M]\n"
            "\n"
            "  --scale=S      base dataset scale (default: WCRT_SCALE\n"
            "                 or 0.5); the scenario's scale-factor and\n"
@@ -60,26 +65,9 @@ usage()
            "  --trace-dir=D  trace cache directory (default:\n"
            "                 WCRT_TRACE_DIR or the system temp dir)\n"
            "  --cell=I       run only the cell with index I\n"
-           "  --io=M         trace transport: auto (default; mmap\n"
-           "                 when available), stream, mmap\n"
            "  --verify-crc=M chunk CRC policy on replay: always\n"
            "                 (default), never\n";
     return 2;
-}
-
-/** Value of `--name=V` or `--name V`, or null when `arg` is not it. */
-const char *
-flagValue(const char *arg, const char *name, int argc, char **argv,
-          int &i)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0)
-        return nullptr;
-    if (arg[n] == '=')
-        return arg + n + 1;
-    if (arg[n] == '\0' && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
 }
 
 double
@@ -350,28 +338,22 @@ cmdRun(int argc, char **argv)
             json_path = v;
         else if (const char *v2 =
                      flagValue(argv[i], "--jobs", argc, argv, i))
-            opt.jobs = static_cast<unsigned>(std::atoi(v2));
+            opt.jobs = parseJobs(v2);
         else if (const char *v3 = flagValue(argv[i], "--trace-dir",
                                             argc, argv, i))
             opt.traceDir = v3;
         else if (const char *v4 =
                      flagValue(argv[i], "--cell", argc, argv, i))
-            only_cell = std::atol(v4);
+            only_cell = static_cast<long>(
+                parseCount("--cell", v4, 0, 1u << 30));
         else if (const char *v5 =
                      flagValue(argv[i], "--scale", argc, argv, i))
             opt.baseScale = std::atof(v5);
-        else if (const char *v6 =
-                     flagValue(argv[i], "--io", argc, argv, i)) {
+        else if (const char *v6 = flagValue(argv[i], "--verify-crc",
+                                            argc, argv, i)) {
             ReaderOptions ropts = defaultReaderOptions();
-            if (!parseTraceIo(v6, ropts.io))
-                wcrt_fatal("unknown --io '", v6,
-                           "' (auto, stream or mmap)");
-            setDefaultReaderOptions(ropts);
-        } else if (const char *v7 = flagValue(argv[i], "--verify-crc",
-                                              argc, argv, i)) {
-            ReaderOptions ropts = defaultReaderOptions();
-            if (!parseCrcMode(v7, ropts.crc))
-                wcrt_fatal("unknown --verify-crc '", v7,
+            if (!parseCrcMode(v6, ropts.crc))
+                wcrt_fatal("unknown --verify-crc '", v6,
                            "' (always or never)");
             setDefaultReaderOptions(ropts);
         } else

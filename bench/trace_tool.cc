@@ -17,10 +17,11 @@
  *                       [--mrc] [--kind=K] [--sizes=CSV] [--line=N]
  *                       [--jobs=N] [--timeout-ms=T]
  *
- * Every command also accepts `--io=auto|stream|mmap` and
- * `--verify-crc=always|never`, which set the process-wide
- * ReaderOptions before any trace is opened (see
- * tracefile/trace_source.hh for the CRC policy).
+ * Every command also accepts `--verify-crc=always|never`, which sets
+ * the process-wide ReaderOptions before any trace is opened (see
+ * tracefile/trace_source.hh for the CRC policy). Numeric flag values
+ * are parsed strictly: anything but a decimal count in range exits
+ * non-zero.
  *
  * `record` executes one roster workload and captures its op stream;
  * `stats` prints the header/footer accounting, chunk layout,
@@ -40,26 +41,26 @@
  * streams their encoded ops into per-workload shared-memory rings
  * (NAME for one workload, NAME.0..NAME.N-1 for N), and `attach` —
  * run in another shell, in any order relative to serve — drains each
- * ring and analyzes the stream with the same replay machinery the
- * file commands use: the machine-config table by default, the
- * stack-distance MRC under `--mrc`.
+ * ring and analyzes the stream through the same replay runners the
+ * file commands use: `replay`'s machine-config table by default,
+ * `mrc`'s stack-distance curve under `--mrc`.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/table.hh"
+#include "cli_flags.hh"
 #include "core/profiler.hh"
-#include "sim/stack_distance.hh"
 #include "trace/mix_counter.hh"
 #include "tracefile/capture.hh"
 #include "tracefile/replay.hh"
@@ -69,6 +70,9 @@
 #include "workloads/registry.hh"
 
 using namespace wcrt;
+using bench::flagValue;
+using bench::parseCount;
+using bench::parseJobs;
 
 namespace {
 
@@ -117,46 +121,10 @@ usage()
            "                  paper's 16..8192 doubling ladder)\n"
            "  --assoc=N       oracle associativity (default 8)\n"
            "  --line=N        line bytes (default 64)\n"
-           "  --io=M          trace transport for any command: auto\n"
-           "                  (default; mmap when available), stream,\n"
-           "                  mmap\n"
+           "  --jobs=N        worker cap (default 0 = hardware threads)\n"
            "  --verify-crc=M  chunk CRC policy: always (default), never\n"
            "  (run any bench binary with --list for workload names)\n";
     return 2;
-}
-
-/** Value of `--name=V` or `--name V`, or null when `arg` is not it. */
-const char *
-flagValue(const char *arg, const char *name, int argc, char **argv,
-          int &i)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0)
-        return nullptr;
-    if (arg[n] == '=')
-        return arg + n + 1;
-    if (arg[n] == '\0' && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
-}
-
-/**
- * Strictly parse a numeric flag value into [min, max], fatal on
- * anything else — strtoull would silently wrap "--producers=-1" into
- * ~1.8e19 and drive allocations with it.
- */
-uint64_t
-parseCount(const char *flag, const char *value, uint64_t min,
-           uint64_t max)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE || v < min || v > max)
-        wcrt_fatal("bad ", flag, " '", value, "' (expected ", min,
-                   "..", max, ")");
-    return v;
 }
 
 const char *
@@ -330,8 +298,9 @@ parseMachineList(const std::string &machine_list)
         else if (tok == "atom")
             configs.push_back(atomD510());
         else if (tok.rfind("sim", 0) == 0)
-            configs.push_back(atomInOrderSim(
-                static_cast<uint32_t>(std::atoi(tok.c_str() + 3))));
+            configs.push_back(atomInOrderSim(static_cast<uint32_t>(
+                parseCount("--machine sim<KB>", tok.c_str() + 3, 1,
+                           1u << 30))));
         else
             wcrt_fatal("unknown machine '", tok,
                        "' (expected xeon, atom or sim<KB>)");
@@ -364,13 +333,12 @@ cmdReplay(const std::string &path, const std::string &machine_list,
 {
     std::vector<MachineConfig> configs = parseMachineList(machine_list);
 
-    TraceReader probe(path);
-    std::cout << "replaying " << probe.meta().workload << " ("
-              << probe.opCount() << " ops) on " << configs.size()
+    TraceReader reader(path);
+    std::cout << "replaying " << reader.meta().workload << " ("
+              << reader.opCount() << " ops) on " << configs.size()
               << " configs, " << replayWorkers(jobs) << " workers\n\n";
 
-    auto reports = replayOnConfigs(path, configs, jobs);
-    printReplayTable(reports);
+    printReplayTable(replayOnConfigs(reader, configs, jobs));
     return 0;
 }
 
@@ -396,123 +364,60 @@ jsonDouble(double v)
     return buf;
 }
 
-int
-cmdMrc(int argc, char **argv)
+/** The curve flags `mrc` and `attach --mrc` share. */
+struct CurveFlags
 {
-    std::string path = argv[2];
     SweepKind kind = SweepKind::Instruction;
-    std::string kind_name = "instr";
-    MrcMode mode = MrcMode::StackDistance;
+    std::string kindName = "instr";
     std::vector<uint32_t> sizes = paperSweepSizesKb();
-    uint32_t assoc = 8;
-    uint32_t line_bytes = 64;
+    uint32_t lineBytes = 64;
     unsigned jobs = 0;
-    bool json = false;
-    for (int i = 3; i < argc; ++i) {
+
+    /** Consume argv[i] (and its value) when it is one of these flags. */
+    bool
+    parse(int argc, char **argv, int &i)
+    {
         if (const char *v = flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind_name = v;
-            if (kind_name == "instr")
+            kindName = v;
+            if (kindName == "instr")
                 kind = SweepKind::Instruction;
-            else if (kind_name == "data")
+            else if (kindName == "data")
                 kind = SweepKind::Data;
-            else if (kind_name == "unified")
+            else if (kindName == "unified")
                 kind = SweepKind::Unified;
             else
                 wcrt_fatal("unknown --kind '", v,
                            "' (instr, data or unified)");
         } else if (const char *v2 =
-                       flagValue(argv[i], "--mode", argc, argv, i)) {
-            if (!parseMrcMode(v2, mode))
-                wcrt_fatal("unknown --mode '", v2,
-                           "' (stack, oracle or verify)");
-        } else if (const char *v3 =
                        flagValue(argv[i], "--sizes", argc, argv, i)) {
             sizes.clear();
-            std::string list = v3;
-            for (size_t pos = 0; pos < list.size();) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                int kb = std::atoi(list.substr(pos, comma - pos).c_str());
-                if (kb <= 0)
-                    wcrt_fatal("bad --sizes entry in '", v3, "'");
-                sizes.push_back(static_cast<uint32_t>(kb));
-                pos = comma + 1;
-            }
+            for (const std::string &tok : splitList(v2))
+                sizes.push_back(static_cast<uint32_t>(
+                    parseCount("--sizes", tok.c_str(), 1, 1u << 30)));
             if (sizes.empty())
                 wcrt_fatal("--sizes needs at least one capacity");
-        } else if (const char *v4 =
-                       flagValue(argv[i], "--assoc", argc, argv, i)) {
-            assoc = static_cast<uint32_t>(std::atoi(v4));
-        } else if (const char *v5 =
+        } else if (const char *v3 =
                        flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = static_cast<uint32_t>(std::atoi(v5));
-        } else if (const char *v6 =
+            lineBytes = static_cast<uint32_t>(
+                parseCount("--line", v3, 1, 1u << 20));
+        } else if (const char *v4 =
                        flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = static_cast<unsigned>(std::atoi(v6));
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
+            jobs = parseJobs(v4);
         } else {
-            return usage();
+            return false;
         }
+        return true;
     }
+};
 
-    TraceReader probe(path);
-    std::string workload = probe.meta().workload;
-    auto t0 = std::chrono::steady_clock::now();
-    MrcResult r = replaySweepLadder(path, kind, sizes, mode, jobs,
-                                    assoc, line_bytes);
-    double wall_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-
-    if (json) {
-        std::cout << "{\n"
-                  << "  \"trace\": \"" << jsonEscape(path) << "\",\n"
-                  << "  \"workload\": \"" << jsonEscape(workload)
-                  << "\",\n"
-                  << "  \"kind\": \"" << kind_name << "\",\n"
-                  << "  \"mode\": \"" << toString(mode) << "\",\n"
-                  << "  \"assoc\": " << assoc << ",\n"
-                  << "  \"line_bytes\": " << line_bytes << ",\n"
-                  << "  \"ops\": " << probe.opCount() << ",\n"
-                  << "  \"accesses\": " << r.accesses << ",\n"
-                  << "  \"distinct_lines\": " << r.distinctLines
-                  << ",\n"
-                  << "  \"wall_s\": " << jsonDouble(wall_s) << ",\n";
-        auto emit_list = [](const char *name, auto &&fmt, size_t n,
-                            bool last = false) {
-            std::cout << "  \"" << name << "\": [";
-            for (size_t i = 0; i < n; ++i)
-                std::cout << (i ? ", " : "") << fmt(i);
-            std::cout << "]" << (last ? "\n" : ",\n");
-        };
-        emit_list("sizes_kb",
-                  [&](size_t i) { return std::to_string(sizes[i]); },
-                  sizes.size());
-        if (mode == MrcMode::Verify) {
-            emit_list("miss_ratio",
-                      [&](size_t i) { return jsonDouble(r.ratios[i]); },
-                      r.ratios.size());
-            emit_list("oracle_miss_ratio",
-                      [&](size_t i) {
-                          return jsonDouble(r.oracleRatios[i]);
-                      },
-                      r.oracleRatios.size());
-            std::cout << "  \"max_divergence\": "
-                      << jsonDouble(r.maxDivergence) << "\n";
-        } else {
-            emit_list("miss_ratio",
-                      [&](size_t i) { return jsonDouble(r.ratios[i]); },
-                      r.ratios.size(), /*last=*/true);
-        }
-        std::cout << "}\n";
-        return 0;
-    }
-
-    std::cout << "miss-ratio curve of " << workload << " (" << kind_name
-              << ", " << toString(mode) << " mode, line " << line_bytes
-              << "B"
+/** Print one curve as the table `mrc` and `attach --mrc` share. */
+void
+printCurve(const std::string &workload, const CurveFlags &flags,
+           MrcMode mode, uint32_t assoc, const MrcResult &r)
+{
+    std::cout << "miss-ratio curve of " << workload << " ("
+              << flags.kindName << ", " << toString(mode)
+              << " mode, line " << flags.lineBytes << "B"
               << (mode == MrcMode::StackDistance
                       ? std::string(")")
                       : ", oracle " + std::to_string(assoc) + "-way)")
@@ -524,8 +429,8 @@ cmdMrc(int argc, char **argv)
         header.push_back("|gap|%");
     }
     Table t(header);
-    for (size_t i = 0; i < sizes.size(); ++i) {
-        t.cell(static_cast<uint64_t>(sizes[i]));
+    for (size_t i = 0; i < flags.sizes.size(); ++i) {
+        t.cell(static_cast<uint64_t>(flags.sizes[i]));
         t.cell(r.ratios[i] * 100.0, 3);
         if (mode == MrcMode::Verify) {
             t.cell(r.oracleRatios[i] * 100.0, 3);
@@ -537,6 +442,84 @@ cmdMrc(int argc, char **argv)
     if (mode == MrcMode::Verify)
         std::cout << "max |stack - oracle| divergence: "
                   << formatFixed(r.maxDivergence * 100, 3) << "%\n";
+}
+
+int
+cmdMrc(int argc, char **argv)
+{
+    std::string path = argv[2];
+    CurveFlags flags;
+    MrcMode mode = MrcMode::StackDistance;
+    uint32_t assoc = 8;
+    bool json = false;
+    for (int i = 3; i < argc; ++i) {
+        if (flags.parse(argc, argv, i))
+            continue;
+        if (const char *v = flagValue(argv[i], "--mode", argc, argv, i)) {
+            if (!parseMrcMode(v, mode))
+                wcrt_fatal("unknown --mode '", v,
+                           "' (stack, oracle or verify)");
+        } else if (const char *v2 =
+                       flagValue(argv[i], "--assoc", argc, argv, i)) {
+            assoc = static_cast<uint32_t>(
+                parseCount("--assoc", v2, 1, 1u << 16));
+        } else if (std::strcmp(argv[i], "--json") == 0) {
+            json = true;
+        } else {
+            return usage();
+        }
+    }
+
+    TraceReader reader(path);
+    const std::vector<uint32_t> &sizes = flags.sizes;
+    auto t0 = std::chrono::steady_clock::now();
+    MrcResult r = replaySweepLadder(reader, flags.kind, sizes, mode,
+                                    flags.jobs, assoc, flags.lineBytes);
+    double wall_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+
+    if (!json) {
+        printCurve(reader.meta().workload, flags, mode, assoc, r);
+        return 0;
+    }
+    std::cout << "{\n"
+              << "  \"trace\": \"" << jsonEscape(path) << "\",\n"
+              << "  \"workload\": \"" << jsonEscape(reader.meta().workload)
+              << "\",\n"
+              << "  \"kind\": \"" << flags.kindName << "\",\n"
+              << "  \"mode\": \"" << toString(mode) << "\",\n"
+              << "  \"assoc\": " << assoc << ",\n"
+              << "  \"line_bytes\": " << flags.lineBytes << ",\n"
+              << "  \"ops\": " << reader.opCount() << ",\n"
+              << "  \"accesses\": " << r.accesses << ",\n"
+              << "  \"distinct_lines\": " << r.distinctLines << ",\n"
+              << "  \"wall_s\": " << jsonDouble(wall_s) << ",\n";
+    auto emit_list = [](const char *name, auto &&fmt, size_t n,
+                        bool last = false) {
+        std::cout << "  \"" << name << "\": [";
+        for (size_t i = 0; i < n; ++i)
+            std::cout << (i ? ", " : "") << fmt(i);
+        std::cout << "]" << (last ? "\n" : ",\n");
+    };
+    emit_list("sizes_kb",
+              [&](size_t i) { return std::to_string(sizes[i]); },
+              sizes.size());
+    if (mode == MrcMode::Verify) {
+        emit_list("miss_ratio",
+                  [&](size_t i) { return jsonDouble(r.ratios[i]); },
+                  r.ratios.size());
+        emit_list("oracle_miss_ratio",
+                  [&](size_t i) { return jsonDouble(r.oracleRatios[i]); },
+                  r.oracleRatios.size());
+        std::cout << "  \"max_divergence\": "
+                  << jsonDouble(r.maxDivergence) << "\n";
+    } else {
+        emit_list("miss_ratio",
+                  [&](size_t i) { return jsonDouble(r.ratios[i]); },
+                  r.ratios.size(), /*last=*/true);
+    }
+    std::cout << "}\n";
     return 0;
 }
 
@@ -590,8 +573,6 @@ cmdServe(int argc, char **argv)
     }
     if (ring_base.empty())
         wcrt_fatal("serve needs --ring=NAME");
-    if (!shmAvailable())
-        wcrt_fatal("shm rings are not supported on this platform");
 
     // Create every ring before running anything, so an analyzer that
     // attaches while the first workload is still executing finds all
@@ -665,13 +646,11 @@ cmdAttach(int argc, char **argv)
     size_t producers = 1;
     std::string machines;
     bool mrc = false;
-    SweepKind kind = SweepKind::Instruction;
-    std::string kind_name = "instr";
-    std::vector<uint32_t> sizes = paperSweepSizesKb();
-    uint32_t line_bytes = 64;
-    unsigned jobs = 0;
+    CurveFlags flags;
     uint64_t timeout_ms = 10000;
     for (int i = 2; i < argc; ++i) {
+        if (flags.parse(argc, argv, i))
+            continue;
         if (const char *v = flagValue(argv[i], "--ring", argc, argv, i))
             ring_base = v;
         else if (const char *v2 =
@@ -684,63 +663,29 @@ cmdAttach(int argc, char **argv)
             machines = v3;
         else if (std::strcmp(argv[i], "--mrc") == 0)
             mrc = true;
-        else if (const char *v4 =
-                     flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind_name = v4;
-            if (kind_name == "instr")
-                kind = SweepKind::Instruction;
-            else if (kind_name == "data")
-                kind = SweepKind::Data;
-            else if (kind_name == "unified")
-                kind = SweepKind::Unified;
-            else
-                wcrt_fatal("unknown --kind '", v4,
-                           "' (instr, data or unified)");
-        } else if (const char *v5 =
-                       flagValue(argv[i], "--sizes", argc, argv, i)) {
-            sizes.clear();
-            for (const std::string &tok : splitList(v5)) {
-                int kb = std::atoi(tok.c_str());
-                if (kb <= 0)
-                    wcrt_fatal("bad --sizes entry in '", v5, "'");
-                sizes.push_back(static_cast<uint32_t>(kb));
-            }
-            if (sizes.empty())
-                wcrt_fatal("--sizes needs at least one capacity");
-        } else if (const char *v6 =
-                       flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = static_cast<uint32_t>(std::atoi(v6));
-        } else if (const char *v7 =
-                       flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = static_cast<unsigned>(std::atoi(v7));
-        } else if (const char *v8 = flagValue(argv[i], "--timeout-ms",
-                                              argc, argv, i)) {
-            timeout_ms = parseCount("--timeout-ms", v8, 1, 86400000);
-        } else {
+        else if (const char *v4 = flagValue(argv[i], "--timeout-ms",
+                                            argc, argv, i))
+            timeout_ms = parseCount("--timeout-ms", v4, 1, 86400000);
+        else
             return usage();
-        }
     }
-    if (ring_base.empty() || producers == 0)
-        wcrt_fatal("attach needs --ring=NAME (and --producers >= 1)");
-    if (!shmAvailable())
-        wcrt_fatal("shm rings are not supported on this platform");
+    if (ring_base.empty())
+        wcrt_fatal("attach needs --ring=NAME");
 
     std::vector<MachineConfig> configs = parseMachineList(machines);
 
     // Drain every ring first (rings in parallel — each drain is one
     // cheap memcpy loop), then analyze the buffered streams: analysis
     // replays must not stall a producer on a full ring.
-    std::vector<std::shared_ptr<const std::vector<uint8_t>>> streams(
-        producers);
-    std::vector<bool> peer_died(producers);
+    std::vector<TraceBytes> streams(producers);
+    std::vector<char> peer_died(producers);  // written concurrently
     parallelFor(producers, [&](size_t i) {
         ShmRing ring =
             ShmRing::open(ringNameAt(ring_base, i, producers),
                           ShmRing::Role::Consumer, timeout_ms);
-        ShmSource drained(ring);
-        streams[i] = drained.payload();
-        peer_died[i] = drained.peerDied();
-    }, jobs);
+        streams[i] = drainRing(ring);
+        peer_died[i] = ring.peerDied();
+    }, flags.jobs);
 
     int rc = 0;
     for (size_t i = 0; i < producers; ++i) {
@@ -751,45 +696,25 @@ cmdAttach(int argc, char **argv)
             std::cout << "warning: producer died mid-stream; analyzing "
                          "the received prefix\n";
         try {
-            // The probe validates the whole drained stream (including
+            // Opening validates the whole drained stream (including
             // the truncation a dead producer leaves behind) exactly
-            // like the file reader would.
-            TraceReader probe(
-                std::make_unique<ShmSource>(streams[i]), display);
-            std::cout << probe.meta().workload << ": "
-                      << probe.opCount() << " ops, "
-                      << streams[i]->size() << " bytes via "
-                      << probe.ioName() << "\n";
-
-            if (mrc) {
-                // Mirror replaySweepLadder's StackDistance mode so
-                // the curve is bit-identical to `trace_tool mrc` on
-                // the equivalent file.
-                StackDistanceProfile profile(kind, line_bytes);
-                TraceReader reader(
-                    std::make_unique<ShmSource>(streams[i]), display);
-                reader.replayInto(profile);
-                std::vector<double> ratios =
-                    profile.missRatios(kind, sizes);
-                Table t({"cache KB", "miss%"});
-                for (size_t j = 0; j < sizes.size(); ++j) {
-                    t.cell(static_cast<uint64_t>(sizes[j]));
-                    t.cell(ratios[j] * 100.0, 3);
-                    t.endRow();
-                }
-                t.print(std::cout);
-            } else {
-                std::vector<CpuReport> reports(configs.size());
-                parallelFor(configs.size(), [&](size_t j) {
-                    TraceReader reader(
-                        std::make_unique<ShmSource>(streams[i]),
-                        display);
-                    SimCpu cpu(configs[j]);
-                    reader.replayInto(cpu);
-                    reports[j] = cpu.report();
-                }, jobs);
-                printReplayTable(reports);
-            }
+            // like the file reader would; the runners then replay
+            // copies of this one reader, as `mrc` and `replay` do.
+            TraceReader reader(std::move(streams[i]), display);
+            std::cout << reader.meta().workload << ": "
+                      << reader.opCount() << " ops, "
+                      << reader.fileBytes() << " bytes via shm\n";
+            if (mrc)
+                printCurve(reader.meta().workload, flags,
+                           MrcMode::StackDistance, 8,
+                           replaySweepLadder(reader, flags.kind,
+                                             flags.sizes,
+                                             MrcMode::StackDistance,
+                                             flags.jobs, 8,
+                                             flags.lineBytes));
+            else
+                printReplayTable(
+                    replayOnConfigs(reader, configs, flags.jobs));
         } catch (const TraceFormatError &err) {
             std::cerr << "trace_tool: " << err.what() << "\n";
             rc = 1;
@@ -806,8 +731,8 @@ cmdAttach(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Peel off the reader-policy flags before command dispatch: they
-    // apply to every command, so they set the process-wide defaults
+    // Peel off the reader-policy flag before command dispatch: it
+    // applies to every command, so it sets the process-wide default
     // that TraceReader and the replay runners pick up.
     std::vector<char *> args;
     args.reserve(static_cast<size_t>(argc));
@@ -817,14 +742,10 @@ main(int argc, char **argv)
             args.push_back(argv[i]);
             continue;
         }
-        if (const char *v = flagValue(argv[i], "--io", argc, argv, i)) {
-            if (!parseTraceIo(v, opts.io))
-                wcrt_fatal("unknown --io '", v,
-                           "' (auto, stream or mmap)");
-        } else if (const char *v2 = flagValue(argv[i], "--verify-crc",
-                                              argc, argv, i)) {
-            if (!parseCrcMode(v2, opts.crc))
-                wcrt_fatal("unknown --verify-crc '", v2,
+        if (const char *v =
+                flagValue(argv[i], "--verify-crc", argc, argv, i)) {
+            if (!parseCrcMode(v, opts.crc))
+                wcrt_fatal("unknown --verify-crc '", v,
                            "' (always or never)");
         } else {
             args.push_back(argv[i]);
@@ -841,13 +762,15 @@ main(int argc, char **argv)
         if (cmd == "record")
             return cmdRecord(argc, argv);
         if (cmd == "stats")
-            return cmdStats(argv[2]);
+            return argc == 3 ? cmdStats(argv[2]) : usage();
         if (cmd == "dump") {
             uint64_t limit = 32;
             for (int i = 3; i < argc; ++i) {
                 if (const char *v =
                         flagValue(argv[i], "--limit", argc, argv, i))
-                    limit = std::strtoull(v, nullptr, 10);
+                    limit = parseCount(
+                        "--limit", v, 0,
+                        std::numeric_limits<uint64_t>::max());
                 else
                     return usage();
             }
@@ -862,7 +785,7 @@ main(int argc, char **argv)
                     machines = v;
                 else if (const char *v2 =
                              flagValue(argv[i], "--jobs", argc, argv, i))
-                    jobs = static_cast<unsigned>(std::atoi(v2));
+                    jobs = parseJobs(v2);
                 else
                     return usage();
             }

@@ -42,9 +42,9 @@ main(int argc, char **argv)
               << std::chrono::duration<double>(t1 - t0).count()
               << " s)\n";
 
-    TraceReader probe(path);
-    std::cout << "stored at " << probe.bytesPerOp()
-              << " bytes/op across " << probe.chunkCount()
+    TraceReader reader(path);
+    std::cout << "stored at " << reader.bytesPerOp()
+              << " bytes/op across " << reader.chunkCount()
               << " chunks\n\n";
 
     // 2. Replay the one stream across several machines in parallel.
@@ -52,7 +52,7 @@ main(int argc, char **argv)
                                         atomInOrderSim(32),
                                         atomInOrderSim(128)};
     t0 = std::chrono::steady_clock::now();
-    auto reports = replayOnConfigs(path, machines);
+    auto reports = replayOnConfigs(reader, machines);
     t1 = std::chrono::steady_clock::now();
 
     Table t({"machine", "IPC", "L1I MPKI", "L2 MPKI"});

@@ -59,13 +59,13 @@ parallelFor(size_t count, const std::function<void(size_t)> &job,
 }
 
 std::vector<CpuReport>
-replayOnConfigs(const std::string &trace_path,
+replayOnConfigs(const TraceReader &trace,
                 const std::vector<MachineConfig> &configs,
                 unsigned threads)
 {
     std::vector<CpuReport> reports(configs.size());
     parallelFor(configs.size(), [&](size_t i) {
-        TraceReader reader(trace_path);
+        TraceReader reader(trace);
         SimCpu cpu(configs[i]);
         reader.replayInto(cpu);
         reports[i] = cpu.report();
@@ -102,7 +102,7 @@ parseMrcMode(const std::string &name, MrcMode &out)
 }
 
 MrcResult
-replaySweepLadder(const std::string &trace_path, SweepKind kind,
+replaySweepLadder(const TraceReader &trace, SweepKind kind,
                   const std::vector<uint32_t> &sizes_kb, MrcMode mode,
                   unsigned threads, uint32_t assoc, uint32_t line_bytes)
 {
@@ -117,10 +117,10 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     // here, and handed down to the oracle as its executor cap.
     unsigned workers = replayWorkers(threads);
     unsigned sink_workers = workers > 1 ? workers : 0;
+    TraceReader reader(trace);
     switch (mode) {
       case MrcMode::StackDistance: {
         StackDistanceProfile profile(kind, line_bytes);
-        TraceReader reader(trace_path);
         reader.replayInto(profile);
         result.ratios = profile.missRatios(kind, sizes_kb);
         result.accesses = profile.accesses(kind);
@@ -129,7 +129,6 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
       }
       case MrcMode::ShardedOracle: {
         FootprintSweep sweep(sizes_kb, assoc, line_bytes, sink_workers);
-        TraceReader reader(trace_path);
         reader.replayInto(sweep);
         result.ratios = sweep.missRatios(kind);
         break;
@@ -143,7 +142,6 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         TeeSink tee;
         tee.addSink(&profile);
         tee.addSink(&sweep);
-        TraceReader reader(trace_path);
         reader.replayInto(tee);
         result.ratios = profile.missRatios(kind, sizes_kb);
         result.accesses = profile.accesses(kind);
@@ -157,6 +155,15 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
       }
     }
     return result;
+}
+
+MrcResult
+replaySweepLadder(const std::string &trace_path, SweepKind kind,
+                  const std::vector<uint32_t> &sizes_kb, MrcMode mode,
+                  unsigned threads, uint32_t assoc, uint32_t line_bytes)
+{
+    return replaySweepLadder(TraceReader(trace_path), kind, sizes_kb,
+                             mode, threads, assoc, line_bytes);
 }
 
 } // namespace wcrt

@@ -5,14 +5,16 @@
  * One captured trace can feed any number of machine configurations,
  * and N traces can feed one configuration (profileTraces() in
  * core/profiler) — each replay is an independent read-only pass over
- * a file, so they parallelize perfectly. The helpers here fan jobs
- * out over the process-wide WorkerPool::shared() (each job opens its
- * own TraceReader) and always return results in input order, so
- * parallel runs are bit-identical to serial ones. No path spawns
- * ad-hoc threads: a `threads` request is resolved exactly once
- * (0 = hardware, 1 = strictly serial on the caller, N = bounded-claim
- * cap on the shared pool) and the calling thread always participates
- * in its own fan-out.
+ * immutable trace bytes, so they parallelize perfectly. The runners
+ * take an open TraceReader, so a file or a drained shm ring is opened
+ * and validated once; they fan jobs out over the process-wide
+ * WorkerPool::shared() (each job replays its own copy of the reader)
+ * and always return results in input order, so parallel runs are
+ * bit-identical to serial ones. No path spawns ad-hoc threads: a
+ * `threads` request is resolved exactly once (0 = hardware, 1 =
+ * strictly serial on the caller, N = bounded-claim cap on the shared
+ * pool) and the calling thread always participates in its own
+ * fan-out.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH
@@ -54,8 +56,8 @@ void parallelFor(size_t count, const std::function<void(size_t)> &job,
  * parallel. Results are indexed like `configs`.
  */
 std::vector<CpuReport> replayOnConfigs(
-    const std::string &trace_path,
-    const std::vector<MachineConfig> &configs, unsigned threads = 0);
+    const TraceReader &trace, const std::vector<MachineConfig> &configs,
+    unsigned threads = 0);
 
 /**
  * How a miss-ratio curve (MRC) is computed from a trace.
@@ -125,7 +127,7 @@ struct MrcResult
  * the oracle sweep, which spreads its (rung, stream) walks over the
  * shared pool.
  *
- * @param trace_path Captured trace.
+ * @param trace Open captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
@@ -134,6 +136,13 @@ struct MrcResult
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).
  */
+MrcResult replaySweepLadder(const TraceReader &trace, SweepKind kind,
+                            const std::vector<uint32_t> &sizes_kb,
+                            MrcMode mode, unsigned threads = 0,
+                            uint32_t assoc = 8,
+                            uint32_t line_bytes = 64);
+
+/** Open `trace_path` and run the ladder on it. */
 MrcResult replaySweepLadder(const std::string &trace_path,
                             SweepKind kind,
                             const std::vector<uint32_t> &sizes_kb,

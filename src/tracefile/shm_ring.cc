@@ -1,5 +1,11 @@
 #include "tracefile/shm_ring.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -13,17 +19,6 @@
 #include <thread>
 
 #include "base/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WCRT_HAS_SHM 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <time.h>
-#include <unistd.h>
-#else
-#define WCRT_HAS_SHM 0
-#endif
 
 namespace wcrt {
 
@@ -83,8 +78,6 @@ static_assert(std::atomic<uint64_t>::is_always_lock_free &&
                   std::atomic<uint32_t>::is_always_lock_free,
               "shm rings need address-free lock-free atomics");
 
-#if WCRT_HAS_SHM
-
 uint64_t
 nowNs()
 {
@@ -116,8 +109,6 @@ throwErrno(const std::string &what, const std::string &name)
                            ": " + std::strerror(errno));
 }
 
-#endif // WCRT_HAS_SHM
-
 void
 validateRingName(const std::string &name)
 {
@@ -129,12 +120,6 @@ validateRingName(const std::string &name)
 }
 
 } // namespace
-
-bool
-shmAvailable()
-{
-    return WCRT_HAS_SHM != 0;
-}
 
 const char *
 toString(ShmPolicy policy)
@@ -166,8 +151,6 @@ ShmRing::data() const
 {
     return static_cast<uint8_t *>(map) + kDataOffset;
 }
-
-#if WCRT_HAS_SHM
 
 /**
  * Background beater for one side's heartbeat slot (startHeartbeat()).
@@ -366,40 +349,6 @@ ShmRing::~ShmRing()
     ::munmap(map, mapBytes);
 }
 
-#else // !WCRT_HAS_SHM
-
-struct ShmRing::Heartbeat
-{
-};
-
-ShmRing
-ShmRing::create(const std::string &name, Role, uint64_t, uint64_t)
-{
-    validateRingName(name);
-    throw TraceFormatError(
-        "shm rings are not supported on this platform: " + name);
-}
-
-ShmRing
-ShmRing::open(const std::string &name, Role, uint64_t)
-{
-    validateRingName(name);
-    throw TraceFormatError(
-        "shm rings are not supported on this platform: " + name);
-}
-
-void
-ShmRing::unlink(const std::string &name)
-{
-    validateRingName(name);
-    throw TraceFormatError(
-        "shm rings are not supported on this platform: " + name);
-}
-
-ShmRing::~ShmRing() = default;
-
-#endif // WCRT_HAS_SHM
-
 ShmRing::ShmRing(ShmRing &&other) noexcept
     : ringName(std::move(other.ringName)), ringRole(other.ringRole),
       map(other.map), mapBytes(other.mapBytes),
@@ -458,8 +407,6 @@ ShmRing::setNoConsumerTimeout(uint64_t timeout_ms)
 {
     noConsumerWaitNs = timeout_ms * 1000000ull;
 }
-
-#if WCRT_HAS_SHM
 
 void
 ShmRing::beat()
@@ -654,32 +601,6 @@ ShmRing::pullWait(uint8_t *out, size_t max)
     }
 }
 
-#else // !WCRT_HAS_SHM
-
-void ShmRing::beat() {}
-void ShmRing::startHeartbeat() {}
-bool ShmRing::peerAlive(uint64_t) const { return false; }
-
-bool
-ShmRing::push(const uint8_t *, size_t, ShmPolicy)
-{
-    throw TraceFormatError(
-        "shm rings are not supported on this platform: " + ringName);
-}
-
-void ShmRing::finishProducer() {}
-bool ShmRing::awaitDrained(uint64_t) { return false; }
-size_t ShmRing::pull(uint8_t *, size_t) { return 0; }
-
-size_t
-ShmRing::pullWait(uint8_t *, size_t)
-{
-    throw TraceFormatError(
-        "shm rings are not supported on this platform: " + ringName);
-}
-
-#endif // WCRT_HAS_SHM
-
 ShmChunkSink::ShmChunkSink(ShmRing &ring_, const TraceMeta &meta,
                            const CodeLayout &layout, ShmPolicy policy_,
                            uint32_t chunk_ops)
@@ -762,24 +683,15 @@ ShmChunkSink::finish(const IoCounters &io, const DataBehavior &data)
     finished = true;
 }
 
-ShmSource::ShmSource(ShmRing &ring)
+TraceBytes
+drainRing(ShmRing &ring)
 {
     std::vector<uint8_t> buf;
     uint8_t scratch[64 * 1024];
     size_t n;
     while ((n = ring.pullWait(scratch, sizeof(scratch))) != 0)
         buf.insert(buf.end(), scratch, scratch + n);
-    died = ring.peerDied();
-    stream = std::make_shared<const std::vector<uint8_t>>(std::move(buf));
-    fileBytes = stream->size();
-}
-
-ShmSource::ShmSource(std::shared_ptr<const std::vector<uint8_t>> bytes)
-    : stream(std::move(bytes))
-{
-    if (!stream)
-        stream = std::make_shared<const std::vector<uint8_t>>();
-    fileBytes = stream->size();
+    return TraceBytes(std::move(buf));
 }
 
 } // namespace wcrt

@@ -23,19 +23,16 @@
  *    the `.wtrace` file the same run would have written, except that
  *    Drop policy may omit whole chunks (the footer op count only
  *    counts framed ops, so the stream stays self-consistent).
- *  - ShmSource: a TraceSource that drains a ring to completion and
- *    then serves the buffered stream to TraceReader, so the SWAR fast
- *    cursor and every structural/CRC check run unchanged on ring
- *    bytes. The drained buffer is shared, so N readers (one per
- *    machine config) can replay one drained stream without copies.
+ *  - drainRing(): drains a ring to end-of-stream into one in-memory
+ *    TraceBytes view, so TraceReader's SWAR fast cursor and every
+ *    structural/CRC check run unchanged on ring bytes, and copies of
+ *    one reader (one per machine config) replay the drained stream
+ *    without further copies.
  *
  * Multiplexing N producers into one analyzer is done with N rings,
  * one per producer (`name.0` … `name.N-1` by convention — see
  * `trace_tool serve` / `trace_tool attach`); each ring stays strictly
  * SPSC.
- *
- * Availability is gated like mmap: shmAvailable() reports platform
- * support, and create/open throw TraceFormatError where unsupported.
  */
 
 #ifndef WCRT_TRACEFILE_SHM_RING_HH
@@ -52,9 +49,6 @@
 #include "tracefile/trace_writer.hh"
 
 namespace wcrt {
-
-/** True when this build has POSIX shared-memory rings. */
-bool shmAvailable();
 
 /** What a producer does when a frame does not fit in the ring. */
 enum class ShmPolicy : uint8_t {
@@ -316,51 +310,14 @@ class ShmChunkSink : public TraceSink
 };
 
 /**
- * TraceSource over a ring's byte stream. The constructor drains the
- * ring to end-of-stream into one shared buffer — TraceReader's open
- * validation is itself a full pass, so a live partial stream could
- * never satisfy it — then serves reads from the buffer. Use the
- * buffer-sharing constructor to replay one drained stream through
- * many readers (e.g. one per machine config) without re-draining.
+ * Drain `ring` (consumer side) to end-of-stream into one in-memory
+ * byte view — TraceReader's open validation is itself a full pass, so
+ * a live partial stream could never satisfy it. When the drain ends on
+ * producer death instead of a clean finish, ring.peerDied() is set and
+ * the view holds the received prefix, which decodes up to the
+ * truncation point exactly like a truncated file.
  */
-class ShmSource : public TraceSource
-{
-  public:
-    /** Drain `ring` to end-of-stream (or peer death) and serve it. */
-    explicit ShmSource(ShmRing &ring);
-
-    /** Serve an already-drained stream. */
-    explicit ShmSource(std::shared_ptr<const std::vector<uint8_t>> bytes);
-
-    /** The drained stream, shareable across further ShmSources. */
-    std::shared_ptr<const std::vector<uint8_t>> payload() const
-    {
-        return stream;
-    }
-
-    /**
-     * True when the drain ended on producer death rather than a clean
-     * finish. The buffered prefix is still served — it decodes up to
-     * the truncation point exactly like a truncated file.
-     */
-    bool peerDied() const { return died; }
-
-    void seek(uint64_t off) override { pos = off; }
-
-    const uint8_t *
-    view(size_t n) override
-    {
-        const uint8_t *p = stream->data() + pos;
-        pos += n;
-        return p;
-    }
-
-    const char *name() const override { return "shm"; }
-
-  private:
-    std::shared_ptr<const std::vector<uint8_t>> stream;
-    bool died = false;
-};
+TraceBytes drainRing(ShmRing &ring);
 
 } // namespace wcrt
 

@@ -203,61 +203,68 @@ TraceReader::TraceReader(const std::string &path)
 
 TraceReader::TraceReader(const std::string &path,
                          const ReaderOptions &options)
-    : filePath(path), readerOpts(options),
-      src(openTraceSource(path, options.io))
+    : TraceReader(TraceBytes::map(path), path, options)
 {
-    fileSize = src->size();
-    readHeader();
-    scanFooter();
 }
 
-TraceReader::TraceReader(std::unique_ptr<TraceSource> source,
+TraceReader::TraceReader(TraceBytes bytes,
                          const std::string &display_name,
                          const ReaderOptions &options)
-    : filePath(display_name), readerOpts(options),
-      src(std::move(source))
+    : readerOpts(options)
 {
-    src->seek(0);
-    fileSize = src->size();
-    readHeader();
-    scanFooter();
+    auto f = std::make_shared<File>();
+    f->path = display_name;
+    f->bytes = std::move(bytes);
+    readHeader(*f);
+    file = f;
+    f->totals = walkChunks(nullptr);
+}
+
+TraceReader::TraceReader(const TraceReader &other)
+    : file(other.file), readerOpts(other.readerOpts)
+{
 }
 
 void
-TraceReader::readHeader()
+TraceReader::readHeader(File &f)
 {
-    if (src->remaining() < 16)
-        throw TraceFormatError("trace header truncated: " + filePath);
-    const uint8_t *fixed = src->view(16);
-    if (getU32(fixed) != magic)
-        throw TraceFormatError("not a wtrace file (bad magic): " +
-                               filePath);
-    uint32_t file_version = getU32(fixed + 4);
+    const std::string &path = f.path;
+    const uint8_t *base = f.bytes.data();
+    uint64_t size = f.bytes.size();
+    if (size < 16)
+        throw TraceFormatError("trace header truncated: " + path);
+    if (getU32(base) != magic)
+        throw TraceFormatError("not a wtrace file (bad magic): " + path);
+    uint32_t file_version = getU32(base + 4);
     if (file_version != version)
         throw TraceFormatError(
             "unsupported trace version " + std::to_string(file_version) +
-            " (expected " + std::to_string(version) + "): " + filePath);
-    uint32_t payload_bytes = getU32(fixed + 8);
-    uint32_t crc = getU32(fixed + 12);
+            " (expected " + std::to_string(version) + "): " + path);
+    uint32_t payload_bytes = getU32(base + 8);
+    uint32_t crc = getU32(base + 12);
 
-    // Bound the declared length against the file before asking the
-    // source for it: a corrupt header claiming ~4 GB must fail here,
-    // not after a matching allocation (chunk payloads get the same
-    // treatment in walkChunks).
-    if (payload_bytes > src->remaining())
-        throw TraceFormatError("trace header truncated: " + filePath);
-    const uint8_t *payload = src->view(payload_bytes);
+    // Bound the declared length against the file before reading it:
+    // a corrupt header claiming ~4 GB must fail here, not after a
+    // read past the end (chunk payloads get the same treatment in
+    // walkChunks).
+    if (payload_bytes > size - 16)
+        throw TraceFormatError("trace header truncated: " + path);
+    const uint8_t *payload = base + 16;
     if (crc32(payload, payload_bytes) != crc)
-        throw TraceFormatError("trace header CRC mismatch: " + filePath);
+        throw TraceFormatError("trace header CRC mismatch: " + path);
 
     Decoder dec(payload, payload_bytes);
-    fileMeta.workload = dec.string();
-    fileMeta.stackKind = static_cast<StackKind>(dec.u8());
-    fileMeta.category = static_cast<AppCategory>(dec.u8());
-    fileMeta.scale = getF64(dec);
+    f.meta.workload = dec.string();
+    f.meta.stackKind = static_cast<StackKind>(dec.u8());
+    f.meta.category = static_cast<AppCategory>(dec.u8());
+    f.meta.scale = getF64(dec);
     uint64_t regions = dec.varint();
-    regionTable.clear();
-    regionTable.reserve(regions);
+    // Each region encodes to at least 6 bytes, so a count the unread
+    // header bytes cannot hold is corrupt; reject it before sizing
+    // the table off an untrusted u64.
+    if (regions > dec.remaining() / 6)
+        throw TraceFormatError("trace header truncated: " + path);
+    f.regions.reserve(regions);
     for (uint64_t i = 0; i < regions; ++i) {
         CodeLayout::Function fn;
         fn.name = dec.string();
@@ -266,142 +273,126 @@ TraceReader::readHeader()
         fn.bytes = static_cast<uint32_t>(dec.varint());
         fn.profile.overheadOps = static_cast<uint32_t>(dec.varint());
         fn.profile.rotationBytes = static_cast<uint32_t>(dec.varint());
-        regionTable.push_back(std::move(fn));
+        f.regions.push_back(std::move(fn));
     }
     if (dec.remaining() != 0)
-        throw TraceFormatError("trailing bytes in trace header: " +
-                               filePath);
-    firstChunk = src->offset();
+        throw TraceFormatError("trailing bytes in trace header: " + path);
+    f.firstChunk = 16 + payload_bytes;
 }
 
-uint64_t
+TraceReader::Totals
 TraceReader::walkChunks(TraceSink *sink)
 {
-    src->seek(firstChunk);
+    const std::string &path = file->path;
+    const uint8_t *base = file->bytes.data();
+    uint64_t size = file->bytes.size();
+    uint64_t pos = file->firstChunk;
     // CrcMode applies to op-chunk payloads only; header and footer
     // CRCs are always verified.
     bool check_crc = readerOpts.crc == CrcMode::Always;
-    uint64_t ops_seen = 0;
-    uint64_t chunks_seen = 0;
-    uint64_t payload_seen = 0;
+    Totals seen;
     while (true) {
-        if (src->remaining() < 12)
+        if (size - pos < 12)
             throw TraceFormatError(
-                "trace truncated (missing footer): " + filePath);
-        const uint8_t *fixed = src->view(12);
+                "trace truncated (missing footer): " + path);
+        const uint8_t *fixed = base + pos;
+        pos += 12;
         ChunkHeader hdr{getU32(fixed), getU32(fixed + 4),
                         getU32(fixed + 8)};
-        if (hdr.payloadBytes > src->remaining())
-            throw TraceFormatError("trace chunk truncated: " + filePath);
+        if (hdr.payloadBytes > size - pos)
+            throw TraceFormatError("trace chunk truncated: " + path);
         // A valid op encodes to at least 2 bytes, so an opCount above
         // payloadBytes is structurally impossible; reject it before
         // sizing the decode block off an untrusted u32.
         if (hdr.opCount > hdr.payloadBytes)
             throw TraceFormatError(
-                "trace chunk op count exceeds payload: " + filePath);
+                "trace chunk op count exceeds payload: " + path);
+        const uint8_t *pay = base + pos;
+        pos += hdr.payloadBytes;
 
         if (hdr.opCount == 0) {
             // Footer chunk ends the file.
-            const uint8_t *payload = src->view(hdr.payloadBytes);
-            if (crc32(payload, hdr.payloadBytes) != hdr.crc)
-                throw TraceFormatError("trace footer CRC mismatch: " +
-                                       filePath);
-            Decoder dec(payload, hdr.payloadBytes);
-            footerOps = dec.varint();
-            footerIo.diskReadBytes = dec.varint();
-            footerIo.diskWriteBytes = dec.varint();
-            footerIo.networkBytes = dec.varint();
-            footerData.inputBytes = dec.varint();
-            footerData.intermediateBytes = dec.varint();
-            footerData.outputBytes = dec.varint();
+            if (crc32(pay, hdr.payloadBytes) != hdr.crc)
+                throw TraceFormatError("trace footer CRC mismatch: " + path);
+            Decoder dec(pay, hdr.payloadBytes);
+            uint64_t footer_ops = dec.varint();
+            seen.io.diskReadBytes = dec.varint();
+            seen.io.diskWriteBytes = dec.varint();
+            seen.io.networkBytes = dec.varint();
+            seen.data.inputBytes = dec.varint();
+            seen.data.intermediateBytes = dec.varint();
+            seen.data.outputBytes = dec.varint();
             if (dec.remaining() != 0)
                 throw TraceFormatError(
-                    "trailing bytes in trace footer: " + filePath);
-            if (src->remaining() != 0)
+                    "trailing bytes in trace footer: " + path);
+            if (pos != size)
                 throw TraceFormatError(
-                    "trailing data after trace footer: " + filePath);
-            if (footerOps != ops_seen)
+                    "trailing data after trace footer: " + path);
+            if (footer_ops != seen.ops)
                 throw TraceFormatError(
                     "trace op count mismatch (footer says " +
-                    std::to_string(footerOps) + ", chunks hold " +
-                    std::to_string(ops_seen) + "): " + filePath);
-            chunks = chunks_seen;
-            payloadTotal = payload_seen;
-            return ops_seen;
+                    std::to_string(footer_ops) + ", chunks hold " +
+                    std::to_string(seen.ops) + "): " + path);
+            return seen;
         }
 
-        ++chunks_seen;
-        payload_seen += hdr.payloadBytes;
-        if (sink) {
-            const uint8_t *pay = src->view(hdr.payloadBytes);
-            if (check_crc) {
-                if (crc32(pay, hdr.payloadBytes) != hdr.crc)
-                    throw TraceFormatError(
-                        "trace chunk CRC mismatch: " + filePath);
-                ++crcChecks;
-            }
-            // Decode the whole chunk straight into the reusable SoA
-            // block, then hand its view to the sink in one
-            // consumeBatch call — no per-op virtual dispatch and no
-            // intermediate MicroOp on the replay path. With MmapSource
-            // `pay` points into the mapping, so decode is zero-copy.
-            // The chunk interior decodes through the unchecked SWAR
-            // fast cursor (maxEncodedOpBytes guarantees every read,
-            // including the 8-byte varint loads, stays in bounds); the
-            // tail falls back to the checked Decoder, so truncation
-            // still surfaces as a clean error.
-            if (block.capacity() < hdr.opCount)
-                block = OpBlock(hdr.opCount);
-            block.clear();
-            BlockArrays arrays(block);
-            uint64_t prev_pc = 0;
-            uint64_t prev_mem = 0;
-            const uint8_t *pay_end = pay + hdr.payloadBytes;
-            FastCursor fast{pay};
-            uint32_t i = 0;
-            while (i < hdr.opCount &&
-                   static_cast<size_t>(pay_end - fast.p) >=
-                       maxEncodedOpBytes) {
-                decodeOp(fast, prev_pc, prev_mem, arrays, i, filePath);
-                ++i;
-            }
-            Decoder dec(fast.p,
-                        static_cast<size_t>(pay_end - fast.p));
-            CheckedCursor checked{dec};
-            for (; i < hdr.opCount; ++i)
-                decodeOp(checked, prev_pc, prev_mem, arrays, i,
-                         filePath);
-            if (dec.remaining() != 0)
-                throw TraceFormatError(
-                    "trailing bytes in trace chunk: " + filePath);
-            block.setUsed(hdr.opCount);
-            sink->consumeBatch(block.view());
-        } else {
-            // Validation scan: chunk bounds are checked above and the
-            // payload CRC is verified on decode, so just skip ahead.
-            src->skip(hdr.payloadBytes);
+        ++seen.chunks;
+        seen.payload += hdr.payloadBytes;
+        seen.ops += hdr.opCount;
+        // The validation scan (no sink) stops at the bounds checks
+        // above; the payload CRC is verified on decode.
+        if (!sink)
+            continue;
+        if (check_crc) {
+            if (crc32(pay, hdr.payloadBytes) != hdr.crc)
+                throw TraceFormatError("trace chunk CRC mismatch: " + path);
+            ++crcChecks;
         }
-        ops_seen += hdr.opCount;
+        // Decode the whole chunk straight into the reusable SoA block,
+        // then hand its view to the sink in one consumeBatch call — no
+        // per-op virtual dispatch and no intermediate MicroOp on the
+        // replay path. `pay` points into the shared byte view, so
+        // decode is zero-copy. The chunk interior decodes through the
+        // unchecked SWAR fast cursor (maxEncodedOpBytes guarantees
+        // every read, including the 8-byte varint loads, stays in
+        // bounds); the tail falls back to the checked Decoder, so
+        // truncation still surfaces as a clean error.
+        if (block.capacity() < hdr.opCount)
+            block = OpBlock(hdr.opCount);
+        block.clear();
+        BlockArrays arrays(block);
+        uint64_t prev_pc = 0;
+        uint64_t prev_mem = 0;
+        const uint8_t *pay_end = pay + hdr.payloadBytes;
+        FastCursor fast{pay};
+        uint32_t i = 0;
+        while (i < hdr.opCount &&
+               static_cast<size_t>(pay_end - fast.p) >= maxEncodedOpBytes) {
+            decodeOp(fast, prev_pc, prev_mem, arrays, i, path);
+            ++i;
+        }
+        Decoder dec(fast.p, static_cast<size_t>(pay_end - fast.p));
+        CheckedCursor checked{dec};
+        for (; i < hdr.opCount; ++i)
+            decodeOp(checked, prev_pc, prev_mem, arrays, i, path);
+        if (dec.remaining() != 0)
+            throw TraceFormatError("trailing bytes in trace chunk: " + path);
+        block.setUsed(hdr.opCount);
+        sink->consumeBatch(block.view());
     }
-}
-
-void
-TraceReader::scanFooter()
-{
-    walkChunks(nullptr);
 }
 
 uint64_t
 TraceReader::replayInto(TraceSink &sink)
 {
-    return walkChunks(&sink);
+    return walkChunks(&sink).ops;
 }
 
 uint64_t
 TraceReader::regionBytes() const
 {
     uint64_t total = 0;
-    for (const auto &fn : regionTable)
+    for (const auto &fn : file->regions)
         total += fn.bytes;
     return total;
 }
@@ -409,9 +400,10 @@ TraceReader::regionBytes() const
 double
 TraceReader::bytesPerOp() const
 {
-    return footerOps ? static_cast<double>(payloadTotal) /
-                           static_cast<double>(footerOps)
-                     : 0.0;
+    const Totals &t = file->totals;
+    return t.ops ? static_cast<double>(t.payload) /
+                       static_cast<double>(t.ops)
+                 : 0.0;
 }
 
 } // namespace wcrt

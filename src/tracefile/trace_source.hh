@@ -1,18 +1,17 @@
 /**
  * @file
- * TraceSource: byte-level access to a `.wtrace` file for TraceReader.
+ * TraceBytes: the one byte view every TraceReader parses.
  *
- * Two implementations share one pull interface. StreamSource wraps
- * the original `std::ifstream` path (one buffered copy per payload,
- * works everywhere); MmapSource maps the whole file once and hands
- * out pointers straight into the mapping, so the SWAR fast cursor
- * decodes chunk payloads with zero intermediate copies. Which one a
- * reader uses is a transport choice only: both sources feed the same
- * parsing code, so decoded ops and every TraceFormatError are
- * bit-identical between them (pinned by test).
+ * A trace's bytes are immutable once written, so they are held once
+ * and shared: either a read-only mapping of a `.wtrace` file or an
+ * owned in-memory buffer (a drained shm ring, see drainRing() in
+ * tracefile/shm_ring.hh). Both feed the same parsing code, so decoded
+ * ops and every TraceFormatError are bit-identical between them
+ * (pinned by test). Copies of a TraceBytes share one mapping or
+ * buffer, released with the last copy.
  *
- * This header also carries the reader policy knobs: the io selection
- * (`TraceIo`) and the chunk-CRC policy (`CrcMode`).
+ * This header also carries the reader policy knobs: the chunk-CRC
+ * policy (`CrcMode`) and the process-wide default ReaderOptions.
  */
 
 #ifndef WCRT_TRACEFILE_TRACE_SOURCE_HH
@@ -21,16 +20,19 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tracefile/format.hh"
 
 namespace wcrt {
 
-/** How a TraceReader accesses the file's bytes. */
+/**
+ * How a TraceReader reaches a file's bytes. Files are always mapped;
+ * the enum, toString(TraceIo) and mmapAvailable() remain only for the
+ * end-to-end benchmark's run manifest.
+ */
 enum class TraceIo : uint8_t {
-    Auto,    //!< mmap when the platform supports it, else stream
-    Stream,  //!< buffered std::ifstream reads (the original path)
-    Mmap,    //!< zero-copy memory mapping; error where unsupported
+    Auto,  //!< map the file
 };
 
 /**
@@ -53,17 +55,11 @@ struct ReaderOptions
     CrcMode crc = CrcMode::Always;
 };
 
-/** CLI spelling of an io mode: auto / stream / mmap. */
+/** Manifest spelling of the io mode: "auto". */
 const char *toString(TraceIo io);
 
 /** CLI spelling of a CRC mode: always / never. */
 const char *toString(CrcMode crc);
-
-/**
- * Parse a CLI io name ("auto", "stream", "mmap").
- * @return false when the name matches no mode (`out` untouched).
- */
-bool parseTraceIo(const std::string &name, TraceIo &out);
 
 /**
  * Parse a CLI CRC mode name ("always", "never").
@@ -71,69 +67,49 @@ bool parseTraceIo(const std::string &name, TraceIo &out);
  */
 bool parseCrcMode(const std::string &name, CrcMode &out);
 
-/** True when this build can memory-map trace files. */
+/** Always true: every supported platform maps trace files. */
 bool mmapAvailable();
 
 /**
  * Process-wide default ReaderOptions, used by every TraceReader (and
  * therefore every replay runner) that is not handed explicit options.
- * `trace_tool --io=... --verify-crc=...` and `scenario_tool` set this
- * once at startup; the default is {Auto, Always}.
+ * `trace_tool --verify-crc=...` and `scenario_tool` set this once at
+ * startup; the default is {Auto, Always}.
  */
 ReaderOptions defaultReaderOptions();
 void setDefaultReaderOptions(const ReaderOptions &opts);
 
 /**
- * Sequential byte access to one trace file. The cursor starts at 0;
- * view(n) returns a pointer to the next n bytes and advances. All
- * bounds discipline is the caller's: view/skip preconditions are
- * checked against remaining() by TraceReader before each call, so
- * both implementations fail identically on truncated files.
+ * An immutable, shareable view of one trace's bytes. Copying is
+ * cheap and thread-safe; the bytes live until the last copy goes.
  */
-class TraceSource
+class TraceBytes
 {
   public:
-    virtual ~TraceSource() = default;
+    /** An empty in-memory view. */
+    TraceBytes() = default;
 
-    /** Total file bytes, fixed at open. */
-    uint64_t size() const { return fileBytes; }
-
-    /** Current cursor offset. */
-    uint64_t offset() const { return pos; }
-
-    /** Bytes from the cursor to end of file. */
-    uint64_t remaining() const { return fileBytes - pos; }
-
-    /** Move the cursor. Precondition: off <= size(). */
-    virtual void seek(uint64_t off) = 0;
-
-    /** Advance the cursor without touching the bytes. */
-    void skip(uint64_t n) { seek(pos + n); }
+    /** Take ownership of an in-memory byte stream. */
+    explicit TraceBytes(std::vector<uint8_t> bytes);
 
     /**
-     * Return the next `n` bytes and advance. Precondition:
-     * n <= remaining(). The pointer stays valid until the next
-     * view()/seek() call (StreamSource reuses its buffer) or for the
-     * source's lifetime (MmapSource points into the mapping).
+     * Map `path` read-only (MAP_PRIVATE, advised sequential). An
+     * empty file gives an empty view. Throws TraceFormatError when
+     * the file cannot be opened, sized or mapped.
      */
-    virtual const uint8_t *view(size_t n) = 0;
+    static TraceBytes map(const std::string &path);
 
-    /** Transport name for stats output: "stream" or "mmap". */
-    virtual const char *name() const = 0;
+    const uint8_t *data() const { return base.get(); }
+    uint64_t size() const { return length; }
 
-  protected:
-    uint64_t fileBytes = 0;
-    uint64_t pos = 0;
+    /** True for a file mapping, false for an in-memory buffer. */
+    bool mapped() const { return isMapped; }
+
+  private:
+    std::shared_ptr<const uint8_t> base;
+    uint64_t length = 0;
+    bool isMapped = false;
 };
-
-/**
- * Open `path` through the requested transport. TraceIo::Auto picks
- * mmap when available. Throws TraceFormatError when the file cannot
- * be opened, or when TraceIo::Mmap is requested on a platform (or
- * file) that cannot be mapped.
- */
-std::unique_ptr<TraceSource> openTraceSource(const std::string &path,
-                                             TraceIo io);
 
 } // namespace wcrt
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the shared-memory ring transport (tracefile/shm_ring.hh):
  * ring mechanics (wrap-around, backpressure, liveness), the
- * sink/source layer's byte identity with the file path, error parity
+ * sink/drain layer's byte identity with the file path, error parity
  * with corrupt/truncated files, and true cross-process operation via
  * fork — including a producer killed mid-chunk.
  *
@@ -20,27 +20,21 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "tracefile/shm_ring.hh"
-#include "tracefile/trace_reader.hh"
-#include "tracefile/trace_source.hh"
-#include "tracefile/trace_writer.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WCRT_TEST_HAS_FORK 1
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
-#else
-#define WCRT_TEST_HAS_FORK 0
-#endif
+
+#include "tracefile/shm_ring.hh"
+#include "tracefile/trace_reader.hh"
+#include "tracefile/trace_source.hh"
+#include "tracefile/trace_writer.hh"
 
 namespace wcrt {
 namespace {
@@ -51,12 +45,8 @@ namespace fs = std::filesystem;
 std::string
 testRing(const std::string &tag)
 {
-#if WCRT_TEST_HAS_FORK
-    std::string pid = std::to_string(::getpid());
-#else
-    std::string pid = "0";
-#endif
-    std::string name = "wcrt.test." + pid + "." + tag;
+    std::string name =
+        "wcrt.test." + std::to_string(::getpid()) + "." + tag;
     ShmRing::unlink(name);
     return name;
 }
@@ -64,15 +54,11 @@ testRing(const std::string &tag)
 std::string
 tempTracePath(const std::string &tag)
 {
-#if WCRT_TEST_HAS_FORK
-    std::string pid = std::to_string(::getpid());
-#else
-    std::string pid = "0";
-#endif
     // ctest runs tests as parallel processes; keep scratch files
     // per-process so suites never stomp each other's traces.
     return (fs::temp_directory_path() /
-            ("wcrt-shmtest-" + pid + "-" + tag + ".wtrace"))
+            ("wcrt-shmtest-" + std::to_string(::getpid()) + "-" + tag +
+             ".wtrace"))
         .string();
 }
 
@@ -241,18 +227,16 @@ ringBytesFor(const std::vector<MicroOp> &ops, uint32_t chunk_ops,
         feedOps(sink, ops, batched);
         sink.finish(sampleIo(), sampleData());
     });
-    ShmSource drained(cons);
+    TraceBytes drained = drainRing(cons);
     producer.join();
     EXPECT_TRUE(cons.endOfStream());
-    EXPECT_FALSE(drained.peerDied());
+    EXPECT_FALSE(cons.peerDied());
     ShmRing::unlink(name);
-    return *drained.payload();
+    return {drained.data(), drained.data() + drained.size()};
 }
 
 TEST(ShmRing, CreateOpenValidate)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("create");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 100);
     EXPECT_EQ(prod.capacity(), 128u);  // rounded up to a power of two
@@ -275,8 +259,6 @@ TEST(ShmRing, CreateOpenValidate)
 
 TEST(ShmRing, RejectsFrameLargerThanCapacity)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("oversize");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64);
     std::vector<uint8_t> frame(65, 0xab);
@@ -288,8 +270,6 @@ TEST(ShmRing, RejectsFrameLargerThanCapacity)
 
 TEST(ShmRing, WrapAroundAtEveryOffset)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("wrap");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64);
     ShmRing cons = ShmRing::open(name, ShmRing::Role::Consumer);
@@ -327,8 +307,6 @@ TEST(ShmRing, WrapAroundAtEveryOffset)
 
 TEST(ShmRing, FullRingBlockBackpressureLosesNothing)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("block");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64);
     ShmRing cons = ShmRing::open(name, ShmRing::Role::Consumer);
@@ -369,8 +347,6 @@ TEST(ShmRing, FullRingBlockBackpressureLosesNothing)
 
 TEST(ShmRing, DropPolicyDropsWholeFramesOnly)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("drop");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64);
     ShmRing cons = ShmRing::open(name, ShmRing::Role::Consumer);
@@ -406,8 +382,6 @@ TEST(ShmRing, DropPolicyDropsWholeFramesOnly)
 
 TEST(ShmRing, SilentProducerYieldsPeerDeathNotHang)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("silent");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 1024,
                                    /*heartbeat_timeout_ms=*/100);
@@ -428,8 +402,6 @@ TEST(ShmRing, SilentProducerYieldsPeerDeathNotHang)
 
 TEST(ShmRing, HeartbeatThreadKeepsSlowProducerAlive)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("slowprod");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 1024,
                                    /*heartbeat_timeout_ms=*/100);
@@ -464,8 +436,6 @@ TEST(ShmRing, HeartbeatThreadKeepsSlowProducerAlive)
 
 TEST(ShmRing, BlockPushBoundsNeverAttachedConsumerWait)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("noconsumer");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64);
     prod.setNoConsumerTimeout(100);
@@ -516,12 +486,8 @@ TEST(ShmRing, BlockPushBoundsNeverAttachedConsumerWait)
     ShmRing::unlink(name2);
 }
 
-#if WCRT_TEST_HAS_FORK
-
 TEST(ShmRing, OpenWaitsOutAnUnsizedRing)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("unsized");
     // Freeze a creator mid-create: the object exists but has not been
     // ftruncate'd yet, exactly what a racing open() can observe
@@ -559,12 +525,8 @@ TEST(ShmRing, OpenWaitsOutAnUnsizedRing)
     ShmRing::unlink(name);
 }
 
-#endif // WCRT_TEST_HAS_FORK
-
 TEST(ShmRing, ConsumerRestartReattachesMidStream)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("reattach");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 64,
                                    /*heartbeat_timeout_ms=*/200);
@@ -619,8 +581,6 @@ TEST(ShmRing, ConsumerRestartReattachesMidStream)
 
 TEST(ShmTransport, RingStreamBitIdenticalToFile)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::vector<MicroOp> ops;
     auto sample = awkwardOps();
     for (int rep = 0; rep < 50; ++rep)
@@ -640,8 +600,6 @@ TEST(ShmTransport, RingStreamBitIdenticalToFile)
 
 TEST(ShmTransport, ReaderOverRingMatchesFileReader)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::vector<MicroOp> ops;
     auto sample = awkwardOps();
     for (int rep = 0; rep < 30; ++rep)
@@ -657,11 +615,9 @@ TEST(ShmTransport, ReaderOverRingMatchesFileReader)
     }
     TraceReader file_reader(path);
 
-    auto stream = std::make_shared<const std::vector<uint8_t>>(
-        ringBytesFor(ops, 7, "reader"));
-    TraceReader shm_reader(std::make_unique<ShmSource>(stream),
+    TraceReader shm_reader(TraceBytes(ringBytesFor(ops, 7, "reader")),
                            "shm:reader");
-    EXPECT_STREQ(shm_reader.ioName(), "shm");
+    EXPECT_STREQ(shm_reader.ioName(), "memory");
     EXPECT_EQ(shm_reader.path(), "shm:reader");
 
     EXPECT_EQ(file_reader.opCount(), shm_reader.opCount());
@@ -684,8 +640,6 @@ TEST(ShmTransport, ReaderOverRingMatchesFileReader)
 
 TEST(ShmTransport, CorruptAndTruncatedStreamsFailLikeFiles)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::vector<MicroOp> ops;
     auto sample = awkwardOps();
     for (int rep = 0; rep < 10; ++rep)
@@ -703,10 +657,7 @@ TEST(ShmTransport, CorruptAndTruncatedStreamsFailLikeFiles)
             ReaderOptions opts{TraceIo::Auto, CrcMode::Always};
             RecordingSink sink;
             if (via_shm) {
-                auto shared =
-                    std::make_shared<const std::vector<uint8_t>>(b);
-                TraceReader reader(std::make_unique<ShmSource>(shared),
-                                   path, opts);
+                TraceReader reader(TraceBytes(b), path, opts);
                 reader.replayInto(sink);
             } else {
                 std::ofstream out(path,
@@ -748,8 +699,6 @@ TEST(ShmTransport, CorruptAndTruncatedStreamsFailLikeFiles)
 
 TEST(ShmTransport, DropPolicyStreamStillValidates)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::string name = testRing("lossy");
     ShmRing prod = ShmRing::create(name, ShmRing::Role::Producer, 512);
     ShmRing cons = ShmRing::open(name, ShmRing::Role::Consumer);
@@ -784,9 +733,7 @@ TEST(ShmTransport, DropPolicyStreamStillValidates)
 
     // The lossy stream is still a fully valid trace: intact framing,
     // intact CRCs, and a footer op count matching the surviving ops.
-    auto shared =
-        std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
-    TraceReader reader(std::make_unique<ShmSource>(shared), "shm:lossy");
+    TraceReader reader(TraceBytes(std::move(bytes)), "shm:lossy");
     RecordingSink decoded;
     reader.replayInto(decoded);
     EXPECT_EQ(decoded.ops.size(), sink.opsStreamed());
@@ -796,8 +743,6 @@ TEST(ShmTransport, DropPolicyStreamStillValidates)
 
 TEST(ShmTransport, MultiProducerFanIn)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     constexpr int producers = 3;
     std::vector<std::string> names;
     std::vector<ShmRing> rings;
@@ -832,7 +777,7 @@ TEST(ShmTransport, MultiProducerFanIn)
         ShmRing cons =
             ShmRing::open(names[static_cast<size_t>(p)],
                           ShmRing::Role::Consumer);
-        TraceReader reader(std::make_unique<ShmSource>(cons),
+        TraceReader reader(drainRing(cons),
                            "shm:" + names[static_cast<size_t>(p)]);
         EXPECT_EQ(reader.meta().workload,
                   "T-Shm-" + std::to_string(p));
@@ -846,8 +791,6 @@ TEST(ShmTransport, MultiProducerFanIn)
         ShmRing::unlink(n);
 }
 
-#if WCRT_TEST_HAS_FORK
-
 /**
  * Fork-based integration: capture in a child process, analyze in the
  * parent. The producer ring handle is created before fork (MAP_SHARED
@@ -860,8 +803,6 @@ class ShmProcess : public ::testing::Test
 
 TEST_F(ShmProcess, ForkedProducerStreamsBitIdenticalTrace)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::vector<MicroOp> ops;
     for (int rep = 0; rep < 50; ++rep)
         for (const auto &op : awkwardOps())
@@ -888,15 +829,16 @@ TEST_F(ShmProcess, ForkedProducerStreamsBitIdenticalTrace)
         ::_exit(0);
     }
 
-    ShmSource drained(cons);
+    TraceBytes drained = drainRing(cons);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    EXPECT_FALSE(drained.peerDied());
-    EXPECT_EQ(*drained.payload(), expected);
+    EXPECT_FALSE(cons.peerDied());
+    EXPECT_EQ(std::vector<uint8_t>(drained.data(),
+                                   drained.data() + drained.size()),
+              expected);
 
-    TraceReader reader(std::make_unique<ShmSource>(drained.payload()),
-                       "shm:" + name);
+    TraceReader reader(drained, "shm:" + name);
     RecordingSink decoded;
     reader.replayInto(decoded);
     expectOpsEqual(ops, decoded.ops);
@@ -905,8 +847,6 @@ TEST_F(ShmProcess, ForkedProducerStreamsBitIdenticalTrace)
 
 TEST_F(ShmProcess, ProducerKilledMidChunkMatchesTruncatedFile)
 {
-    if (!shmAvailable())
-        GTEST_SKIP() << "no shm on this platform";
     std::vector<MicroOp> ops;
     for (int rep = 0; rep < 20; ++rep)
         for (const auto &op : awkwardOps())
@@ -970,17 +910,13 @@ TEST_F(ShmProcess, ProducerKilledMidChunkMatchesTruncatedFile)
     };
     std::string file_err =
         errorOf([&] { TraceReader r(path); });
-    auto shared = std::make_shared<const std::vector<uint8_t>>(got);
-    std::string shm_err = errorOf([&] {
-        TraceReader r(std::make_unique<ShmSource>(shared), path);
-    });
+    std::string shm_err =
+        errorOf([&] { TraceReader r(TraceBytes(got), path); });
     ASSERT_FALSE(file_err.empty());
     EXPECT_EQ(file_err, shm_err);
     fs::remove(path);
     ShmRing::unlink(name);
 }
-
-#endif // WCRT_TEST_HAS_FORK
 
 } // namespace
 } // namespace wcrt

@@ -761,39 +761,6 @@ TEST(TraceFile, PayloadExceedingOpCountThrows)
     fs::remove(path);
 }
 
-TEST(TraceFile, OversizedHeaderPayloadThrows)
-{
-    // A corrupt header claiming ~4 GB of payload must be rejected by
-    // the bounds check against the file size, not by attempting to
-    // allocate (or map past) that much.
-    std::string path = tempTracePath("huge-header");
-    writeSample(path, awkwardOps());
-
-    std::fstream f(path, std::ios::in | std::ios::out |
-                             std::ios::binary);
-    f.seekp(8);  // header payloadBytes field
-    const char huge[4] = {'\xf0', '\xff', '\xff', '\xff'};
-    f.write(huge, 4);
-    f.close();
-
-    for (TraceIo io : {TraceIo::Stream, TraceIo::Mmap}) {
-        if (io == TraceIo::Mmap && !mmapAvailable())
-            continue;
-        try {
-            TraceReader reader(path, {io, CrcMode::Always});
-            FAIL() << "oversized header accepted via " << toString(io);
-        } catch (const TraceFormatError &err) {
-            EXPECT_NE(std::string(err.what())
-                          .find("trace header truncated"),
-                      std::string::npos)
-                << err.what();
-        }
-    }
-    fs::remove(path);
-}
-
-// ------------------------------------------------------- source parity
-
 /** Whole-file read into memory. */
 std::vector<uint8_t>
 readFileBytes(const std::string &path)
@@ -812,17 +779,81 @@ writeFileBytes(const std::string &path,
               static_cast<std::streamsize>(len));
 }
 
+TEST(TraceFile, OversizedHeaderPayloadThrows)
+{
+    // A corrupt header claiming ~4 GB of payload must be rejected by
+    // the bounds check against the file size, not by attempting to
+    // allocate (or read past) that much.
+    std::string path = tempTracePath("huge-header");
+    writeSample(path, awkwardOps());
+    std::vector<uint8_t> huge_payload = readFileBytes(path);
+    const uint8_t huge[4] = {0xf0, 0xff, 0xff, 0xff};
+    std::copy(huge, huge + 4, huge_payload.begin() + 8);
+
+    // Headers whose CRC holds but whose region count is 2^40 or 2^58
+    // must fail the same way, before the region table is sized off
+    // the count.
+    std::vector<std::vector<uint8_t>> inputs{huge_payload};
+    for (uint64_t regions : {uint64_t{1} << 40, uint64_t{1} << 58}) {
+        std::vector<uint8_t> payload;
+        tracefile::putString(payload, "T-Huge");
+        payload.insert(payload.end(), 10, 0);  // stack, category, scale
+        tracefile::putVarint(payload, regions);
+        std::vector<uint8_t> bytes;
+        for (uint32_t v : {tracefile::magic, tracefile::version,
+                           static_cast<uint32_t>(payload.size()),
+                           tracefile::crc32(payload.data(),
+                                            payload.size())})
+            for (int shift = 0; shift < 32; shift += 8)
+                bytes.push_back(static_cast<uint8_t>(v >> shift));
+        bytes.insert(bytes.end(), payload.begin(), payload.end());
+        std::vector<uint8_t> footer =
+            tracefile::encodeFooterFrame(0, {}, {});
+        bytes.insert(bytes.end(), footer.begin(), footer.end());
+        inputs.push_back(bytes);
+    }
+
+    for (const auto &bytes : inputs) {
+        writeFileBytes(path, bytes, bytes.size());
+        // The file mapping and an in-memory copy of the same bytes.
+        for (bool mapped : {true, false}) {
+            try {
+                if (mapped)
+                    TraceReader reader(path, {TraceIo::Auto,
+                                              CrcMode::Always});
+                else
+                    TraceReader reader(TraceBytes(bytes), path);
+                FAIL() << "oversized header accepted, mapped=" << mapped;
+            } catch (const TraceFormatError &err) {
+                EXPECT_NE(std::string(err.what())
+                              .find("trace header truncated"),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+    }
+    fs::remove(path);
+}
+
+// ------------------------------------------------------- source parity
+
 /**
- * Open + full replay through one transport; returns the error text,
- * or empty when the file replayed cleanly.
+ * Open + full replay of `path`'s bytes, through the file mapping or
+ * through an in-memory copy labelled with the same path; returns the
+ * error text, or empty when the bytes replayed cleanly.
  */
 std::string
-replayErrorMessage(const std::string &path, TraceIo io)
+replayErrorMessage(const std::string &path, bool mapped)
 {
     try {
-        TraceReader reader(path, {io, CrcMode::Always});
         RecordingSink sink;
-        reader.replayInto(sink);
+        if (mapped) {
+            TraceReader reader(path, {TraceIo::Auto, CrcMode::Always});
+            reader.replayInto(sink);
+        } else {
+            TraceReader reader(TraceBytes(readFileBytes(path)), path);
+            reader.replayInto(sink);
+        }
     } catch (const TraceFormatError &err) {
         return err.what();
     }
@@ -831,8 +862,6 @@ replayErrorMessage(const std::string &path, TraceIo io)
 
 TEST(TraceSourceParity, MmapMatchesStreamOnValidTrace)
 {
-    if (!mmapAvailable())
-        GTEST_SKIP() << "no mmap on this platform";
     std::string path = tempTracePath("parity-valid");
     std::vector<MicroOp> ops;
     auto sample = awkwardOps();
@@ -841,28 +870,28 @@ TEST(TraceSourceParity, MmapMatchesStreamOnValidTrace)
             ops.push_back(op);
     writeSample(path, ops, 7);  // many chunks
 
-    TraceReader stream(path, {TraceIo::Stream, CrcMode::Always});
-    TraceReader mmap(path, {TraceIo::Mmap, CrcMode::Always});
-    EXPECT_STREQ(stream.ioName(), "stream");
+    TraceReader memory(TraceBytes(readFileBytes(path)), path);
+    TraceReader mmap(path, {TraceIo::Auto, CrcMode::Always});
+    EXPECT_STREQ(memory.ioName(), "memory");
     EXPECT_STREQ(mmap.ioName(), "mmap");
-    EXPECT_EQ(stream.opCount(), mmap.opCount());
-    EXPECT_EQ(stream.chunkCount(), mmap.chunkCount());
-    EXPECT_EQ(stream.payloadBytes(), mmap.payloadBytes());
-    EXPECT_EQ(stream.meta().workload, mmap.meta().workload);
+    EXPECT_EQ(memory.path(), mmap.path());
+    EXPECT_EQ(memory.fileBytes(), mmap.fileBytes());
+    EXPECT_EQ(memory.opCount(), mmap.opCount());
+    EXPECT_EQ(memory.chunkCount(), mmap.chunkCount());
+    EXPECT_EQ(memory.payloadBytes(), mmap.payloadBytes());
+    EXPECT_EQ(memory.meta().workload, mmap.meta().workload);
 
-    RecordingSink via_stream;
-    stream.replayInto(via_stream);
+    RecordingSink via_memory;
+    memory.replayInto(via_memory);
     RecordingSink via_mmap;
     mmap.replayInto(via_mmap);
-    expectOpsEqual(via_stream.ops, via_mmap.ops);
+    expectOpsEqual(via_memory.ops, via_mmap.ops);
     expectOpsEqual(ops, via_mmap.ops);
     fs::remove(path);
 }
 
 TEST(TraceSourceParity, TruncationAtEveryLengthFailsIdentically)
 {
-    if (!mmapAvailable())
-        GTEST_SKIP() << "no mmap on this platform";
     std::string full = tempTracePath("parity-trunc-src");
     writeSample(full, awkwardOps(), 3);
     std::vector<uint8_t> bytes = readFileBytes(full);
@@ -870,26 +899,23 @@ TEST(TraceSourceParity, TruncationAtEveryLengthFailsIdentically)
     ASSERT_GT(bytes.size(), 0u);
 
     // Every proper prefix must be rejected (the mandatory footer means
-    // truncation anywhere is detectable), and the stream and mmap
-    // transports must report the exact same error.
+    // truncation anywhere is detectable), and the file mapping and the
+    // in-memory bytes must report the exact same error.
     std::string path = tempTracePath("parity-trunc");
     for (size_t len = 0; len < bytes.size(); ++len) {
         SCOPED_TRACE("prefix length " + std::to_string(len));
         writeFileBytes(path, bytes, len);
-        std::string via_stream =
-            replayErrorMessage(path, TraceIo::Stream);
-        std::string via_mmap = replayErrorMessage(path, TraceIo::Mmap);
-        ASSERT_FALSE(via_stream.empty());
+        std::string via_memory = replayErrorMessage(path, false);
+        std::string via_mmap = replayErrorMessage(path, true);
+        ASSERT_FALSE(via_memory.empty());
         ASSERT_FALSE(via_mmap.empty());
-        EXPECT_EQ(via_stream, via_mmap);
+        EXPECT_EQ(via_memory, via_mmap);
     }
     fs::remove(path);
 }
 
 TEST(TraceSourceParity, CorruptFixturesFailIdentically)
 {
-    if (!mmapAvailable())
-        GTEST_SKIP() << "no mmap on this platform";
     std::string path = tempTracePath("parity-corrupt");
     std::vector<MicroOp> ops;
     auto sample = awkwardOps();
@@ -907,14 +933,13 @@ TEST(TraceSourceParity, CorruptFixturesFailIdentically)
         std::vector<uint8_t> bytes = pristine;
         bytes[off] ^= 0x5a;
         writeFileBytes(path, bytes, bytes.size());
-        std::string via_stream =
-            replayErrorMessage(path, TraceIo::Stream);
-        std::string via_mmap = replayErrorMessage(path, TraceIo::Mmap);
-        EXPECT_EQ(via_stream, via_mmap);
+        std::string via_memory = replayErrorMessage(path, false);
+        std::string via_mmap = replayErrorMessage(path, true);
+        EXPECT_EQ(via_memory, via_mmap);
         // With full verification on, every single-byte corruption in
         // this fixture is caught (CRCs cover header, chunks, footer;
         // framing fields are bounds- and consistency-checked).
-        EXPECT_FALSE(via_stream.empty());
+        EXPECT_FALSE(via_memory.empty());
     }
     fs::remove(path);
 }
@@ -982,16 +1007,6 @@ TEST(CrcElision, NeverSkipsChunkCrcButKeepsStructuralChecks)
 
 TEST(TraceSourceFlags, ParseAndFormatRoundTrip)
 {
-    TraceIo io = TraceIo::Auto;
-    EXPECT_TRUE(parseTraceIo("stream", io));
-    EXPECT_EQ(io, TraceIo::Stream);
-    EXPECT_TRUE(parseTraceIo("mmap", io));
-    EXPECT_EQ(io, TraceIo::Mmap);
-    EXPECT_TRUE(parseTraceIo("auto", io));
-    EXPECT_EQ(io, TraceIo::Auto);
-    EXPECT_FALSE(parseTraceIo("pread", io));
-    EXPECT_EQ(io, TraceIo::Auto);  // untouched on failure
-
     CrcMode crc = CrcMode::Always;
     EXPECT_TRUE(parseCrcMode("never", crc));
     EXPECT_EQ(crc, CrcMode::Never);
@@ -1002,8 +1017,6 @@ TEST(TraceSourceFlags, ParseAndFormatRoundTrip)
     EXPECT_EQ(crc, CrcMode::Always);
 
     EXPECT_STREQ(toString(TraceIo::Auto), "auto");
-    EXPECT_STREQ(toString(TraceIo::Stream), "stream");
-    EXPECT_STREQ(toString(TraceIo::Mmap), "mmap");
     EXPECT_STREQ(toString(CrcMode::Always), "always");
     EXPECT_STREQ(toString(CrcMode::Never), "never");
 }
@@ -1096,7 +1109,8 @@ TEST(Replay, ReplayOnConfigsDefaultJobsMatchesSerial)
     }
 
     std::vector<MachineConfig> configs{xeonE5645(), atomD510()};
-    auto defaulted = replayOnConfigs(path, configs, 0);  // jobs = auto
+    auto defaulted =
+        replayOnConfigs(TraceReader(path), configs, 0);  // jobs = auto
     ASSERT_EQ(defaulted.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         TraceReader reader(path);
@@ -1145,7 +1159,7 @@ TEST(Replay, ParallelReplayMatchesSerial)
 
     std::vector<MachineConfig> configs{xeonE5645(), atomD510(),
                                        atomInOrderSim(32)};
-    auto parallel = replayOnConfigs(path, configs, 3);
+    auto parallel = replayOnConfigs(TraceReader(path), configs, 3);
     ASSERT_EQ(parallel.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         TraceReader reader(path);
@@ -1172,6 +1186,43 @@ TEST(Replay, ParallelReplayMatchesSerial)
     for (size_t i = 0; i < ladder.size(); ++i)
         EXPECT_EQ(replayed[i], live_curve[i]) << ladder[i] << " KB";
 
+    fs::remove(path);
+}
+
+TEST(Replay, ReaderCopiesOnPoolThreadsMatchFreshOpens)
+{
+    // Copies of one open reader share its bytes and parsed metadata
+    // but decode into their own blocks, so they replay concurrently;
+    // each must give exactly what a fresh open of the path gives.
+    const WorkloadEntry &entry = findWorkload("M-Grep");
+    std::string path = tempTracePath("reader-copies");
+    {
+        WorkloadPtr w = entry.make(0.05);
+        captureTrace(*w, path, 0.05);
+    }
+
+    std::vector<MachineConfig> configs{xeonE5645(), atomD510(),
+                                       atomInOrderSim(32),
+                                       atomInOrderSim(64)};
+    TraceReader shared(path);
+    std::vector<CpuReport> copied(configs.size());
+    std::vector<uint64_t> checks(configs.size());
+    parallelFor(configs.size(), [&](size_t i) {
+        TraceReader copy(shared);
+        SimCpu cpu(configs[i]);
+        copy.replayInto(cpu);
+        copied[i] = cpu.report();
+        checks[i] = copy.chunkCrcChecks();
+    }, 4);
+    EXPECT_EQ(shared.chunkCrcChecks(), 0u);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        TraceReader fresh(path);
+        WorkloadRun want = profileWorkload(fresh, configs[i]);
+        EXPECT_EQ(copied[i].machine, want.report.machine);
+        EXPECT_EQ(copied[i].instructions, want.report.instructions);
+        EXPECT_EQ(toMetricVector(copied[i]), want.metrics);
+        EXPECT_EQ(checks[i], shared.chunkCount());
+    }
     fs::remove(path);
 }
 
@@ -1209,8 +1260,9 @@ TEST(Replay, OnConfigsJobsOneMatchesJobsMany)
 
     std::vector<MachineConfig> configs{xeonE5645(), atomD510(),
                                        atomInOrderSim(32)};
-    auto serial = replayOnConfigs(path, configs, 1);
-    auto pooled = replayOnConfigs(path, configs, 4);
+    TraceReader reader(path);
+    auto serial = replayOnConfigs(reader, configs, 1);
+    auto pooled = replayOnConfigs(reader, configs, 4);
     ASSERT_EQ(serial.size(), pooled.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         EXPECT_EQ(pooled[i].machine, serial[i].machine);
