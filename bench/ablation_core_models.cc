@@ -86,17 +86,16 @@ main(int argc, char **argv)
         std::string path = tracePath(name);
 
         TraceReader full_reader(path);
-        FootprintSweep full(sizes);
+        FootprintSweep full(SweepKind::Instruction, sizes);
         full_reader.replayInto(full);
-        auto full_curve = full.missRatios(SweepKind::Instruction);
+        auto full_curve = full.missRatios();
 
         // The stored op count replaces the counting pre-pass.
         TraceReader sampled_reader(path);
-        FootprintSweep sampled_sweep(sizes);
+        FootprintSweep sampled_sweep(SweepKind::Instruction, sizes);
         SamplingSink sampler(sampled_sweep, sampled_reader.opCount());
         sampled_reader.replayInto(sampler);
-        auto sampled_curve =
-            sampled_sweep.missRatios(SweepKind::Instruction);
+        auto sampled_curve = sampled_sweep.missRatios();
 
         s.cell(name)
             .cell(full_curve[0] * 100, 3)

@@ -42,21 +42,13 @@
 #include "base/summary.hh"
 #include "base/table.hh"
 #include "baselines/baselines.hh"
+#include "cli_flags.hh"
 #include "core/profiler.hh"
 #include "core/trace_cache.hh"
 #include "tracefile/replay.hh"
 #include "workloads/registry.hh"
 
 namespace wcrt::bench {
-
-/** Dataset scale for bench runs (WCRT_SCALE, default 0.5). */
-inline double
-benchScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
-}
 
 /**
  * Which shared flags a bench binary actually consults. Passed to
@@ -125,16 +117,8 @@ inline void
 initBench(int argc, char **argv, unsigned uses = kBenchUsesAll)
 {
     BenchOptions &opt = benchOptions();
-    auto value = [&](const char *arg, const char *name,
-                     int &i) -> const char * {
-        size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) != 0)
-            return nullptr;
-        if (arg[n] == '=')
-            return arg + n + 1;
-        if (arg[n] == '\0' && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
+    auto value = [&](const char *arg, const char *name, int &i) {
+        return flagValue(arg, name, argc, argv, i);
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -154,7 +138,7 @@ initBench(int argc, char **argv, unsigned uses = kBenchUsesAll)
         } else if (const char *v2 = value(arg, "--trace-dir", i)) {
             opt.traceDir = v2;
         } else if (const char *v3 = value(arg, "--jobs", i)) {
-            opt.jobs = static_cast<unsigned>(std::atoi(v3));
+            opt.jobs = parseJobs(v3);
         } else if (const char *v4 = value(arg, "--mrc-mode", i)) {
             if (!parseMrcMode(v4, opt.mrcMode))
                 wcrt_fatal("unknown --mrc-mode: ", v4,
@@ -177,6 +161,8 @@ initBench(int argc, char **argv, unsigned uses = kBenchUsesAll)
         warn_unused("--jobs");
     if (opt.mrcModeSet && !(uses & kBenchUsesMrcMode))
         warn_unused("--mrc-mode");
+    // A malformed WCRT_SCALE fails here, before the bench prints.
+    benchScale();
     if (opt.list) {
         printRoster(std::cout);
         std::exit(0);

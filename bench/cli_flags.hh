@@ -1,7 +1,8 @@
 /**
  * @file
- * Flag parsing shared by the `trace_tool` and `scenario_tool` command
- * lines: `--name=V` / `--name V` lookup and strict numeric values.
+ * Flag parsing shared by every bench binary, `trace_tool` and
+ * `scenario_tool`: `--name=V` / `--name V` lookup, strict numeric
+ * values and the WCRT_SCALE dataset scale.
  */
 
 #ifndef WCRT_BENCH_CLI_FLAGS_HH
@@ -56,6 +57,38 @@ inline unsigned
 parseJobs(const char *value)
 {
     return static_cast<unsigned>(parseCount("--jobs", value, 0, 4096));
+}
+
+/**
+ * Strictly parse a dataset scale: a positive, finite decimal such as
+ * "0.25", fatal on anything else — atof would silently read "abc" as
+ * 0 and "0.05x" as 0.05.
+ *
+ * @param what Flag or variable name for the error message.
+ */
+inline double
+parseScale(const char *what, const char *value)
+{
+    // Digits and dots only (no sign, exponent, hex, inf or nan), all
+    // of them consumed by strtod (so at most one dot).
+    size_t len = std::strspn(value, "0123456789.");
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(value, &end);
+    if (len == 0 || value[len] != '\0' || end != value + len ||
+        errno == ERANGE || v <= 0.0)
+        wcrt_fatal("bad ", what, " '", value,
+                   "' (expected a positive decimal)");
+    return v;
+}
+
+/** Dataset scale from WCRT_SCALE (default 0.5), fatal if malformed. */
+inline double
+benchScale()
+{
+    if (const char *s = std::getenv("WCRT_SCALE"))
+        return parseScale("WCRT_SCALE", s);
+    return 0.5;
 }
 
 } // namespace wcrt::bench

@@ -14,10 +14,10 @@
  * no-trace world). The checks follow --mrc-mode: stack (default)
  * checks replay-vs-live bit-identity of the single-pass profile;
  * oracle additionally checks against the serial per-rung
- * re-execution (all three are the same 8-way model); verify runs
- * profile and oracle over one decode, checks both identities and
- * enforces the documented stack-vs-oracle divergence bound — the CI
- * equivalence gate.
+ * re-execution (all three are the same 8-way model); verify replays
+ * the trace into profile and oracle as two independent jobs, checks
+ * both identities and enforces the documented stack-vs-oracle
+ * divergence bound — the CI equivalence gate.
  */
 
 #include <chrono>
@@ -45,9 +45,9 @@ serialReexecutionSweep(const WorkloadEntry &entry, double scale)
     std::vector<double> curve;
     for (uint32_t kb : paperSweepSizesKb()) {
         WorkloadPtr w = entry.make(scale);
-        FootprintSweep sweep({kb});
+        FootprintSweep sweep(SweepKind::Instruction, {kb});
         runThroughSink(*w, sweep);
-        curve.push_back(sweep.missRatios(SweepKind::Instruction)[0]);
+        curve.push_back(sweep.missRatios()[0]);
     }
     return curve;
 }

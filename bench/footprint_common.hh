@@ -10,12 +10,13 @@
  * the two paths cannot drift apart.
  *
  * The sweeps are record-once/replay-many: each workload is captured
- * into the trace cache on first use, then the stored trace is
- * replayed through the --mrc-mode path (tracefile/replay.hh): the
- * default single-pass stack-distance profile, the per-rung
- * set-associative oracle sweep, or verify (both over one decode,
- * reporting the maximum curve divergence). Replayed curves are
- * identical to live sweeps through the same model — fig6 asserts
+ * serially into the trace cache on first use, then the stored traces
+ * are replayed as independent --jobs-capped jobs through the
+ * --mrc-mode path (tracefile/replay.hh): the default single-pass
+ * stack-distance profile, the per-rung set-associative oracle sweep
+ * of the same stream, or verify (both, as two more independent
+ * replays, reporting the maximum curve divergence). Replayed curves
+ * are identical to live sweeps through the same model — fig6 asserts
  * that equivalence and reports the measured speedup.
  */
 
@@ -79,9 +80,9 @@ liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
 {
     WorkloadPtr w = entry.make(scale);
     if (benchOptions().mrcMode == MrcMode::ShardedOracle) {
-        FootprintSweep sweep(paperSweepSizesKb());
+        FootprintSweep sweep(kind, paperSweepSizesKb());
         runThroughSink(*w, sweep);
-        return sweep.missRatios(kind);
+        return sweep.missRatios();
     }
     StackDistanceProfile profile(kind);
     runThroughSink(*w, profile);

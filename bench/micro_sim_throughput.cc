@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "cli_flags.hh"
 #include "sim/branch.hh"
 #include "sim/cache.hh"
 #include "sim/footprint.hh"
@@ -529,40 +531,75 @@ BM_ReplaySimCpuBatch(benchmark::State &state)
 BENCHMARK(BM_ReplaySimCpuBatch);
 
 /**
- * The paper's Section 5.4 capacity sweep as a replay sink: ten cache
- * rungs x three streams per op make it the heaviest sink in any
- * replay, which is what the batch path's run-length compression and
- * per-cache fan-out attack.
+ * The paper's Section 5.4 capacity sweep on all three reference
+ * streams: one ten-rung sweep per stream, every block fed to each in
+ * turn on the calling thread.
+ */
+class LadderSweeps : public TraceSink
+{
+  public:
+    void
+    consume(const MicroOp &op) override
+    {
+        for (FootprintSweep &s : sweeps)
+            s.consume(op);
+    }
+
+    void
+    consumeBatch(const OpBlockView &ops) override
+    {
+        for (FootprintSweep &s : sweeps)
+            s.consumeBatch(ops);
+    }
+
+  private:
+    std::array<FootprintSweep, 3> sweeps{
+        FootprintSweep(SweepKind::Instruction, paperSweepSizesKb()),
+        FootprintSweep(SweepKind::Data, paperSweepSizesKb()),
+        FootprintSweep(SweepKind::Unified, paperSweepSizesKb())};
+};
+
+/**
+ * Thirty cache rungs per op make the three-stream ladder the heaviest
+ * sink in any replay, which is what the batch path's run-length
+ * compression attacks.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)
 {
-    replayRows(state, [] { return FootprintSweep(paperSweepSizesKb()); },
-               true);
+    replayRows(state, [] { return LadderSweeps(); }, true);
 }
 BENCHMARK(BM_ReplaySweepPerOp);
 
 void
 BM_ReplaySweepBatch(benchmark::State &state)
 {
-    replayRows(state, [] { return FootprintSweep(paperSweepSizesKb()); },
-               false);
+    replayRows(state, [] { return LadderSweeps(); }, false);
 }
 BENCHMARK(BM_ReplaySweepBatch);
 
-// The threaded rows measure wall time: CPU-time-based items/s would
-// count only the calling thread while the pool does the work,
-// overstating throughput on every multi-core host.
+/**
+ * fig8's verify-mode call: the unified stack-distance profile and the
+ * unified oracle sweep as two independent replays of one trace. The
+ * threaded rows measure wall time: CPU-time-based items/s would count
+ * only the calling thread while the pool does the work, overstating
+ * throughput on every multi-core host.
+ */
 void
 BM_ReplaySweepParallel(benchmark::State &state)
 {
-    unsigned workers = replayWorkers(0);
-    replayRows(state,
-               [workers] {
-                   return FootprintSweep(paperSweepSizesKb(), 8, 64,
-                                         workers);
-               },
-               false);
+    TraceReader reader(replayBenchTrace());
+    uint64_t ops_read = 0;
+    double sink = 0.0;
+    for (auto _ : state) {
+        MrcResult r = replaySweepLadder(reader, SweepKind::Unified,
+                                        paperSweepSizesKb(),
+                                        MrcMode::Verify, benchJobs());
+        sink += r.maxDivergence;
+        ops_read += reader.opCount();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<int64_t>(ops_read));
 }
 BENCHMARK(BM_ReplaySweepParallel)->UseRealTime();
 
@@ -570,9 +607,7 @@ BENCHMARK(BM_ReplaySweepParallel)->UseRealTime();
  * The single-pass replacement for the whole ladder: one decode pass
  * into the Mattson stack-distance profile, then every rung of the
  * fig6 ladder is a histogram walk (sim/stack_distance.hh). Runs
- * strictly serial (workers = 1) and is still expected to beat the
- * rung-parallel sweep above on wall clock — that is the
- * tentpole claim, and the perf gate pins both rows.
+ * strictly serial on the calling thread, and the perf gate pins it.
  */
 void
 BM_MrcSinglePass(benchmark::State &state)
@@ -617,8 +652,9 @@ BENCHMARK(BM_ReplayConfigsPooled)->UseRealTime();
 
 /**
  * Multi-sink tee replay: one decode pass fanned out to a fast counter,
- * the mix tally, the full machine model and the capacity sweep — the
- * record-once/measure-everything pipeline the figure benches run.
+ * the mix tally, the full machine model and the three-stream capacity
+ * ladder — the record-once/measure-everything pipeline the figure
+ * benches run.
  */
 void
 BM_ReplayTeeSeq(benchmark::State &state)
@@ -629,12 +665,12 @@ BM_ReplayTeeSeq(benchmark::State &state)
         MixCounter mix;
         CountingSink counter;
         SimCpu cpu(xeonE5645());
-        FootprintSweep sweep(paperSweepSizesKb());
+        LadderSweeps sweeps;
         TeeSink tee;
         tee.addSink(&mix);
         tee.addSink(&counter);
         tee.addSink(&cpu);
-        tee.addSink(&sweep);
+        tee.addSink(&sweeps);
         ops_read += reader.replayInto(tee);
         benchmark::DoNotOptimize(cpu.instructions());
         benchmark::DoNotOptimize(mix.total());
@@ -703,10 +739,10 @@ main(int argc, char **argv)
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            g_jobs = static_cast<unsigned>(std::atoi(arg.c_str() + 7));
+            g_jobs = bench::parseJobs(arg.c_str() + 7);
             continue;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            g_jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            g_jobs = bench::parseJobs(argv[++i]);
             continue;
         } else {
             args.push_back(std::move(arg));

@@ -38,9 +38,11 @@
 #include "tracefile/trace_source.hh"
 
 using namespace wcrt;
+using bench::benchScale;
 using bench::flagValue;
 using bench::parseCount;
 using bench::parseJobs;
+using bench::parseScale;
 
 namespace {
 
@@ -68,14 +70,6 @@ usage()
            "  --verify-crc=M chunk CRC policy on replay: always\n"
            "                 (default), never\n";
     return 2;
-}
-
-double
-envBaseScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
 }
 
 std::string
@@ -110,7 +104,7 @@ cmdValidate(int argc, char **argv)
         ScenarioParse parse = loadScenario(argv[i]);
         std::vector<ScenarioCell> cells;
         if (parse.ok())
-            cells = expandScenario(parse.spec, envBaseScale(),
+            cells = expandScenario(parse.spec, benchScale(),
                                    parse.issues);
         if (parse.ok() && cells.empty())
             parse.issues.push_back(
@@ -135,11 +129,11 @@ cmdExpand(int argc, char **argv)
 {
     if (argc < 3)
         return usage();
-    double base_scale = envBaseScale();
+    double base_scale = benchScale();
     for (int i = 3; i < argc; ++i) {
         if (const char *v =
                 flagValue(argv[i], "--scale", argc, argv, i))
-            base_scale = std::atof(v);
+            base_scale = parseScale("--scale", v);
         else
             return usage();
     }
@@ -329,7 +323,7 @@ cmdRun(int argc, char **argv)
     if (argc < 3)
         return usage();
     RunnerOptions opt;
-    opt.baseScale = envBaseScale();
+    opt.baseScale = benchScale();
     std::string json_path;
     long only_cell = -1;
     for (int i = 3; i < argc; ++i) {
@@ -348,7 +342,7 @@ cmdRun(int argc, char **argv)
                 parseCount("--cell", v4, 0, 1u << 30));
         else if (const char *v5 =
                      flagValue(argv[i], "--scale", argc, argv, i))
-            opt.baseScale = std::atof(v5);
+            opt.baseScale = parseScale("--scale", v5);
         else if (const char *v6 = flagValue(argv[i], "--verify-crc",
                                             argc, argv, i)) {
             ReaderOptions ropts = defaultReaderOptions();

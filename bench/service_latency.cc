@@ -48,12 +48,14 @@
 
 #include "base/logging.hh"
 #include "base/table.hh"
+#include "cli_flags.hh"
 #include "loadgen/orchestrator.hh"
 #include "loadgen/targets.hh"
 #include "sim/corun.hh"
 #include "sim/machine.hh"
 
 using namespace wcrt;
+using bench::benchScale;
 
 namespace {
 
@@ -70,16 +72,8 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    auto value = [&](const char *arg, const char *name,
-                     int &i) -> const char * {
-        size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) != 0)
-            return nullptr;
-        if (arg[n] == '=')
-            return arg + n + 1;
-        if (arg[n] == '\0' && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
+    auto value = [&](const char *arg, const char *name, int &i) {
+        return bench::flagValue(arg, name, argc, argv, i);
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -96,27 +90,20 @@ parseArgs(int argc, char **argv)
         } else if (const char *v2 = value(arg, "--target", i)) {
             opt.target = v2;
         } else if (const char *v3 = value(arg, "--actors", i)) {
-            opt.actors = static_cast<unsigned>(std::atoi(v3));
+            opt.actors = static_cast<unsigned>(
+                bench::parseCount("--actors", v3, 1, 1u << 16));
         } else if (const char *v4 = value(arg, "--jobs", i)) {
-            opt.jobs = static_cast<unsigned>(std::atoi(v4));
+            opt.jobs = bench::parseJobs(v4);
         } else if (const char *v5 = value(arg, "--ops", i)) {
-            opt.ops = static_cast<uint64_t>(std::atoll(v5));
+            opt.ops = bench::parseCount("--ops", v5, 0, 1ull << 40);
         } else {
             wcrt_fatal("unknown service_latency argument: ", arg,
                        " (try --help)");
         }
     }
-    if (opt.actors == 0)
-        wcrt_fatal("--actors must be at least 1");
+    // A malformed WCRT_SCALE fails here, before the bench prints.
+    benchScale();
     return opt;
-}
-
-double
-benchScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
 }
 
 /** Steady-phase requests per actor when --ops is not given. */

@@ -73,6 +73,7 @@ using namespace wcrt;
 using bench::flagValue;
 using bench::parseCount;
 using bench::parseJobs;
+using bench::parseScale;
 
 namespace {
 
@@ -150,7 +151,7 @@ cmdRecord(int argc, char **argv)
     double scale = 1.0;
     for (int i = 4; i < argc; ++i) {
         if (const char *v = flagValue(argv[i], "--scale", argc, argv, i))
-            scale = std::atof(v);
+            scale = parseScale("--scale", v);
         else
             return usage();
     }
@@ -548,7 +549,7 @@ cmdServe(int argc, char **argv)
             ring_base = v;
         else if (const char *v2 =
                      flagValue(argv[i], "--scale", argc, argv, i))
-            scale = std::atof(v2);
+            scale = parseScale("--scale", v2);
         else if (const char *v3 =
                      flagValue(argv[i], "--ring-kb", argc, argv, i))
             ring_kb = parseCount("--ring-kb", v3, 1, 1 << 20);

@@ -28,15 +28,22 @@ main(int argc, char **argv)
     std::cout << "Cache-capacity sweep for " << workload->name()
               << " (Atom-like in-order config, 8-way, 64 B lines)\n\n";
 
-    FootprintSweep sweep(paperSweepSizesKb());
-    runThroughSink(*workload, sweep);
+    // One sweep per reference stream, all fed by one execution.
+    auto sizes = paperSweepSizesKb();
+    FootprintSweep isweep(SweepKind::Instruction, sizes);
+    FootprintSweep dsweep(SweepKind::Data, sizes);
+    FootprintSweep usweep(SweepKind::Unified, sizes);
+    TeeSink tee;
+    tee.addSink(&isweep);
+    tee.addSink(&dsweep);
+    tee.addSink(&usweep);
+    runThroughSink(*workload, tee);
 
-    auto icurve = sweep.missRatios(SweepKind::Instruction);
-    auto dcurve = sweep.missRatios(SweepKind::Data);
-    auto ucurve = sweep.missRatios(SweepKind::Unified);
+    auto icurve = isweep.missRatios();
+    auto dcurve = dsweep.missRatios();
+    auto ucurve = usweep.missRatios();
 
     Table t({"capacity KB", "I-miss %", "D-miss %", "unified-miss %"});
-    auto sizes = sweep.sizesKb();
     for (size_t i = 0; i < sizes.size(); ++i) {
         t.cell(static_cast<uint64_t>(sizes[i]))
             .cell(icurve[i] * 100, 3)
@@ -57,7 +64,7 @@ main(int argc, char **argv)
               << " KB\n";
     std::cout << "Estimated data working set:        ~" << knee(dcurve)
               << " KB\n";
-    std::cout << "\n(" << sweep.instructions()
+    std::cout << "\n(" << isweep.instructions()
               << " instructions swept through "
               << sizes.size() * 3 << " cache instances.)\n";
     return 0;

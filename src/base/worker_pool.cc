@@ -1,6 +1,7 @@
 #include "base/worker_pool.hh"
 
 #include <algorithm>
+#include <exception>
 
 namespace wcrt {
 
@@ -144,6 +145,55 @@ WorkerPool::workerLoop()
         task.reset();
         lock.lock();
     }
+}
+
+unsigned
+replayWorkers(unsigned requested)
+{
+    if (requested > 0)
+        return requested;
+    return WorkerPool::hardwareWorkers();
+}
+
+void
+parallelFor(size_t count, const std::function<void(size_t)> &job,
+            unsigned threads)
+{
+    if (count == 0)
+        return;
+    // The one resolution of a worker request: every fan-out delegates
+    // here, so a --jobs value can never be interpreted differently by
+    // the cap and by the pool.
+    size_t workers = std::min<size_t>(replayWorkers(threads), count);
+    if (workers <= 1) {
+        // Strictly serial fast path: no pool, no ticket, exceptions
+        // propagate directly.
+        for (size_t i = 0; i < count; ++i)
+            job(i);
+        return;
+    }
+
+    // Fan out over the process-wide pool with a bounded-claim ticket:
+    // at most `workers` executors (this thread plus workers - 1 pool
+    // threads) run jobs concurrently, and this thread participates
+    // until every index is claimed. Jobs may throw (replays surface
+    // TraceFormatError on corrupt files); the first exception is
+    // captured and rethrown after the ticket settles so the pool
+    // threads never unwind.
+    std::exception_ptr first_error;
+    std::mutex error_mutex;
+    WorkerPool::shared().runBounded(
+        count, static_cast<unsigned>(workers), [&](size_t i) {
+            try {
+                job(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        });
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace wcrt

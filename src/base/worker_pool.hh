@@ -1,34 +1,34 @@
 /**
  * @file
- * Persistent worker pool with caller-participating completion waits.
+ * Persistent worker pool with caller-participating completion waits,
+ * and parallelFor(), the one fan-out entry point built on it.
  *
- * Every parallel path in the toolkit needs the same machinery:
- * FootprintSweep fans one block out to its (rung, stream) caches, a
- * three-stream StackDistanceProfile to its streams (the one-stream
- * profile replaySweepLadder uses runs on the caller alone), and the
- * replay runners fan N independent trace replays out over the
- * machine. Each runs a
- * task of `count` independent indices through runBounded(); pool
- * threads and the calling thread claim indices from a shared atomic
- * counter, so the caller never idles while work remains and a pool of
- * zero threads degenerates to plain sequential execution on the
- * caller. runBounded() returns once every index has finished
- * executing — not merely been claimed.
+ * Every parallel path in the toolkit has the same shape: `count`
+ * independent jobs, each a replay of its own reader copy into its own
+ * sink (the multi-config and many-trace replay runners, the MRC
+ * ladder's Verify pair, a sweep group's traces) or one loadgen actor's
+ * phase. No sink fans out internally. Each goes through parallelFor(),
+ * which resolves the worker request once (replayWorkers()) and runs
+ * the jobs through runBounded(); pool threads and the calling thread
+ * claim indices from a shared atomic counter, so the caller never
+ * idles while work remains and a pool of zero threads degenerates to
+ * plain sequential execution on the caller. runBounded() returns once
+ * every index has finished executing — not merely been claimed.
  *
  * One process-wide pool (shared(), lazily built with
- * hardwareWorkers() - 1 threads) serves every replay entry point, so
- * no measured path pays per-call thread spawn/join churn. Callers
- * that must honour a user-facing worker cap (--jobs=N) pass it as
- * runBounded()'s cap: the task carries a budget of pool-thread claim
- * slots, so at most `cap - 1` pool threads join the always-helping
- * caller regardless of how wide the shared pool is.
+ * hardwareWorkers() - 1 threads) serves every entry point, so no
+ * measured path pays per-call thread spawn/join churn. A user-facing
+ * worker cap (--jobs=N) becomes runBounded()'s cap: the task carries
+ * a budget of pool-thread claim slots, so at most `cap - 1` pool
+ * threads join the always-helping caller regardless of how wide the
+ * shared pool is.
  *
  * Nesting is deadlock-free by construction: the caller always helps
  * with its own task's indices before sleeping, so a pool thread that
- * runs a sub-task from inside a job (a capacity sweep running
- * inside a pooled replay) makes progress on that sub-task itself and
- * only sleeps once every index is claimed by threads that are
- * actively executing them.
+ * runs a sub-task from inside a job (a Verify ladder's two replays
+ * inside a pooled sweep-group job) makes progress on that sub-task
+ * itself and only sleeps once every index is claimed by threads that
+ * are actively executing them.
  */
 
 #ifndef WCRT_BASE_WORKER_POOL_HH
@@ -76,8 +76,7 @@ class WorkerPool
     /**
      * The process-wide pool: lazily constructed on first use with
      * hardwareWorkers() - 1 threads (the waiting caller is the +1
-     * executor). All replay entry points, the capacity sweep and any
-     * other index-parallel fan-out share it, so thread creation
+     * executor). Every parallelFor() shares it, so thread creation
      * happens once per process instead of once per call.
      */
     static WorkerPool &shared();
@@ -156,6 +155,25 @@ class WorkerPool
     std::vector<Ticket> queue;          //!< tasks with work outstanding
     bool stopping = false;
 };
+
+/** Worker count actually used for a request (0 → hardware threads). */
+unsigned replayWorkers(unsigned requested = 0);
+
+/**
+ * Run `count` independent jobs on the shared worker pool, with the
+ * caller participating. job(i) is invoked exactly once for every i in
+ * [0, count); the first exception any job throws is rethrown on the
+ * caller after the ticket settles. A resolved worker count of 1 (or
+ * count == 1) bypasses the pool entirely and runs serially.
+ *
+ * @param count Number of jobs.
+ * @param job Callable receiving the job index; must be thread-safe
+ *        with respect to the other indices.
+ * @param threads Worker cap (0 → hardware threads); resolved once via
+ *        replayWorkers() — the single source of the worker count.
+ */
+void parallelFor(size_t count, const std::function<void(size_t)> &job,
+                 unsigned threads = 0);
 
 } // namespace wcrt
 

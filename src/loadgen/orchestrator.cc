@@ -133,14 +133,12 @@ Orchestrator::run()
             ops_before += st.session->traceOps();
         }
 
-        // One bounded ticket per phase; waiting it is the phase
-        // barrier (the orchestrator thread helps execute actors).
+        // One parallelFor per phase; its return is the phase barrier
+        // (the orchestrator thread helps execute actors).
         const auto t0 = SteadyClock::now();
-        const unsigned cap =
-            cfg.jobs > 0 ? cfg.jobs : WorkerPool::hardwareWorkers();
-        WorkerPool::shared().runBounded(
-            actors.size(), cap,
-            [&](size_t a) { runActorPhase(actors[a], phase, p); });
+        parallelFor(actors.size(), [&](size_t a) {
+            runActorPhase(actors[a], phase, p);
+        }, cfg.jobs);
         const uint64_t elapsed = nsSince(t0);
 
         // Post-barrier merge on this thread: the per-actor metrics

@@ -4,14 +4,14 @@
  * against one traffic target, with latency percentiles per phase.
  *
  * Concurrency model: actors are not threads. Each phase is one
- * bounded ticket on the process-wide WorkerPool::shared() with one
- * index per actor, so actor execution shares the same pool (and the
- * same --jobs cap semantics) as every replay path in the toolkit — no
- * ad-hoc std::thread anywhere. Phase transitions are barriers: the
- * orchestrator waits the phase ticket (helping execute actors
- * itself), merges the per-actor histograms, and only then submits the
- * next phase, so no actor can run phase p+1 work while any actor is
- * still inside phase p.
+ * parallelFor() (base/worker_pool.hh) with one job per actor, so actor
+ * execution shares the same pool (and the same --jobs cap
+ * resolution) as every replay path in the toolkit — no ad-hoc
+ * std::thread anywhere. Phase transitions are barriers: the
+ * orchestrator returns from the phase's parallelFor (having helped
+ * execute actors itself), merges the per-actor histograms, and only
+ * then starts the next phase, so no actor can run phase p+1 work
+ * while any actor is still inside phase p.
  *
  * Determinism: phases declare per-actor request *counts*, request
  * content comes from per-actor seeded Rng streams, and arrival

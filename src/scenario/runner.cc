@@ -47,12 +47,20 @@ averageSweep(const ScenarioSpec &spec,
     out.curve.assign(spec.sizesKb.size(), 0.0);
     if (group.empty())
         return out;
-    for (const auto &entry : group) {
-        std::string path = cache.ensure(
-            entry.name, scale, [&] { return entry.make(scale); });
-        MrcResult r = replaySweepLadder(path, spec.sweepKind,
-                                        spec.sizesKb, mode, jobs,
-                                        spec.assoc, spec.lineBytes);
+    // Capture serially on the calling thread, then replay the group's
+    // traces as independent jobs; the sum runs in roster order, so the
+    // average is bit-identical at any worker count.
+    std::vector<std::string> paths;
+    for (const auto &entry : group)
+        paths.push_back(cache.ensure(
+            entry.name, scale, [&] { return entry.make(scale); }));
+    std::vector<MrcResult> results(paths.size());
+    parallelFor(paths.size(), [&](size_t i) {
+        results[i] = replaySweepLadder(paths[i], spec.sweepKind,
+                                       spec.sizesKb, mode, jobs,
+                                       spec.assoc, spec.lineBytes);
+    }, jobs);
+    for (const MrcResult &r : results) {
         out.maxDivergence = std::max(out.maxDivergence, r.maxDivergence);
         for (size_t i = 0; i < out.curve.size(); ++i)
             out.curve[i] += r.ratios[i];

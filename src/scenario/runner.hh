@@ -83,13 +83,16 @@ std::unique_ptr<TrafficTarget> makeScenarioTarget(
 
 /**
  * A workload group's average miss-ratio curve: each entry's trace
- * (captured into `cache` at `scale` on first use) replayed across the
- * spec's ladder — sweep kind, sizes, associativity, line size — in
- * `mode`. Curves are summed in roster order, then divided by the group
- * size; an empty group yields an all-zero curve. Sweep cells and the
+ * (captured serially into `cache` at `scale` on first use) replayed
+ * across the spec's ladder — sweep kind, sizes, associativity, line
+ * size — in `mode`, one replaySweepLadder() job per trace through
+ * parallelFor(). Curves are summed in roster order, then divided by
+ * the group size, so the average is bit-identical at any worker
+ * count; an empty group yields an all-zero curve. Sweep cells and the
  * fig6–9 benches both average through here.
  *
- * @param jobs Worker cap handed to replaySweepLadder().
+ * @param jobs Worker cap across the group's replays, also handed to
+ *        each replaySweepLadder().
  */
 SweepCellResult averageSweep(const ScenarioSpec &spec,
                              const std::vector<WorkloadEntry> &group,

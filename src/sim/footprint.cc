@@ -1,7 +1,6 @@
 #include "sim/footprint.hh"
 
 #include "base/logging.hh"
-#include "base/worker_pool.hh"
 
 namespace wcrt {
 
@@ -29,37 +28,41 @@ kneeCapacityKb(const std::vector<double> &curve,
     return std::nullopt;
 }
 
-FootprintSweep::FootprintSweep(std::vector<uint32_t> sizes_kb,
-                               uint32_t assoc, uint32_t line_bytes,
-                               unsigned workers)
-    : sizes(std::move(sizes_kb)), poolCap(workers)
+FootprintSweep::FootprintSweep(SweepKind kind,
+                               std::vector<uint32_t> sizes_kb,
+                               uint32_t assoc, uint32_t line_bytes)
+    : stream(kind), sizes(std::move(sizes_kb))
 {
     if (sizes.empty())
         wcrt_fatal("footprint sweep needs at least one capacity");
-    for (uint32_t kb : sizes) {
-        CacheConfig cfg{"sweep", static_cast<uint64_t>(kb) * 1024,
-                        assoc, line_bytes};
-        icaches.emplace_back(cfg);
-        dcaches.emplace_back(cfg);
-        ucaches.emplace_back(cfg);
-    }
+    for (uint32_t kb : sizes)
+        caches.emplace_back(CacheConfig{
+            "sweep", static_cast<uint64_t>(kb) * 1024, assoc,
+            line_bytes});
     // Every rung shares the line size, so one shift serves all of
     // them (the Cache constructor has already validated power-of-two).
-    lineShift = icaches.front().lineShiftBits();
+    lineShift = caches.front().lineShiftBits();
 }
 
 void
 FootprintSweep::consume(const MicroOp &op)
 {
     ++ops;
-    for (size_t k = 0; k < sizes.size(); ++k) {
-        icaches[k].access(op.pc);
-        ucaches[k].access(op.pc);
-        if (op.memSize > 0) {
-            dcaches[k].access(op.memAddr);
-            ucaches[k].access(op.memAddr);
-        }
+    for (Cache &c : caches) {
+        if (stream != SweepKind::Data)
+            c.access(op.pc);
+        if (stream != SweepKind::Instruction && op.memSize > 0)
+            c.access(op.memAddr);
     }
+}
+
+void
+FootprintSweep::extend(uint64_t line)
+{
+    if (!runs.empty() && runs.back().line == line)
+        ++runs.back().count;
+    else
+        runs.push_back(LineRun{line, 1});
 }
 
 void
@@ -68,69 +71,47 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     if (batch.count == 0)
         return;
-    // Run-length compression of the three reference streams, built
-    // once for all K rungs: instruction = every op's pc line, data =
-    // the line of each memory access, unified = pc line then memory
-    // line per op (the per-op path's order). A run's tail re-touches
-    // the line its head just made MRU of its set, so every rung walks
-    // only run heads.
-    auto extend = [](std::vector<LineRun> &stream, uint64_t line) {
-        if (!stream.empty() && stream.back().line == line)
-            ++stream.back().count;
-        else
-            stream.push_back(LineRun{line, 1});
-    };
-    for (auto &stream : runs)
-        stream.clear();
-    for (size_t i = 0; i < batch.count; ++i) {
-        uint64_t pc_line = batch.pcs[i] >> lineShift;
-        extend(runs[0], pc_line);
-        extend(runs[2], pc_line);
-        if (batch.memSizes[i] != 0) {
-            uint64_t mem_line = batch.memAddrs[i] >> lineShift;
-            extend(runs[1], mem_line);
-            extend(runs[2], mem_line);
+    // Run-length compression of the stream, built once for all K
+    // rungs in the per-op path's order: instruction = every op's pc
+    // line, data = the line of each memory access, unified = pc line
+    // then memory line per op. A run's tail re-touches the line its
+    // head just made MRU of its set, so every rung walks only run
+    // heads.
+    runs.clear();
+    switch (stream) {
+      case SweepKind::Instruction:
+        for (size_t i = 0; i < batch.count; ++i)
+            extend(batch.pcs[i] >> lineShift);
+        break;
+      case SweepKind::Data:
+        for (size_t i = 0; i < batch.count; ++i)
+            if (batch.memSizes[i] != 0)
+                extend(batch.memAddrs[i] >> lineShift);
+        break;
+      case SweepKind::Unified:
+        for (size_t i = 0; i < batch.count; ++i) {
+            extend(batch.pcs[i] >> lineShift);
+            if (batch.memSizes[i] != 0)
+                extend(batch.memAddrs[i] >> lineShift);
         }
+        break;
     }
-
-    // Every (rung, stream) cache is independent: each task walks one
-    // whole cache, so the counts are bit-identical to a sequential
-    // walk however the pool schedules the tasks (a cap of 0 or 1 runs
-    // them all on this thread).
-    auto walk = [&](size_t task) {
-        size_t k = task / 3;
-        size_t stream = task % 3;
-        Cache &c = stream == 0   ? icaches[k]
-                   : stream == 1 ? dcaches[k]
-                                 : ucaches[k];
+    for (Cache &c : caches) {
         uint64_t credits = 0;
-        for (const LineRun &r : runs[stream]) {
+        for (const LineRun &r : runs) {
             c.accessLine(r.line);
             credits += r.count - 1;
         }
         c.creditRepeatHits(credits);
-    };
-    WorkerPool::shared().runBounded(sizes.size() * 3, poolCap, walk);
+    }
 }
 
 std::vector<double>
-FootprintSweep::missRatios(SweepKind kind) const
+FootprintSweep::missRatios() const
 {
-    const std::vector<Cache> *set = nullptr;
-    switch (kind) {
-      case SweepKind::Instruction:
-        set = &icaches;
-        break;
-      case SweepKind::Data:
-        set = &dcaches;
-        break;
-      case SweepKind::Unified:
-        set = &ucaches;
-        break;
-    }
     std::vector<double> out;
-    out.reserve(set->size());
-    for (const auto &c : *set)
+    out.reserve(caches.size());
+    for (const Cache &c : caches)
         out.push_back(c.missRatio());
     return out;
 }

@@ -4,21 +4,22 @@
  *
  * One trace pass drives a ladder of cache instances (16 KB ... 8 MB,
  * 8-way, 64-byte lines, like the paper's simulator configuration) for
- * the instruction side, the data side and a unified view. The
- * resulting miss-ratio-vs-capacity curves expose each workload's
- * instruction and data footprint: the capacity where the curve
- * flattens is the working-set size.
+ * one reference stream: the instruction side, the data side or a
+ * unified view, as each of Figures 6-9 sweeps one. The resulting
+ * miss-ratio-vs-capacity curve exposes the workload's footprint in
+ * that stream: the capacity where the curve flattens is the
+ * working-set size.
  *
  * The sweep is the set-associative reference oracle behind
  * `--mrc-mode=oracle|verify`; the default MRC path is the single-pass
  * stack-distance profile (sim/stack_distance.hh). It is kept plain on
  * purpose: each block is shifted to line ids and run-length compressed
- * once per stream — consecutive accesses to one line are guaranteed
- * MRU hits in every rung, so only run heads walk a tag array and each
- * tail is credited as hits — and each of the 3 x K (rung, stream)
- * caches is then walked whole, as one task on the process-wide
- * WorkerPool::shared() when a worker cap above 1 is given. Miss and
- * access counts stay bit-identical to the per-op path.
+ * once — consecutive accesses to one line are guaranteed MRU hits in
+ * every rung, so only run heads walk a tag array and each tail is
+ * credited as hits — and each rung's cache then walks the runs on the
+ * calling thread. Miss and access counts stay bit-identical to the
+ * per-op path. A caller wanting several streams tees one sweep per
+ * stream; parallelism lives in the replay runners, never in a sink.
  */
 
 #ifndef WCRT_SIM_FOOTPRINT_HH
@@ -36,48 +37,44 @@ namespace wcrt {
 enum class SweepKind : uint8_t { Instruction, Data, Unified };
 
 /**
- * Multi-capacity cache sweep sink.
+ * Multi-capacity cache sweep sink over one reference stream.
  */
 class FootprintSweep : public TraceSink
 {
   public:
     /**
+     * @param kind Reference stream to sweep.
      * @param sizes_kb Cache capacities to ladder (ascending).
      * @param assoc Associativity of every rung (paper: 8).
      * @param line_bytes Line size (paper: 64).
-     * @param workers Executor cap for the batch path on the shared
-     *        worker pool (the consuming thread participates); 0 or 1
-     *        runs every walk on the calling thread (bit-identical
-     *        either way).
      */
-    explicit FootprintSweep(std::vector<uint32_t> sizes_kb,
-                            uint32_t assoc = 8,
-                            uint32_t line_bytes = 64,
-                            unsigned workers = 0);
+    FootprintSweep(SweepKind kind, std::vector<uint32_t> sizes_kb,
+                   uint32_t assoc = 8, uint32_t line_bytes = 64);
 
     void consume(const MicroOp &op) override;
 
     /**
-     * Batch-native path: run-length compresses the block's three
-     * reference streams once, then walks every (rung, stream) cache
-     * over the run heads and credits each run's tail via
-     * Cache::creditRepeatHits(). With a worker cap above 1 the whole-
-     * cache walks run in parallel on the shared pool.
+     * Batch-native path: run-length compresses the block's `kind`
+     * references once, then walks every rung's cache over the run
+     * heads and credits each run's tail via Cache::creditRepeatHits().
      */
     void consumeBatch(const OpBlockView &ops) override;
+
+    /** The stream this sweep measures. */
+    SweepKind kind() const { return stream; }
 
     /** The capacities swept, in KB. */
     const std::vector<uint32_t> &sizesKb() const { return sizes; }
 
-    /** Miss ratio at each capacity for one stream kind. */
-    std::vector<double> missRatios(SweepKind kind) const;
+    /** Miss ratio at each capacity, indexed like sizesKb(). */
+    std::vector<double> missRatios() const;
 
     /** Instructions consumed. */
     uint64_t instructions() const { return ops; }
 
   private:
     /**
-     * `count` back-to-back accesses to `line` in one stream: accesses
+     * `count` back-to-back accesses to `line` in the stream: accesses
      * 2..count re-touch the stream's most recently used line, so they
      * hit in every rung whatever their read/write sense.
      */
@@ -87,14 +84,13 @@ class FootprintSweep : public TraceSink
         uint32_t count;
     };
 
+    /** Append one reference to the block's run buffer. */
+    void extend(uint64_t line);
+
+    SweepKind stream;
     std::vector<uint32_t> sizes;
-    std::vector<Cache> icaches;
-    std::vector<Cache> dcaches;
-    std::vector<Cache> ucaches;
-    unsigned poolCap = 0;  //!< executor cap on the shared pool
-    //! One block's instruction / data / unified runs (the walk's stream
-    //! index 0 / 1 / 2), reused across blocks.
-    std::vector<LineRun> runs[3];
+    std::vector<Cache> caches;  //!< one per rung, indexed like sizes
+    std::vector<LineRun> runs;  //!< one block's runs, reused
     uint32_t lineShift = 6;
     uint64_t ops = 0;
 };

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "base/logging.hh"
-#include "base/worker_pool.hh"
 
 namespace wcrt {
 
@@ -50,10 +49,9 @@ below(uint64_t b)
 } // namespace
 
 StackDistanceProfile::StackDistanceProfile(uint32_t line_bytes,
-                                           unsigned workers,
+                                           unsigned /*workers*/,
                                            size_t initial_slots)
-    : lineShift(lineShiftOf(line_bytes)), lineBytes(line_bytes),
-      poolCap(workers)
+    : lineShift(lineShiftOf(line_bytes)), lineBytes(line_bytes)
 {
     for (Stream &st : streams)
         st.init(slotSpace(initial_slots));
@@ -254,30 +252,15 @@ StackDistanceProfile::consume(const MicroOp &op)
     one.memAddrs = &op.memAddr;
     one.memSizes = &op.memSize;
     one.count = 1;
-    ++ops;
-    for (size_t k = firstKind; k < endKind; ++k)
-        walk(streams[k], static_cast<SweepKind>(k), one);
+    consumeBatch(one);
 }
 
 void
 StackDistanceProfile::consumeBatch(const OpBlockView &batch)
 {
     ops += batch.count;
-    if (batch.count == 0)
-        return;
-    auto stream_task = [&](size_t j) {
-        size_t k = firstKind + j;
+    for (size_t k = firstKind; k < endKind; ++k)
         walk(streams[k], static_cast<SweepKind>(k), batch);
-    };
-    // Only the three-stream profile carries a pool cap.
-    size_t tracked = endKind - firstKind;
-    if (poolCap > 1) {
-        WorkerPool::shared().runBounded(
-            tracked, std::min<unsigned>(poolCap, tracked), stream_task);
-    } else {
-        for (size_t j = 0; j < tracked; ++j)
-            stream_task(j);
-    }
 }
 
 const StackDistanceProfile::Stream &

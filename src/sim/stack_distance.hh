@@ -20,12 +20,11 @@
  * A profile tracks either all three streams or, when built for one
  * SweepKind, only that one — a single-curve caller pays for one
  * stack, not three. The batch path walks the block's pc / address
- * columns straight into each tracked stream; a line repeated
- * back-to-back is caught by the stream's last-line check and counted
- * as a distance-zero reuse without touching the tree. The three
- * streams of a full profile are independent (separate stacks, maps
- * and histograms), so with a worker cap above 1 they profile in
- * parallel on the shared pool, bit-identical to the serial order.
+ * columns straight into each tracked stream, on the calling thread;
+ * a line repeated back-to-back is caught by the stream's last-line
+ * check and counted as a distance-zero reuse without touching the
+ * tree. Like every sink, the profile never fans out: parallel MRC
+ * work runs as independent replays (tracefile/replay.hh).
  *
  * What this profile is *not*: a set-associative model. The conflict
  * misses an 8-way rung sees do not exist here — though the gap runs
@@ -59,9 +58,9 @@ class StackDistanceProfile : public TraceSink
      *
      * @param line_bytes Cache-line size the distances are counted in
      *        (paper: 64; must be a power of two).
-     * @param workers Executor cap for the per-stream fan-out on the
-     *        shared worker pool; 0 or 1 profiles all three streams on
-     *        the calling thread (bit-identical either way).
+     * @param workers Ignored: every stream profiles on the calling
+     *        thread. Kept only for source compatibility with existing
+     *        callers.
      * @param initial_slots Starting capacity of the time-slot space
      *        (rounded up to a power of two of at least 64). The
      *        profile compacts and regrows the slot space as the clock
@@ -86,8 +85,7 @@ class StackDistanceProfile : public TraceSink
 
     /**
      * Batch-native path: each tracked stream walks the block's pc /
-     * address columns in per-op order — in parallel across the three
-     * streams when a worker cap was given.
+     * address columns in per-op order.
      */
     void consumeBatch(const OpBlockView &ops) override;
 
@@ -179,7 +177,6 @@ class StackDistanceProfile : public TraceSink
     size_t endKind = 3;
     uint32_t lineShift = 6;
     uint32_t lineBytes = 64;
-    unsigned poolCap = 0;  //!< executor cap on the shared pool
     uint64_t ops = 0;
 };
 

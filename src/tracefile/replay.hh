@@ -1,29 +1,26 @@
 /**
  * @file
- * Parallel multi-config replay runner.
+ * Parallel replay runners: multi-config replay and the MRC ladder.
  *
- * One captured trace can feed any number of machine configurations,
- * and N traces can feed one configuration (profileTraces() in
- * core/profiler) — each replay is an independent read-only pass over
- * immutable trace bytes, so they parallelize perfectly. The runners
- * take an open TraceReader, so a file or a drained shm ring is opened
- * and validated once; they fan jobs out over the process-wide
- * WorkerPool::shared() (each job replays its own copy of the reader)
- * and always return results in input order, so parallel runs are
- * bit-identical to serial ones. No path spawns ad-hoc threads: a
- * `threads` request is resolved exactly once (0 = hardware, 1 =
- * strictly serial on the caller, N = bounded-claim cap on the shared
- * pool) and the calling thread always participates in its own
- * fan-out.
+ * One captured trace can feed any number of sinks, and N traces can
+ * feed one configuration (profileTraces() in core/profiler) — each
+ * replay is an independent read-only pass over immutable trace bytes,
+ * so they parallelize perfectly. The runners take an open
+ * TraceReader, so a file or a drained shm ring is opened and
+ * validated once; every job replays its own copy of the reader into
+ * its own sink through parallelFor() (base/worker_pool.hh), and
+ * results always come back in input order, so parallel runs are
+ * bit-identical to serial ones. No sink fans out internally: all
+ * replay parallelism is independent (reader copy, sink) jobs.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH
 #define WCRT_TRACEFILE_REPLAY_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "base/worker_pool.hh"
 #include "sim/footprint.hh"
 #include "sim/machine.hh"
 #include "sim/sim_cpu.hh"
@@ -31,25 +28,6 @@
 #include "tracefile/trace_reader.hh"
 
 namespace wcrt {
-
-/** Worker count actually used for a request (0 → hardware threads). */
-unsigned replayWorkers(unsigned requested = 0);
-
-/**
- * Run `count` independent jobs on the shared worker pool, with the
- * caller participating. job(i) is invoked exactly once for every i in
- * [0, count); the first exception any job throws is rethrown on the
- * caller after the ticket settles. A resolved worker count of 1 (or
- * count == 1) bypasses the pool entirely and runs serially.
- *
- * @param count Number of jobs.
- * @param job Callable receiving the job index; must be thread-safe
- *        with respect to the other indices.
- * @param threads Worker cap (0 → hardware threads); resolved once via
- *        replayWorkers() — the single source of the worker count.
- */
-void parallelFor(size_t count, const std::function<void(size_t)> &job,
-                 unsigned threads = 0);
 
 /**
  * Replay one trace into a SimCpu per machine configuration, in
@@ -65,12 +43,13 @@ std::vector<CpuReport> replayOnConfigs(
  * StackDistance is the primary path: one decode pass feeds a
  * Mattson reuse-distance profile of the one requested stream and the
  * whole curve — any ladder — falls out of the distance histogram
- * (fully-associative LRU; sim/stack_distance.hh). ShardedOracle is the validation path: the
- * set-associative FootprintSweep reference oracle, bit-exact for the
- * paper's 8-way rungs, at the cost of one tag walk per rung (the
- * enumerator keeps its historical name; the oracle walks each cache
- * whole and no longer shards it). Verify runs both over a single
- * decode pass and reports the maximum divergence between the curves.
+ * (fully-associative LRU; sim/stack_distance.hh). ShardedOracle is
+ * the validation path: the set-associative FootprintSweep reference
+ * oracle over the same one stream, bit-exact for the paper's 8-way
+ * rungs, at the cost of one tag walk per rung (the enumerator keeps
+ * its historical name; the oracle walks each cache whole and no
+ * longer shards it). Verify runs both as two independent replays of
+ * the trace and reports the maximum divergence between the curves.
  */
 enum class MrcMode : uint8_t { StackDistance, ShardedOracle, Verify };
 
@@ -121,17 +100,17 @@ struct MrcResult
 
 /**
  * Replay one trace across a cache-capacity ladder in the selected
- * MrcMode: one decode pass in every mode (Verify tees the decoded
- * blocks into both sinks). The stack-distance profile tracks only the
- * `kind` stream, on the calling thread; the worker cap reaches only
- * the oracle sweep, which spreads its (rung, stream) walks over the
- * shared pool.
+ * MrcMode. The mode's sinks — the stack-distance profile, the oracle
+ * sweep, or both in Verify — each measure only the `kind` stream and
+ * each replay from their own copy of the reader, as parallelFor()
+ * jobs; a sink itself never fans out.
  *
  * @param trace Open captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
- * @param threads Oracle worker cap (0 → hardware threads).
+ * @param threads Worker cap across the mode's replays (0 → hardware
+ *        threads); only Verify has two replays to spread.
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/worker_pool.hh"
 #include "core/metrics.hh"
 #include "core/profiler.hh"
 #include "sim/corun.hh"
@@ -256,23 +257,39 @@ TEST(BatchDispatch, SimCpuBitIdenticalOnStreamingPattern)
     expectSimCpuBitIdentical(streamingStream(kStreamOps));
 }
 
+/** The three reference streams a FootprintSweep can measure. */
+const SweepKind kSweepKinds[] = {SweepKind::Instruction, SweepKind::Data,
+                                 SweepKind::Unified};
+
+/**
+ * Check a one-stream sweep against the per-op reference sweep of the
+ * same stream and ladder: same op count, bit-identical miss ratios.
+ */
+void
+expectSweepMatchesPerOp(const FootprintSweep &got,
+                        const std::vector<MicroOp> &ops)
+{
+    FootprintSweep per_op(got.kind(), got.sizesKb());
+    feedPerOp(per_op, ops);
+    EXPECT_EQ(got.instructions(), per_op.instructions());
+    auto base = per_op.missRatios();
+    auto ratios = got.missRatios();
+    ASSERT_EQ(ratios.size(), base.size());
+    for (size_t i = 0; i < base.size(); ++i)
+        EXPECT_EQ(ratios[i], base[i]) << got.sizesKb()[i] << " KB";
+}
+
 TEST(BatchDispatch, FootprintSweepCurvesMatch)
 {
     auto ops = syntheticStream(kStreamOps);
     std::vector<uint32_t> sizes{16, 64, 256, 1024};
-    FootprintSweep per_op(sizes);
-    feedPerOp(per_op, ops);
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        FootprintSweep batched(sizes);
-        feedBlocked(batched, ops, block);
-        EXPECT_EQ(batched.instructions(), per_op.instructions());
-        for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                          SweepKind::Unified}) {
-            auto base = per_op.missRatios(kind);
-            auto got = batched.missRatios(kind);
-            for (size_t i = 0; i < sizes.size(); ++i)
-                EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+    for (SweepKind kind : kSweepKinds) {
+        for (size_t block : kBlockSizes) {
+            SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                         ", block " + std::to_string(block));
+            FootprintSweep batched(kind, sizes);
+            feedBlocked(batched, ops, block);
+            expectSweepMatchesPerOp(batched, ops);
         }
     }
 }
@@ -350,34 +367,27 @@ TEST(BatchDispatch, TeeSinkKeepsFanOutCountsExact)
 
 TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
 {
-    // The parallel batch path must stay bit-identical to both the
-    // scalar batch path and the per-op reference, on the random
+    // The three one-stream sweeps of a block stream, fed as
+    // concurrent jobs (the way the replay runners run sinks), must
+    // each stay bit-identical to the per-op reference, on the random
     // pattern and on the adversarial streaming pattern.
     std::vector<uint32_t> sizes{16, 64, 256, 1024};
     for (bool streaming : {false, true}) {
         SCOPED_TRACE(streaming ? "streaming" : "synthetic");
         auto ops = streaming ? streamingStream(kStreamOps)
                              : syntheticStream(kStreamOps);
-        FootprintSweep per_op(sizes);
-        feedPerOp(per_op, ops);
         for (size_t block : kBlockSizes) {
             SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(sizes);
-            FootprintSweep parallel(sizes, 8, 64, /*workers=*/3);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(parallel, ops, block);
-            EXPECT_EQ(scalar.instructions(), per_op.instructions());
-            EXPECT_EQ(parallel.instructions(), per_op.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = per_op.missRatios(kind);
-                auto scalar_got = scalar.missRatios(kind);
-                auto parallel_got = parallel.missRatios(kind);
-                for (size_t i = 0; i < sizes.size(); ++i) {
-                    EXPECT_EQ(scalar_got[i], base[i]) << sizes[i] << " KB";
-                    EXPECT_EQ(parallel_got[i], base[i])
-                        << sizes[i] << " KB";
-                }
+            std::vector<FootprintSweep> sweeps;
+            for (SweepKind kind : kSweepKinds)
+                sweeps.emplace_back(kind, sizes);
+            parallelFor(sweeps.size(), [&](size_t i) {
+                feedBlocked(sweeps[i], ops, block);
+            }, 3);
+            for (const FootprintSweep &sweep : sweeps) {
+                SCOPED_TRACE("kind " + std::to_string(
+                                           static_cast<int>(sweep.kind())));
+                expectSweepMatchesPerOp(sweep, ops);
             }
         }
     }
@@ -385,29 +395,23 @@ TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
 
 TEST(SweepRungSplit, FullLadderMatchesScalarAcrossBlockSizes)
 {
-    // The full paper ladder up to the 8192 KB rung, with a worker cap
-    // wider than the (rung, stream) fan-out needs, at block sizes
-    // 1 / 7 / 4096 on both reference patterns. Each cache is walked
-    // whole by one task, so every count must stay bit-identical to
-    // the scalar (workers = 0) walk.
+    // The full paper ladder up to the 8192 KB rung at block sizes
+    // 1 / 7 / 4096 on both reference patterns: every rung of every
+    // one-stream sweep walks the block's runs whole, so each count
+    // must stay bit-identical to the per-op walk.
     auto ladder = paperSweepSizesKb();
     for (bool streaming : {false, true}) {
         SCOPED_TRACE(streaming ? "streaming" : "synthetic");
         auto ops = streaming ? streamingStream(kStreamOps)
                              : syntheticStream(kStreamOps);
-        for (size_t block : kBlockSizes) {
-            SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(ladder);
-            FootprintSweep split(ladder, 8, 64, /*workers=*/8);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(split, ops, block);
-            EXPECT_EQ(split.instructions(), scalar.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = scalar.missRatios(kind);
-                auto got = split.missRatios(kind);
-                for (size_t i = 0; i < ladder.size(); ++i)
-                    EXPECT_EQ(got[i], base[i]) << ladder[i] << " KB";
+        for (SweepKind kind : kSweepKinds) {
+            for (size_t block : kBlockSizes) {
+                SCOPED_TRACE("kind " +
+                             std::to_string(static_cast<int>(kind)) +
+                             ", block " + std::to_string(block));
+                FootprintSweep batched(kind, ladder);
+                feedBlocked(batched, ops, block);
+                expectSweepMatchesPerOp(batched, ops);
             }
         }
     }
@@ -416,20 +420,15 @@ TEST(SweepRungSplit, FullLadderMatchesScalarAcrossBlockSizes)
 TEST(SweepRungSplit, OddSetCountsSplitCleanly)
 {
     // 48 KB and 96 KB 8-way rungs have 96 and 192 sets — not powers
-    // of two, so the caches index by modulo. The parallel walk must
-    // still match the scalar one.
+    // of two, so the caches index by modulo. The batched walk must
+    // still match the per-op one on every stream.
     std::vector<uint32_t> sizes{48, 96};
     auto ops = syntheticStream(kStreamOps);
-    FootprintSweep scalar(sizes, 8, 64, 0);
-    FootprintSweep split(sizes, 8, 64, /*workers=*/3);
-    feedBlocked(scalar, ops, 64);
-    feedBlocked(split, ops, 64);
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        auto base = scalar.missRatios(kind);
-        auto got = split.missRatios(kind);
-        for (size_t i = 0; i < sizes.size(); ++i)
-            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+    for (SweepKind kind : kSweepKinds) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        FootprintSweep batched(kind, sizes);
+        feedBlocked(batched, ops, 64);
+        expectSweepMatchesPerOp(batched, ops);
     }
 }
 
@@ -440,30 +439,24 @@ TEST(BatchDispatch, FootprintSweepSurvivesMixedDelivery)
     // per-op path alone reaches, so the counts match exactly.
     auto ops = streamingStream(kStreamOps);
     std::vector<uint32_t> sizes{16, 128};
-    FootprintSweep per_op(sizes);
-    feedPerOp(per_op, ops);
-    FootprintSweep mixed(sizes, 8, 64, /*workers=*/2);
-    OpBlock buf(64);
-    for (size_t i = 0; i < ops.size();) {
-        if ((i / 64) % 3 == 2) {
-            mixed.consume(ops[i]);
-            ++i;
-            continue;
+    for (SweepKind kind : kSweepKinds) {
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        FootprintSweep mixed(kind, sizes);
+        OpBlock buf(64);
+        for (size_t i = 0; i < ops.size();) {
+            if ((i / 64) % 3 == 2) {
+                mixed.consume(ops[i]);
+                ++i;
+                continue;
+            }
+            size_t n = std::min<size_t>(64, ops.size() - i);
+            buf.clear();
+            for (size_t j = 0; j < n; ++j)
+                buf.push(ops[i + j]);
+            mixed.consumeBlock(buf);
+            i += n;
         }
-        size_t n = std::min<size_t>(64, ops.size() - i);
-        buf.clear();
-        for (size_t j = 0; j < n; ++j)
-            buf.push(ops[i + j]);
-        mixed.consumeBlock(buf);
-        i += n;
-    }
-    EXPECT_EQ(mixed.instructions(), per_op.instructions());
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        auto base = per_op.missRatios(kind);
-        auto got = mixed.missRatios(kind);
-        for (size_t i = 0; i < sizes.size(); ++i)
-            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+        expectSweepMatchesPerOp(mixed, ops);
     }
 }
 

@@ -434,6 +434,36 @@ TEST(ScenarioRunnerTest, SweepCellBitIdenticalToHandCodedBench)
     }
 }
 
+TEST(ScenarioRunnerTest, SweepCellIdenticalAcrossJobs)
+{
+    // averageSweep() replays a group's traces as parallel jobs (with
+    // Verify's two replays nested inside each) but sums the curves in
+    // roster order, so every curve and divergence is bitwise equal at
+    // jobs=1 and jobs=4, in every mode.
+    ScenarioParse parse = loadScenario(scnPath("fig6_icache.scn"));
+    ASSERT_TRUE(parse.ok()) << parse.formatIssues();
+    ASSERT_FALSE(parse.spec.groups.empty());
+    std::vector<WorkloadEntry> group = parse.spec.groups[0].entries;
+    ASSERT_GE(group.size(), 3u);
+    group.resize(3);
+    std::string dir = tempCacheDir("jobs");
+    TraceCache cache(dir);
+    const double scale = 0.0625;
+    for (MrcMode mode : {MrcMode::StackDistance, MrcMode::ShardedOracle,
+                         MrcMode::Verify}) {
+        SCOPED_TRACE(toString(mode));
+        SweepCellResult serial =
+            averageSweep(parse.spec, group, scale, mode, cache, 1);
+        SweepCellResult pooled =
+            averageSweep(parse.spec, group, scale, mode, cache, 4);
+        ASSERT_EQ(serial.curve.size(), paperSweepSizesKb().size());
+        EXPECT_GT(serial.curve.front(), 0.0);
+        EXPECT_EQ(pooled.curve, serial.curve);
+        EXPECT_EQ(pooled.maxDivergence, serial.maxDivergence);
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ScenarioRunnerTest, TrafficOpStreamsIdenticalAcrossJobs)
 {
     // The loadgen determinism contract through the scenario layer:

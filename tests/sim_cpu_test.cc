@@ -69,16 +69,20 @@ TEST(FootprintSweep, MonotoneNonIncreasingCurves)
     CodeLayout layout;
     auto fw = layout.addFunction("big", CodeLayer::Framework, 256 * 1024,
                                  CallProfile{400, 4096});
-    FootprintSweep sweep({16, 64, 256, 1024});
-    Tracer t(layout, sweep);
+    FootprintSweep isweep(SweepKind::Instruction, {16, 64, 256, 1024});
+    FootprintSweep usweep(SweepKind::Unified, {16, 64, 256, 1024});
+    TeeSink tee;
+    tee.addSink(&isweep);
+    tee.addSink(&usweep);
+    Tracer t(layout, tee);
     t.call(fw);
     for (int i = 0; i < 200; ++i) {
         t.ret();
         t.call(fw);
     }
     t.ret();
-    for (auto kind : {SweepKind::Instruction, SweepKind::Unified}) {
-        auto curve = sweep.missRatios(kind);
+    for (const FootprintSweep *sweep : {&isweep, &usweep}) {
+        auto curve = sweep->missRatios();
         for (size_t i = 1; i < curve.size(); ++i)
             EXPECT_LE(curve[i], curve[i - 1] + 1e-9);
     }
@@ -89,13 +93,13 @@ TEST(FootprintSweep, BigCodeMissesSmallCaches)
     CodeLayout layout;
     auto fw = layout.addFunction("big", CodeLayer::Framework, 512 * 1024,
                                  CallProfile{500, 8192});
-    FootprintSweep sweep(paperSweepSizesKb());
+    FootprintSweep sweep(SweepKind::Instruction, paperSweepSizesKb());
     Tracer t(layout, sweep);
     for (int i = 0; i < 300; ++i) {
         t.call(fw);
         t.ret();
     }
-    auto curve = sweep.missRatios(SweepKind::Instruction);
+    auto curve = sweep.missRatios();
     // 16 KB must miss clearly more than 8 MB.
     EXPECT_GT(curve.front(), 3.0 * curve.back() + 1e-6);
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/worker_pool.hh"
 #include "sim/footprint.hh"
 #include "sim/stack_distance.hh"
 #include "tracefile/replay.hh"
@@ -124,21 +125,25 @@ feedPerOp(TraceSink &sink, const std::vector<MicroOp> &ops)
 /**
  * The oracle the profile must match bit-exactly: a fully-associative
  * LRU cache of `kb` capacity — one FootprintSweep rung with
- * assoc = lines, i.e. a single set holding the whole capacity.
+ * assoc = lines, i.e. a single set holding the whole capacity — per
+ * stream, indexed by SweepKind.
  */
 std::vector<double>
 fullyAssocRatios(const std::vector<MicroOp> &ops, uint32_t kb,
                  size_t block)
 {
     uint32_t lines = kb * 1024 / 64;
-    FootprintSweep sweep({kb}, /*assoc=*/lines);
-    if (block == 0)
-        feedPerOp(sweep, ops);
-    else
-        feedBlocked(sweep, ops, block);
-    return {sweep.missRatios(SweepKind::Instruction)[0],
-            sweep.missRatios(SweepKind::Data)[0],
-            sweep.missRatios(SweepKind::Unified)[0]};
+    std::vector<double> out;
+    for (SweepKind kind : {SweepKind::Instruction, SweepKind::Data,
+                           SweepKind::Unified}) {
+        FootprintSweep sweep(kind, {kb}, /*assoc=*/lines);
+        if (block == 0)
+            feedPerOp(sweep, ops);
+        else
+            feedBlocked(sweep, ops, block);
+        out.push_back(sweep.missRatios()[0]);
+    }
+    return out;
 }
 
 /** The capacities the equivalence runs ladder (kept small: the
@@ -345,22 +350,6 @@ TEST(StackDistance, SlotCompactionPreservesEveryDistance)
     }
 }
 
-TEST(StackDistance, ParallelStreamsMatchSerial)
-{
-    auto ops = streamingStream(kStreamOps);
-    StackDistanceProfile serial(64, 0);
-    StackDistanceProfile parallel(64, 4);
-    feedBlocked(serial, ops, 4096);
-    feedBlocked(parallel, ops, 4096);
-    auto sizes = paperSweepSizesKb();
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        EXPECT_EQ(parallel.histogram(kind), serial.histogram(kind));
-        EXPECT_EQ(parallel.missRatios(kind, sizes),
-                  serial.missRatios(kind, sizes));
-    }
-}
-
 TEST(StackDistance, CountsKnownDistances)
 {
     // Lines A B C A B: the re-touches see 2 intervening distinct
@@ -431,6 +420,36 @@ writeTrace(const std::string &tag, const std::vector<MicroOp> &ops)
     return path;
 }
 
+TEST(StackDistance, ParallelStreamsMatchSerial)
+{
+    // The three streams profiled as concurrent jobs — one-stream
+    // profiles, each replaying its own copy of one reader, the way
+    // the replay runners run sinks — must match the serial
+    // three-stream profile exactly.
+    std::string path =
+        writeTrace("streams", streamingStream(kStreamOps));
+    TraceReader trace(path);
+    StackDistanceProfile serial;
+    TraceReader(trace).replayInto(serial);
+    std::vector<StackDistanceProfile> parallel;
+    for (SweepKind kind : kAllKinds)
+        parallel.emplace_back(kind);
+    parallelFor(parallel.size(), [&](size_t i) {
+        TraceReader reader(trace);
+        reader.replayInto(parallel[i]);
+    }, 4);
+    auto sizes = paperSweepSizesKb();
+    for (SweepKind kind : kAllKinds) {
+        const StackDistanceProfile &p =
+            parallel[static_cast<size_t>(kind)];
+        EXPECT_EQ(p.instructions(), serial.instructions());
+        EXPECT_EQ(p.histogram(kind), serial.histogram(kind));
+        EXPECT_EQ(p.missRatios(kind, sizes),
+                  serial.missRatios(kind, sizes));
+    }
+    fs::remove(path);
+}
+
 TEST(Mrc, ModeNamesRoundTrip)
 {
     MrcMode mode = MrcMode::Verify;
@@ -451,11 +470,11 @@ TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
 {
     std::string path = writeTrace("modes", syntheticStream(kStreamOps));
     auto sizes = paperSweepSizesKb();
-    FootprintSweep sweep(sizes);
-    TraceReader(path).replayInto(sweep);
 
     for (SweepKind kind : kAllKinds) {
         SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+        FootprintSweep sweep(kind, sizes);
+        TraceReader(path).replayInto(sweep);
         MrcResult oracle = replaySweepLadder(
             path, kind, sizes, MrcMode::ShardedOracle, 1);
         MrcResult stack = replaySweepLadder(
@@ -465,11 +484,11 @@ TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
 
         // The oracle mode is a plain FootprintSweep replay of the
         // trace.
-        EXPECT_EQ(oracle.ratios, sweep.missRatios(kind));
+        EXPECT_EQ(oracle.ratios, sweep.missRatios());
         EXPECT_TRUE(oracle.oracleRatios.empty());
         EXPECT_EQ(oracle.maxDivergence, 0.0);
 
-        // Verify computes both models over one decode: its stack
+        // Verify computes both models as two replays: its stack
         // curve matches stack mode, its oracle curve matches oracle
         // mode, and the divergence is exactly the max gap between
         // them.

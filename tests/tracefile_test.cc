@@ -481,10 +481,14 @@ TEST(TraceFile, LiveAndReplayedSinksAgree)
             runThroughSink(*w, live_mix);
         }
         std::vector<uint32_t> sizes{16, 64, 256};
-        FootprintSweep live_sweep(sizes);
+        FootprintSweep live_inst(SweepKind::Instruction, sizes);
+        FootprintSweep live_data(SweepKind::Data, sizes);
         {
             WorkloadPtr w = entry.make(scale);
-            runThroughSink(*w, live_sweep);
+            TeeSink tee;
+            tee.addSink(&live_inst);
+            tee.addSink(&live_data);
+            runThroughSink(*w, tee);
         }
         WorkloadRun live_run;
         {
@@ -509,15 +513,15 @@ TEST(TraceFile, LiveAndReplayedSinksAgree)
                 << "kind " << k;
         }
 
-        FootprintSweep replay_sweep(sizes);
-        reader.replayInto(replay_sweep);
-        auto live_inst = live_sweep.missRatios(SweepKind::Instruction);
-        auto replay_inst = replay_sweep.missRatios(SweepKind::Instruction);
-        auto live_data = live_sweep.missRatios(SweepKind::Data);
-        auto replay_data = replay_sweep.missRatios(SweepKind::Data);
-        for (size_t i = 0; i < sizes.size(); ++i) {
-            EXPECT_EQ(live_inst[i], replay_inst[i]) << sizes[i] << " KB";
-            EXPECT_EQ(live_data[i], replay_data[i]) << sizes[i] << " KB";
+        for (const FootprintSweep *live : {&live_inst, &live_data}) {
+            FootprintSweep replay_sweep(live->kind(), sizes);
+            reader.replayInto(replay_sweep);
+            auto live_curve = live->missRatios();
+            auto replay_curve = replay_sweep.missRatios();
+            for (size_t i = 0; i < sizes.size(); ++i)
+                EXPECT_EQ(live_curve[i], replay_curve[i])
+                    << "kind " << static_cast<int>(live->kind()) << ", "
+                    << sizes[i] << " KB";
         }
 
         WorkloadRun replayed = profileWorkload(reader, xeonE5645());
@@ -1176,12 +1180,12 @@ TEST(Replay, ParallelReplayMatchesSerial)
     auto replayed = replaySweepLadder(path, SweepKind::Instruction,
                                       ladder, MrcMode::ShardedOracle, 4)
                         .ratios;
-    FootprintSweep live(ladder);
+    FootprintSweep live(SweepKind::Instruction, ladder);
     {
         WorkloadPtr w = entry.make(0.1);
         runThroughSink(*w, live);
     }
-    auto live_curve = live.missRatios(SweepKind::Instruction);
+    auto live_curve = live.missRatios();
     ASSERT_EQ(replayed.size(), ladder.size());
     for (size_t i = 0; i < ladder.size(); ++i)
         EXPECT_EQ(replayed[i], live_curve[i]) << ladder[i] << " KB";
@@ -1307,11 +1311,12 @@ TEST(Replay, TracesOnJobsOneMatchesJobsMany)
 
 TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
 {
-    // Replay runners and the sweep share one process-wide pool, so a
-    // sweep ladder launched from inside a pooled replay job nests
-    // bounded tickets. The inner wait() participates in its own
-    // fan-out, so this must complete (and stay bit-identical) even if
-    // every pool thread is parked on an outer job.
+    // Every fan-out shares one process-wide pool, so a Verify ladder
+    // — two replays as parallelFor jobs — launched from inside a
+    // pooled job nests bounded tickets. The inner wait() participates
+    // in its own fan-out, so this must complete (and stay
+    // bit-identical) even if every pool thread is parked on an outer
+    // job.
     const WorkloadEntry &entry = findWorkload("M-Grep");
     std::string path = tempTracePath("nested-sweep");
     {
@@ -1320,20 +1325,18 @@ TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
     }
 
     std::vector<uint32_t> ladder{16, 64, 256};
-    auto expect = replaySweepLadder(path, SweepKind::Unified, ladder,
-                                    MrcMode::ShardedOracle, 1)
-                      .ratios;
-    std::vector<std::vector<double>> got(3);
+    MrcResult expect = replaySweepLadder(path, SweepKind::Unified, ladder,
+                                         MrcMode::Verify, 1);
+    std::vector<MrcResult> got(3);
     parallelFor(got.size(), [&](size_t i) {
         got[i] = replaySweepLadder(path, SweepKind::Unified, ladder,
-                                   MrcMode::ShardedOracle, 4)
-                     .ratios;
+                                   MrcMode::Verify, 4);
     }, 3);
     for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].size(), expect.size()) << "job " << i;
-        for (size_t k = 0; k < ladder.size(); ++k)
-            EXPECT_EQ(got[i][k], expect[k])
-                << "job " << i << ", " << ladder[k] << " KB";
+        SCOPED_TRACE("job " + std::to_string(i));
+        EXPECT_EQ(got[i].ratios, expect.ratios);
+        EXPECT_EQ(got[i].oracleRatios, expect.oracleRatios);
+        EXPECT_EQ(got[i].maxDivergence, expect.maxDivergence);
     }
     fs::remove(path);
 }

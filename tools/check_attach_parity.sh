@@ -4,7 +4,8 @@
 # `attach --mrc`, once into `attach --machine=xeon,atom` — and requires
 # each attach table to match `trace_tool mrc` / `trace_tool replay` on
 # the recorded file line for line. Then checks that malformed numeric
-# flag values make trace_tool and scenario_tool exit non-zero.
+# flag values and a malformed WCRT_SCALE make trace_tool, scenario_tool
+# and a figure bench exit non-zero.
 #
 # Usage: tools/check_attach_parity.sh BUILD_DIR [WORKLOAD] [SCALE]
 
@@ -15,6 +16,7 @@ workload=${2:-H-WordCount}
 scale=${3:-0.02}
 tool="$build/bench/trace_tool"
 scenario="$build/bench/scenario_tool"
+table4="$build/bench/table4_branch_prediction"
 scn="$(cd "$(dirname "$0")/.." && pwd)/scenarios/replay_machines.scn"
 ring="wcrt.parity.$$"
 dir=$(mktemp -d)
@@ -59,6 +61,11 @@ expect_failure "$tool" mrc "$dir/t.wtrace" --line=-64
 expect_failure "$tool" mrc "$dir/t.wtrace" --jobs=2x
 expect_failure "$tool" dump "$dir/t.wtrace" --limit=abc
 expect_failure "$tool" attach --ring="$ring" --jobs=-1
+expect_failure "$tool" record H-Grep "$dir/x.wtrace" --scale=0.05x
 expect_failure "$scenario" run "$scn" --cell=abc
 expect_failure "$scenario" run "$scn" --jobs=-1
+expect_failure "$scenario" run "$scn" --scale=abc
+expect_failure "$table4" --jobs=abc
+expect_failure "$table4" --jobs=-1
+expect_failure env WCRT_SCALE=abc "$table4"
 echo "malformed numeric flags exit non-zero"
