@@ -579,8 +579,9 @@ BM_ReplaySweepBatch(benchmark::State &state)
 BENCHMARK(BM_ReplaySweepBatch);
 
 /**
- * fig8's verify-mode call: the unified stack-distance profile and the
- * unified oracle sweep as two independent replays of one trace. The
+ * fig8's verify-mode call: the unified oracle sweep and the unified
+ * stack-distance profile's chunk ranges as independent replays of one
+ * trace. The
  * threaded rows measure wall time: CPU-time-based items/s would count
  * only the calling thread while the pool does the work, overstating
  * throughput on every multi-core host.

@@ -6,8 +6,9 @@
  * Every parallel path in the toolkit has the same shape: `count`
  * independent jobs, each a replay of its own reader copy into its own
  * sink (the multi-config and many-trace replay runners, the MRC
- * ladder's Verify pair, a sweep group's traces) or one loadgen actor's
- * phase. No sink fans out internally. Each goes through parallelFor(),
+ * ladder's chunk-range profiles and Verify's oracle sweep, a sweep
+ * group's traces) or one loadgen actor's phase. No sink fans out
+ * internally. Each goes through parallelFor(),
  * which resolves the worker request once (replayWorkers()) and runs
  * the jobs through runBounded(); pool threads and the calling thread
  * claim indices from a shared atomic counter, so the caller never
@@ -25,7 +26,7 @@
  *
  * Nesting is deadlock-free by construction: the caller always helps
  * with its own task's indices before sleeping, so a pool thread that
- * runs a sub-task from inside a job (a Verify ladder's two replays
+ * runs a sub-task from inside a job (a ladder's range replays
  * inside a pooled sweep-group job) makes progress on that sub-task
  * itself and only sleeps once every index is claimed by threads that
  * are actively executing them.

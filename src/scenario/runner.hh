@@ -92,7 +92,9 @@ std::unique_ptr<TrafficTarget> makeScenarioTarget(
  * fig6–9 benches both average through here.
  *
  * @param jobs Worker cap across the group's replays, also handed to
- *        each replaySweepLadder().
+ *        each replaySweepLadder(), where it caps the trace's chunk
+ *        ranges; a pool thread left idle by the group's last traces
+ *        picks up their range replays.
  */
 SweepCellResult averageSweep(const ScenarioSpec &spec,
                              const std::vector<WorkloadEntry> &group,

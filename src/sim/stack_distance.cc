@@ -173,6 +173,53 @@ StackDistanceProfile::Stream::compact()
     clock = live;
 }
 
+uint64_t
+StackDistanceProfile::Stream::touch(uint64_t line)
+{
+    if (clock == slotCap)
+        compact();
+    size_t i = probe(line);
+    uint64_t now = clock++;
+    bits[now >> 6] |= 1ull << (now & 63);
+    if (keys[i] == kEmptyKey) {
+        keys[i] = line;
+        vals[i] = now;
+        ++live;
+        wordAdd(now >> 6, +1);
+        growMapIfNeeded();
+        return kFirstTouch;
+    }
+    // The depth is the number of live lines whose last-access slot is
+    // more recent than this line's — every live slot but this one,
+    // less those before it: the whole words below its word from the
+    // tree, the lower bits of its own word by popcount. (The bit just
+    // set for `now` sits above `prev`.)
+    uint64_t prev = vals[i];
+    size_t word = prev >> 6;
+    uint64_t before =
+        wordPrefix(word) + static_cast<uint64_t>(std::popcount(
+                               bits[word] & below(prev & 63)));
+    bits[word] &= ~(1ull << (prev & 63));
+    if (word != now >> 6) {
+        wordAdd(word, -1);
+        wordAdd(now >> 6, +1);
+    }
+    vals[i] = now;
+    return live - 1 - before;
+}
+
+void
+StackDistanceProfile::Stream::count(uint64_t line, uint64_t d)
+{
+    if (d != kFirstTouch) {
+        bump(d);
+        return;
+    }
+    // First touch: compulsory miss at every capacity.
+    ++cold;
+    firsts.push_back(line);
+}
+
 void
 StackDistanceProfile::Stream::access(uint64_t line)
 {
@@ -184,38 +231,37 @@ StackDistanceProfile::Stream::access(uint64_t line)
         return;
     }
     lastLine = line;
-    if (clock == slotCap)
-        compact();
-    size_t i = probe(line);
-    uint64_t now = clock++;
-    bits[now >> 6] |= 1ull << (now & 63);
-    if (keys[i] == kEmptyKey) {
-        // First touch: compulsory miss at every capacity.
-        keys[i] = line;
-        vals[i] = now;
-        ++live;
-        ++cold;
-        wordAdd(now >> 6, +1);
-        growMapIfNeeded();
-        return;
-    }
-    // Reuse: the distance is the number of live lines whose
-    // last-access slot is more recent than this line's — every live
-    // slot but this one, less those before it: the whole words below
-    // its word from the tree, the lower bits of its own word by
-    // popcount. (The bit just set for `now` sits above `prev`.)
-    uint64_t prev = vals[i];
-    size_t word = prev >> 6;
-    uint64_t before =
-        wordPrefix(word) + static_cast<uint64_t>(std::popcount(
-                               bits[word] & below(prev & 63)));
-    bump(live - 1 - before);
-    bits[word] &= ~(1ull << (prev & 63));
-    if (word != now >> 6) {
-        wordAdd(word, -1);
-        wordAdd(now >> 6, +1);
-    }
-    vals[i] = now;
+    count(line, touch(line));
+}
+
+void
+StackDistanceProfile::Stream::absorb(const Stream &later)
+{
+    // Replay `later`'s first touches in order. Every line `later`
+    // touched before its first touch of a line L is itself one of
+    // those first touches, so the lines above L when it is replayed
+    // are exactly those touched since L's previous access: its depth
+    // is its exact distance across the boundary.
+    for (uint64_t line : later.firsts)
+        count(line, touch(line));
+    // Re-stack `later`'s lines oldest first, so the stack ends as one
+    // pass over both stretches would leave it.
+    std::vector<std::pair<uint64_t, uint64_t>> recency;  // (slot, line)
+    recency.reserve(later.live);
+    for (size_t j = 0; j < later.keys.size(); ++j)
+        if (later.keys[j] != kEmptyKey)
+            recency.emplace_back(later.vals[j], later.keys[j]);
+    std::sort(recency.begin(), recency.end());
+    for (const auto &entry : recency)
+        touch(entry.second);
+    // Reuses inside `later` already carry their exact distances.
+    if (hist.size() < later.hist.size())
+        hist.resize(later.hist.size(), 0);
+    for (size_t d = 0; d < later.hist.size(); ++d)
+        hist[d] += later.hist[d];
+    total += later.total;
+    if (later.total != 0)
+        lastLine = later.lastLine;  // now on top of the stack
 }
 
 void
@@ -261,6 +307,18 @@ StackDistanceProfile::consumeBatch(const OpBlockView &batch)
     ops += batch.count;
     for (size_t k = firstKind; k < endKind; ++k)
         walk(streams[k], static_cast<SweepKind>(k), batch);
+}
+
+void
+StackDistanceProfile::absorb(const StackDistanceProfile &later)
+{
+    if (later.firstKind != firstKind || later.endKind != endKind ||
+        later.lineBytes != lineBytes)
+        wcrt_fatal("stack-distance profile: cannot absorb a profile of "
+                   "other streams or another line size");
+    for (size_t k = firstKind; k < endKind; ++k)
+        streams[k].absorb(later.streams[k]);
+    ops += later.ops;
 }
 
 const StackDistanceProfile::Stream &

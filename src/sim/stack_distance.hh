@@ -24,7 +24,9 @@
  * a line repeated back-to-back is caught by the stream's last-line
  * check and counted as a distance-zero reuse without touching the
  * tree. Like every sink, the profile never fans out: parallel MRC
- * work runs as independent replays (tracefile/replay.hh).
+ * work runs as independent replays (tracefile/replay.hh), and
+ * profiles of consecutive stretches of one stream merge exactly with
+ * absorb().
  *
  * What this profile is *not*: a set-associative model. The conflict
  * misses an 8-way rung sees do not exist here — though the gap runs
@@ -119,6 +121,23 @@ class StackDistanceProfile : public TraceSink
      */
     const std::vector<uint64_t> &histogram(SweepKind kind) const;
 
+    /**
+     * Fold in the profile of the stretch of the stream that directly
+     * follows this one, so the result is bit-identical to one profile
+     * of both stretches — the sequential merge of PARDA (Niu et al.,
+     * "PARDA: A Fast Parallel Reuse Distance Analysis Algorithm",
+     * IPDPS'12). A reuse whose previous access lies inside `later`
+     * already has its exact distance there. Each of `later`'s first
+     * touches is replayed, in order, on this stack: its depth is its
+     * exact distance across the boundary, and a line this stack lacks
+     * is a cold miss of the whole stream. `later`'s lines are then
+     * re-stacked in `later`'s own recency order, uncounted, and its
+     * histogram, totals and instructions are added. The cost is about
+     * two stack moves per distinct line of `later`. Fatal when the
+     * two profiles track different streams or line sizes.
+     */
+    void absorb(const StackDistanceProfile &later);
+
   private:
     /**
      * One reference stream's LRU stack profile.
@@ -141,6 +160,8 @@ class StackDistanceProfile : public TraceSink
         static constexpr uint64_t kEmptyKey = ~0ull;
         /** lastLine sentinel distinct from any real line id. */
         static constexpr uint64_t kNoLine = ~0ull - 1;
+        /** touch() result for a line the stack did not hold. */
+        static constexpr uint64_t kFirstTouch = ~0ull;
 
         std::vector<uint64_t> keys;  //!< line ids, kEmptyKey = free
         std::vector<uint64_t> vals;  //!< last-access time slot
@@ -153,11 +174,21 @@ class StackDistanceProfile : public TraceSink
         uint64_t cold = 0;           //!< first-touch misses
         uint64_t total = 0;          //!< accesses profiled
         uint64_t lastLine = kNoLine; //!< back-to-back repeat check
+        std::vector<uint64_t> firsts;  //!< first-touched lines, in order
 
         void init(size_t slots);
         void access(uint64_t line);
+        void absorb(const Stream &later);
 
       private:
+        /**
+         * Move `line` to the top of the stack and return its depth
+         * before the move, or kFirstTouch when it was not on the
+         * stack (it is pushed). Counts nothing.
+         */
+        uint64_t touch(uint64_t line);
+        /** Count one access whose touch() returned `d`. */
+        void count(uint64_t line, uint64_t d);
         void bump(uint64_t d);
         void wordAdd(size_t word, int64_t delta);
         uint64_t wordPrefix(size_t words) const;

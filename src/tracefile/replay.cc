@@ -49,6 +49,29 @@ parseMrcMode(const std::string &name, MrcMode &out)
     return true;
 }
 
+namespace {
+
+/**
+ * Cut `trace`'s chunks into `ranges` consecutive runs of about equal
+ * op counts: range r covers chunks [cuts[r], cuts[r + 1]).
+ */
+std::vector<uint64_t>
+chunkCuts(const TraceReader &trace, size_t ranges)
+{
+    std::vector<uint64_t> cuts(ranges + 1, trace.chunkCount());
+    cuts[0] = 0;
+    uint64_t prefix = 0;
+    size_t r = 1;
+    for (uint64_t c = 0; c < trace.chunkCount() && r < ranges; ++c) {
+        prefix += trace.chunkOps(c);
+        if (prefix * ranges >= trace.opCount() * r)
+            cuts[r++] = c + 1;
+    }
+    return cuts;
+}
+
+} // namespace
+
 MrcResult
 replaySweepLadder(const TraceReader &trace, SweepKind kind,
                   const std::vector<uint32_t> &sizes_kb, MrcMode mode,
@@ -58,32 +81,48 @@ replaySweepLadder(const TraceReader &trace, SweepKind kind,
     if (sizes_kb.empty())
         return result;
 
-    // The mode's sinks, each replayed from its own copy of the reader:
-    // Verify's profile and sweep are two independent jobs. Every
-    // chunk decodes the same way in both, so the comparison cannot be
-    // skewed by the second pass.
-    std::optional<StackDistanceProfile> profile;
+    // Every job replays from its own copy of the reader: the oracle
+    // sweep, when the mode has one, over the whole trace (first,
+    // because it runs longest), and the stack-distance profile as one
+    // job per consecutive chunk range — as many ranges as the worker
+    // cap, so the cut depends only on the trace and the request. The
+    // range profiles then merge in order into the profile one pass
+    // would have built.
+    std::vector<StackDistanceProfile> parts;
+    std::vector<uint64_t> cuts;
+    if (mode != MrcMode::ShardedOracle) {
+        size_t ranges = std::max<uint64_t>(
+            1, std::min<uint64_t>(replayWorkers(threads),
+                                  trace.chunkCount()));
+        cuts = chunkCuts(trace, ranges);
+        parts.assign(ranges, StackDistanceProfile(kind, line_bytes));
+    }
     std::optional<FootprintSweep> sweep;
-    std::vector<TraceSink *> sinks;
-    if (mode != MrcMode::ShardedOracle)
-        sinks.push_back(&profile.emplace(kind, line_bytes));
     if (mode != MrcMode::StackDistance)
-        sinks.push_back(&sweep.emplace(kind, sizes_kb, assoc,
-                                       line_bytes));
-    parallelFor(sinks.size(), [&](size_t i) {
+        sweep.emplace(kind, sizes_kb, assoc, line_bytes);
+    size_t first_range = sweep ? 1 : 0;
+    parallelFor(first_range + parts.size(), [&](size_t i) {
         TraceReader reader(trace);
-        reader.replayInto(*sinks[i]);
+        if (i < first_range) {
+            reader.replayInto(*sweep);
+            return;
+        }
+        size_t r = i - first_range;
+        reader.replayChunks(parts[r], cuts[r], cuts[r + 1]);
     }, threads);
 
-    if (profile) {
-        result.ratios = profile->missRatios(kind, sizes_kb);
-        result.accesses = profile->accesses(kind);
-        result.distinctLines = profile->distinctLines(kind);
+    if (!parts.empty()) {
+        StackDistanceProfile &profile = parts.front();
+        for (size_t r = 1; r < parts.size(); ++r)
+            profile.absorb(parts[r]);
+        result.ratios = profile.missRatios(kind, sizes_kb);
+        result.accesses = profile.accesses(kind);
+        result.distinctLines = profile.distinctLines(kind);
     }
     if (sweep)
-        (profile ? result.oracleRatios : result.ratios) =
+        (parts.empty() ? result.ratios : result.oracleRatios) =
             sweep->missRatios();
-    if (profile && sweep) {
+    if (!parts.empty() && sweep) {
         for (size_t i = 0; i < result.ratios.size(); ++i)
             result.maxDivergence = std::max(
                 result.maxDivergence,

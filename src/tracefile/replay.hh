@@ -11,7 +11,10 @@
  * its own sink through parallelFor() (base/worker_pool.hh), and
  * results always come back in input order, so parallel runs are
  * bit-identical to serial ones. No sink fans out internally: all
- * replay parallelism is independent (reader copy, sink) jobs.
+ * replay parallelism is independent (reader copy, sink) jobs. A job
+ * may replay only a run of consecutive chunks: the MRC ladder
+ * profiles chunk ranges as separate jobs and merges the range
+ * profiles, in order, into exactly the one-pass profile.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH
@@ -40,16 +43,20 @@ std::vector<CpuReport> replayOnConfigs(
 /**
  * How a miss-ratio curve (MRC) is computed from a trace.
  *
- * StackDistance is the primary path: one decode pass feeds a
- * Mattson reuse-distance profile of the one requested stream and the
- * whole curve — any ladder — falls out of the distance histogram
- * (fully-associative LRU; sim/stack_distance.hh). ShardedOracle is
+ * StackDistance is the primary path: a Mattson reuse-distance
+ * profile of the one requested stream, from which the whole curve —
+ * any ladder — falls out of the distance histogram (fully-associative
+ * LRU; sim/stack_distance.hh). The profile is built as consecutive
+ * chunk ranges, one per worker, and merged exactly
+ * (StackDistanceProfile::absorb), so every worker count gives the
+ * one-pass histogram bit for bit. ShardedOracle is
  * the validation path: the set-associative FootprintSweep reference
  * oracle over the same one stream, bit-exact for the paper's 8-way
  * rungs, at the cost of one tag walk per rung (the enumerator keeps
  * its historical name; the oracle walks each cache whole and no
- * longer shards it). Verify runs both as two independent replays of
- * the trace and reports the maximum divergence between the curves.
+ * longer shards it). Verify runs both — the oracle as one more
+ * replay of the whole trace — and reports the maximum divergence
+ * between the curves.
  */
 enum class MrcMode : uint8_t { StackDistance, ShardedOracle, Verify };
 
@@ -103,14 +110,20 @@ struct MrcResult
  * MrcMode. The mode's sinks — the stack-distance profile, the oracle
  * sweep, or both in Verify — each measure only the `kind` stream and
  * each replay from their own copy of the reader, as parallelFor()
- * jobs; a sink itself never fans out.
+ * jobs; a sink itself never fans out. The profile runs as
+ * min(worker cap, chunk count) jobs over consecutive chunk ranges of
+ * about equal op counts, merged in order afterwards; Verify's oracle
+ * sweep is one more job over the whole trace, queued first because
+ * it runs longest.
  *
  * @param trace Open captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
  * @param threads Worker cap across the mode's replays (0 → hardware
- *        threads); only Verify has two replays to spread.
+ *        threads); it also sets the profile's chunk ranges (one
+ *        per worker, at most one per chunk), so 1 profiles the
+ *        whole trace in one pass.
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).

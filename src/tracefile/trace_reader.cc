@@ -1,7 +1,9 @@
 #include "tracefile/trace_reader.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace wcrt {
 
@@ -28,14 +30,6 @@ getF64(Decoder &dec)
     std::memcpy(&v, &bits, sizeof(v));
     return v;
 }
-
-/** One decoded chunk header. */
-struct ChunkHeader
-{
-    uint32_t opCount;
-    uint32_t payloadBytes;
-    uint32_t crc;
-};
 
 /**
  * Unchecked decode cursor for the chunk interior. The caller
@@ -216,8 +210,8 @@ TraceReader::TraceReader(TraceBytes bytes,
     f->path = display_name;
     f->bytes = std::move(bytes);
     readHeader(*f);
+    walkChunks(*f);
     file = f;
-    f->totals = walkChunks(nullptr);
 }
 
 TraceReader::TraceReader(const TraceReader &other)
@@ -280,41 +274,38 @@ TraceReader::readHeader(File &f)
     f.firstChunk = 16 + payload_bytes;
 }
 
-TraceReader::Totals
-TraceReader::walkChunks(TraceSink *sink)
+void
+TraceReader::walkChunks(File &f)
 {
-    const std::string &path = file->path;
-    const uint8_t *base = file->bytes.data();
-    uint64_t size = file->bytes.size();
-    uint64_t pos = file->firstChunk;
-    // CrcMode applies to op-chunk payloads only; header and footer
-    // CRCs are always verified.
-    bool check_crc = readerOpts.crc == CrcMode::Always;
-    Totals seen;
+    const std::string &path = f.path;
+    const uint8_t *base = f.bytes.data();
+    uint64_t size = f.bytes.size();
+    uint64_t pos = f.firstChunk;
+    Totals &seen = f.totals;
     while (true) {
         if (size - pos < 12)
             throw TraceFormatError(
                 "trace truncated (missing footer): " + path);
         const uint8_t *fixed = base + pos;
         pos += 12;
-        ChunkHeader hdr{getU32(fixed), getU32(fixed + 4),
-                        getU32(fixed + 8)};
-        if (hdr.payloadBytes > size - pos)
+        Chunk chunk{pos, getU32(fixed), getU32(fixed + 4),
+                    getU32(fixed + 8)};
+        if (chunk.payloadBytes > size - pos)
             throw TraceFormatError("trace chunk truncated: " + path);
         // A valid op encodes to at least 2 bytes, so an opCount above
-        // payloadBytes is structurally impossible; reject it before
-        // sizing the decode block off an untrusted u32.
-        if (hdr.opCount > hdr.payloadBytes)
+        // payloadBytes is structurally impossible; reject it at open
+        // instead of when a replay runs out of payload.
+        if (chunk.opCount > chunk.payloadBytes)
             throw TraceFormatError(
                 "trace chunk op count exceeds payload: " + path);
         const uint8_t *pay = base + pos;
-        pos += hdr.payloadBytes;
+        pos += chunk.payloadBytes;
 
-        if (hdr.opCount == 0) {
+        if (chunk.opCount == 0) {
             // Footer chunk ends the file.
-            if (crc32(pay, hdr.payloadBytes) != hdr.crc)
+            if (crc32(pay, chunk.payloadBytes) != chunk.crc)
                 throw TraceFormatError("trace footer CRC mismatch: " + path);
-            Decoder dec(pay, hdr.payloadBytes);
+            Decoder dec(pay, chunk.payloadBytes);
             uint64_t footer_ops = dec.varint();
             seen.io.diskReadBytes = dec.varint();
             seen.io.diskWriteBytes = dec.varint();
@@ -333,59 +324,80 @@ TraceReader::walkChunks(TraceSink *sink)
                     "trace op count mismatch (footer says " +
                     std::to_string(footer_ops) + ", chunks hold " +
                     std::to_string(seen.ops) + "): " + path);
-            return seen;
+            return;
         }
 
-        ++seen.chunks;
-        seen.payload += hdr.payloadBytes;
-        seen.ops += hdr.opCount;
-        // The validation scan (no sink) stops at the bounds checks
-        // above; the payload CRC is verified on decode.
-        if (!sink)
-            continue;
-        if (check_crc) {
-            if (crc32(pay, hdr.payloadBytes) != hdr.crc)
-                throw TraceFormatError("trace chunk CRC mismatch: " + path);
-            ++crcChecks;
-        }
-        // Decode the whole chunk straight into the reusable SoA block,
-        // then hand its view to the sink in one consumeBatch call — no
-        // per-op virtual dispatch and no intermediate MicroOp on the
-        // replay path. `pay` points into the shared byte view, so
-        // decode is zero-copy. The chunk interior decodes through the
-        // unchecked SWAR fast cursor (maxEncodedOpBytes guarantees
-        // every read, including the 8-byte varint loads, stays in
-        // bounds); the tail falls back to the checked Decoder, so
-        // truncation still surfaces as a clean error.
-        if (block.capacity() < hdr.opCount)
-            block = OpBlock(hdr.opCount);
-        block.clear();
-        BlockArrays arrays(block);
-        uint64_t prev_pc = 0;
-        uint64_t prev_mem = 0;
-        const uint8_t *pay_end = pay + hdr.payloadBytes;
-        FastCursor fast{pay};
-        uint32_t i = 0;
-        while (i < hdr.opCount &&
+        seen.payload += chunk.payloadBytes;
+        seen.ops += chunk.opCount;
+        f.chunks.push_back(chunk);
+    }
+}
+
+void
+TraceReader::replayChunk(TraceSink &sink, const Chunk &chunk)
+{
+    const std::string &path = file->path;
+    const uint8_t *pay = file->bytes.data() + chunk.offset;
+    // CrcMode applies to op-chunk payloads only; header and footer
+    // CRCs are always verified.
+    if (readerOpts.crc == CrcMode::Always) {
+        if (crc32(pay, chunk.payloadBytes) != chunk.crc)
+            throw TraceFormatError("trace chunk CRC mismatch: " + path);
+        ++crcChecks;
+    }
+    // Decode the chunk in block-sized slices straight into the fixed
+    // SoA block, handing each slice's view to the sink in one
+    // consumeBatch call — no per-op virtual dispatch and no
+    // intermediate MicroOp on the replay path. The delta state and
+    // the cursor carry across slices; only a new chunk resets them.
+    // `pay` points into the shared byte view, so decode is zero-copy.
+    // While a slice has maxEncodedOpBytes left before the chunk end it
+    // decodes through the unchecked SWAR fast cursor (every read,
+    // including the 8-byte varint loads, stays in bounds); the chunk's
+    // tail falls back to the checked Decoder, so truncation still
+    // surfaces as a clean error.
+    BlockArrays arrays(block);
+    uint64_t prev_pc = 0;
+    uint64_t prev_mem = 0;
+    const uint8_t *p = pay;
+    const uint8_t *pay_end = pay + chunk.payloadBytes;
+    for (uint32_t left = chunk.opCount; left > 0;) {
+        size_t n = std::min<size_t>(left, block.capacity());
+        FastCursor fast{p};
+        size_t i = 0;
+        while (i < n &&
                static_cast<size_t>(pay_end - fast.p) >= maxEncodedOpBytes) {
             decodeOp(fast, prev_pc, prev_mem, arrays, i, path);
             ++i;
         }
         Decoder dec(fast.p, static_cast<size_t>(pay_end - fast.p));
         CheckedCursor checked{dec};
-        for (; i < hdr.opCount; ++i)
+        for (; i < n; ++i)
             decodeOp(checked, prev_pc, prev_mem, arrays, i, path);
-        if (dec.remaining() != 0)
-            throw TraceFormatError("trailing bytes in trace chunk: " + path);
-        block.setUsed(hdr.opCount);
-        sink->consumeBatch(block.view());
+        p = pay_end - dec.remaining();
+        block.setUsed(n);
+        sink.consumeBatch(block.view());
+        left -= static_cast<uint32_t>(n);
     }
+    if (p != pay_end)
+        throw TraceFormatError("trailing bytes in trace chunk: " + path);
 }
 
 uint64_t
-TraceReader::replayInto(TraceSink &sink)
+TraceReader::replayChunks(TraceSink &sink, uint64_t first, uint64_t last)
 {
-    return walkChunks(&sink).ops;
+    if (first > last || last > file->chunks.size())
+        throw std::out_of_range(
+            "chunk range [" + std::to_string(first) + ", " +
+            std::to_string(last) + ") outside the " +
+            std::to_string(file->chunks.size()) + " chunks of " +
+            file->path);
+    uint64_t ops = 0;
+    for (uint64_t i = first; i < last; ++i) {
+        replayChunk(sink, file->chunks[i]);
+        ops += file->chunks[i].opCount;
+    }
+    return ops;
 }
 
 uint64_t

@@ -3,14 +3,20 @@
  * TraceReader: replays a `.wtrace` byte stream into any TraceSink.
  *
  * Opening a reader parses and validates the header (magic, version,
- * CRC), the region table and the footer; replayInto() then streams
- * every stored op to a sink exactly as the live workload emitted it,
- * so SimCpu, FootprintSweep, MixCounter and SamplingSink all work
- * unchanged. Replay is block-based: each chunk is decoded into a
- * reusable op block and handed to the sink with one consumeBatch()
- * call, so a chunk-sized stretch of the stream crosses the sink
- * boundary per virtual dispatch instead of a single op. A reader can
- * replay its bytes any number of times.
+ * CRC), the region table and the footer, and indexes every op chunk
+ * from its 12-byte prefix — every framing check happens there, once.
+ * replayChunks() then streams the stored ops of any run of
+ * consecutive chunks to a sink exactly as the live workload emitted
+ * them, so SimCpu, FootprintSweep, MixCounter and SamplingSink all
+ * work unchanged; the format resets its delta state at every chunk,
+ * so a range decodes without its predecessors, and replayInto() is
+ * the range of every chunk. Replay is block-based: each chunk
+ * is decoded in slices of at most defaultOpBlockOps ops into one
+ * fixed, reusable op block, and each slice reaches the sink in one
+ * consumeBatch() call — a block-sized stretch of the stream per
+ * virtual dispatch, never spanning two chunks, and a decode buffer
+ * whose size no chunk header can change. A reader can replay its
+ * bytes any number of times.
  *
  * The bytes are one immutable TraceBytes view
  * (tracefile/trace_source.hh): a memory-mapped file, decoded in place
@@ -94,17 +100,39 @@ class TraceReader
     uint64_t payloadBytes() const { return file->totals.payload; }
 
     /** Number of op chunks. */
-    uint64_t chunkCount() const { return file->totals.chunks; }
+    uint64_t chunkCount() const { return file->chunks.size(); }
+
+    /**
+     * Ops stored in op chunk `i` (from its prefix, no decode).
+     * Throws std::out_of_range when `i >= chunkCount()`.
+     */
+    uint64_t chunkOps(uint64_t i) const
+    {
+        return file->chunks.at(i).opCount;
+    }
 
     /** Encoded bytes per stored op. */
     double bytesPerOp() const;
 
     /**
-     * Stream every op to `sink`, first to last. Throws
-     * TraceFormatError on truncation or CRC mismatch. Returns the
-     * number of ops replayed.
+     * Stream every op to `sink`, first to last: replayChunks() over
+     * every chunk. Throws TraceFormatError on a CRC mismatch or a
+     * malformed chunk. Returns the number of ops replayed.
      */
-    uint64_t replayInto(TraceSink &sink);
+    uint64_t
+    replayInto(TraceSink &sink)
+    {
+        return replayChunks(sink, 0, chunkCount());
+    }
+
+    /**
+     * Stream the ops of chunks [first, last) to `sink`, in order,
+     * checking each chunk's payload CRC per CrcMode and every op as
+     * it decodes. Throws std::out_of_range when `first > last` or
+     * `last > chunkCount()`, and TraceFormatError on a CRC mismatch
+     * or a malformed chunk. Returns the number of ops replayed.
+     */
+    uint64_t replayChunks(TraceSink &sink, uint64_t first, uint64_t last);
 
     /** Path (or display name) this reader reads from. */
     const std::string &path() const { return file->path; }
@@ -131,9 +159,17 @@ class TraceReader
     {
         uint64_t ops = 0;
         uint64_t payload = 0;
-        uint64_t chunks = 0;
         IoCounters io;
         DataBehavior data;
+    };
+
+    /** One op chunk's prefix fields and where its payload starts. */
+    struct Chunk
+    {
+        uint64_t offset;  //!< payload offset in the byte view
+        uint32_t opCount;
+        uint32_t payloadBytes;
+        uint32_t crc;
     };
 
     /** What opening parsed; immutable afterwards, shared by copies. */
@@ -145,21 +181,25 @@ class TraceReader
         std::vector<CodeLayout::Function> regions;
         uint64_t firstChunk = 0;
         Totals totals;
+        std::vector<Chunk> chunks;  //!< every op chunk, in file order
     };
 
     /** Parse and check the header and region table into `f`. */
     static void readHeader(File &f);
 
     /**
-     * Walk all chunks from the first op chunk, checking every bound,
-     * the footer and the op count. `sink` may be null (the open-time
-     * validation scan, which skips payloads).
+     * Walk all of `f`'s chunks from the first op chunk, checking every
+     * bound, the footer and the op count, into `f.chunks` (file
+     * order, payloads unread) and `f.totals`.
      */
-    Totals walkChunks(TraceSink *sink);
+    static void walkChunks(File &f);
+
+    /** Check (per CrcMode) and decode one op chunk into `sink`. */
+    void replayChunk(TraceSink &sink, const Chunk &chunk);
 
     std::shared_ptr<const File> file;
     ReaderOptions readerOpts;
-    OpBlock block;  //!< reusable decode target, one chunk at a time
+    OpBlock block;  //!< fixed decode target, one slice at a time
     uint64_t crcChecks = 0;
 };
 

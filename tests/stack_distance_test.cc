@@ -4,10 +4,11 @@
  * pinned against a brute-force LRU stack, bit-exact equivalence
  * between the Mattson profile's curve and the fully-associative LRU
  * cache sweep on randomized traces under every delivery partition,
- * the one-stream, compaction and parallel paths, the replay
- * layer's MrcMode plumbing (stack / oracle / verify) with its
- * documented stack-vs-oracle divergence bound, and the knee finder's
- * "no knee within ladder" semantics.
+ * the one-stream, compaction and parallel paths, the exact merge of
+ * consecutive stretches' profiles (absorb), the replay layer's
+ * MrcMode plumbing (stack / oracle / verify) with its chunk-range
+ * split and its documented stack-vs-oracle divergence bound, and the
+ * knee finder's "no knee within ladder" semantics.
  */
 
 #include <gtest/gtest.h>
@@ -266,12 +267,50 @@ trimmed(std::vector<uint64_t> hist)
 const SweepKind kAllKinds[] = {SweepKind::Instruction, SweepKind::Data,
                                SweepKind::Unified};
 
+/** Check every count of `p`'s `kind` stream against `ref`. */
+void
+expectProfileMatches(const StackDistanceProfile &p, SweepKind kind,
+                     const MattsonReference &ref, size_t ops)
+{
+    EXPECT_EQ(trimmed(p.histogram(kind)), ref.hist);
+    EXPECT_EQ(p.coldMisses(kind), ref.cold);
+    EXPECT_EQ(p.distinctLines(kind), ref.cold);
+    EXPECT_EQ(p.accesses(kind), ref.total);
+    EXPECT_EQ(p.instructions(), ops);
+}
+
+/**
+ * `ops` cut into `runs` consecutive runs, each profiled by its own
+ * `make()` profile, the later runs absorbed in order into the first —
+ * the merge replaySweepLadder runs over chunk ranges.
+ */
+template <typename Make>
+StackDistanceProfile
+splitProfile(const std::vector<MicroOp> &ops, size_t runs, Make make)
+{
+    StackDistanceProfile merged = make();
+    for (size_t r = 0; r < runs; ++r) {
+        std::vector<MicroOp> run(ops.begin() + r * ops.size() / runs,
+                                 ops.begin() +
+                                     (r + 1) * ops.size() / runs);
+        if (r == 0) {
+            feedPerOp(merged, run);
+            continue;
+        }
+        StackDistanceProfile part = make();
+        feedPerOp(part, run);
+        merged.absorb(part);
+    }
+    return merged;
+}
+
 /**
  * Every distance of every stream, pinned against the brute-force
  * stack: the three-stream profile and each one-stream profile, fed
- * per op (block 0) and at every block size, in the default slot
- * space and in the 64-slot minimum that compacts every few dozen
- * accesses.
+ * per op (block 0) and at every block size, and cut into 1, 2, 3 and
+ * 7 consecutive runs merged with absorb(), in the default slot space
+ * and in the 64-slot minimum that compacts every few dozen accesses
+ * (during the merge's stack moves too).
  */
 void
 expectMatchesMattson(const std::vector<MicroOp> &ops)
@@ -298,28 +337,74 @@ expectMatchesMattson(const std::vector<MicroOp> &ops)
                 StackDistanceProfile one(kind, 64, slots);
                 feed(one, block);
                 EXPECT_EQ(one.histogram(kind), all.histogram(kind));
-                for (const StackDistanceProfile *p : {&all, &one}) {
-                    SCOPED_TRACE(p == &all ? "three-stream profile"
-                                           : "one-stream profile");
-                    EXPECT_EQ(trimmed(p->histogram(kind)), ref.hist);
-                    EXPECT_EQ(p->coldMisses(kind), ref.cold);
-                    EXPECT_EQ(p->distinctLines(kind), ref.cold);
-                    EXPECT_EQ(p->accesses(kind), ref.total);
-                    EXPECT_EQ(p->instructions(), ops.size());
+                SCOPED_TRACE("kind " +
+                             std::to_string(static_cast<int>(kind)));
+                {
+                    SCOPED_TRACE("three-stream profile");
+                    expectProfileMatches(all, kind, ref, ops.size());
                 }
+                SCOPED_TRACE("one-stream profile");
+                expectProfileMatches(one, kind, ref, ops.size());
+            }
+        }
+        for (size_t runs : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
+            SCOPED_TRACE("slots " + std::to_string(slots) + ", " +
+                         std::to_string(runs) + " runs");
+            StackDistanceProfile all = splitProfile(
+                ops, runs,
+                [&] { return StackDistanceProfile(64, 0, slots); });
+            for (SweepKind kind : kAllKinds) {
+                SCOPED_TRACE("kind " +
+                             std::to_string(static_cast<int>(kind)));
+                const MattsonReference &ref =
+                    refs[static_cast<size_t>(kind)];
+                {
+                    SCOPED_TRACE("three-stream profile");
+                    expectProfileMatches(all, kind, ref, ops.size());
+                }
+                SCOPED_TRACE("one-stream profile");
+                expectProfileMatches(
+                    splitProfile(ops, runs,
+                                 [&] {
+                                     return StackDistanceProfile(
+                                         kind, 64, slots);
+                                 }),
+                    kind, ref, ops.size());
             }
         }
     }
 }
 
+/**
+ * True when a cut of `ops` into `runs` runs falls between two
+ * back-to-back accesses to one instruction line — the repeat the
+ * profile counts through its last-line check, not its stack.
+ */
+bool
+cutSplitsARepeat(const std::vector<MicroOp> &ops, size_t runs)
+{
+    for (size_t r = 1; r < runs; ++r) {
+        size_t cut = r * ops.size() / runs;
+        if (ops[cut - 1].pc >> 6 == ops[cut].pc >> 6)
+            return true;
+    }
+    return false;
+}
+
 TEST(StackDistance, EveryDistanceMatchesMattsonOnRandomTrace)
 {
-    expectMatchesMattson(syntheticStream(kStreamOps));
+    auto ops = syntheticStream(kStreamOps);
+    for (size_t runs : {2, 3, 7})
+        ASSERT_TRUE(cutSplitsARepeat(ops, runs)) << runs << " runs";
+    expectMatchesMattson(ops);
 }
 
 TEST(StackDistance, EveryDistanceMatchesMattsonOnStreamingTrace)
 {
-    expectMatchesMattson(streamingStream(kStreamOps));
+    auto ops = streamingStream(kStreamOps);
+    for (size_t runs : {2, 3, 7})
+        ASSERT_TRUE(cutSplitsARepeat(ops, runs)) << runs << " runs";
+    expectMatchesMattson(ops);
 }
 
 TEST(StackDistanceDeathTest, OneStreamProfileRejectsOtherKinds)
@@ -329,6 +414,18 @@ TEST(StackDistanceDeathTest, OneStreamProfileRejectsOtherKinds)
                  "tracks only the data stream");
     EXPECT_DEATH(data.missRatios(SweepKind::Unified, {16}),
                  "tracks only the data stream");
+}
+
+TEST(StackDistanceDeathTest, AbsorbRejectsOtherStreamsAndLineSizes)
+{
+    StackDistanceProfile data(SweepKind::Data);
+    StackDistanceProfile instr(SweepKind::Instruction);
+    StackDistanceProfile all;
+    StackDistanceProfile wide(SweepKind::Data, 128);
+    EXPECT_DEATH(data.absorb(instr), "cannot absorb");
+    EXPECT_DEATH(data.absorb(all), "cannot absorb");
+    EXPECT_DEATH(all.absorb(data), "cannot absorb");
+    EXPECT_DEATH(data.absorb(wide), "cannot absorb");
 }
 
 TEST(StackDistance, SlotCompactionPreservesEveryDistance)
@@ -381,6 +478,39 @@ TEST(StackDistance, CountsKnownDistances)
               3.0 / 5.0);
 }
 
+TEST(StackDistance, AbsorbedProfileKeepsCounting)
+{
+    // Lines 1 2 | 3, merged, then 2 1 3 3 fed to the merged profile:
+    // the 2 right after the cut has line 3 above it (distance 1, not a
+    // repeat of the first stretch's last line), and the final 3 3 is
+    // a back-to-back repeat again.
+    auto touch = [](StackDistanceProfile &p, uint64_t line) {
+        MicroOp op;
+        op.kind = OpKind::IntAlu;
+        op.pc = line * 64;
+        p.consume(op);
+    };
+    StackDistanceProfile merged(SweepKind::Instruction);
+    StackDistanceProfile later(SweepKind::Instruction);
+    StackDistanceProfile one_pass(SweepKind::Instruction);
+    for (uint64_t line : {1, 2})
+        touch(merged, line);
+    touch(later, 3);
+    merged.absorb(later);
+    for (uint64_t line : {2, 1, 3, 3})
+        touch(merged, line);
+    for (uint64_t line : {1, 2, 3, 2, 1, 3, 3})
+        touch(one_pass, line);
+    const SweepKind kind = SweepKind::Instruction;
+    EXPECT_EQ(trimmed(merged.histogram(kind)),
+              (std::vector<uint64_t>{1, 1, 2}));
+    EXPECT_EQ(trimmed(merged.histogram(kind)),
+              trimmed(one_pass.histogram(kind)));
+    EXPECT_EQ(merged.coldMisses(kind), 3u);
+    EXPECT_EQ(merged.accesses(kind), 7u);
+    EXPECT_EQ(merged.instructions(), 7u);
+}
+
 /** Accounting identity on a big randomized trace. */
 TEST(StackDistance, HistogramAccountingReconciles)
 {
@@ -406,15 +536,22 @@ tracePath(const std::string &tag)
         .string();
 }
 
+/**
+ * Ops per chunk of the test traces: a 10,000-op stream spans 20
+ * chunks, so the ladder's chunk ranges really split it.
+ */
+constexpr uint32_t kTraceChunkOps = 512;
+
 std::string
-writeTrace(const std::string &tag, const std::vector<MicroOp> &ops)
+writeTrace(const std::string &tag, const std::vector<MicroOp> &ops,
+           uint32_t chunk_ops = kTraceChunkOps)
 {
     std::string path = tracePath(tag);
     CodeLayout layout;
     layout.addFunction("test", CodeLayer::Application, 8192);
     TraceMeta meta;
     meta.workload = "T-" + tag;
-    TraceWriter writer(path, meta, layout);
+    TraceWriter writer(path, meta, layout, chunk_ops);
     writer.consumeOps(ops.data(), ops.size());
     writer.finish();
     return path;
@@ -514,10 +651,13 @@ TEST(Mrc, ResultCountsMatchADirectlyReplayedProfile)
     for (SweepKind kind : kAllKinds) {
         SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
         for (MrcMode mode : {MrcMode::StackDistance, MrcMode::Verify}) {
-            MrcResult r = replaySweepLadder(path, kind, sizes, mode, 1);
-            EXPECT_EQ(r.accesses, direct.accesses(kind));
-            EXPECT_EQ(r.distinctLines, direct.distinctLines(kind));
-            EXPECT_EQ(r.ratios, direct.missRatios(kind, sizes));
+            for (unsigned threads : {1u, 4u}) {
+                MrcResult r =
+                    replaySweepLadder(path, kind, sizes, mode, threads);
+                EXPECT_EQ(r.accesses, direct.accesses(kind));
+                EXPECT_EQ(r.distinctLines, direct.distinctLines(kind));
+                EXPECT_EQ(r.ratios, direct.missRatios(kind, sizes));
+            }
         }
         // The oracle builds no profile, so it reports no counts.
         MrcResult oracle = replaySweepLadder(path, kind, sizes,
@@ -530,15 +670,32 @@ TEST(Mrc, ResultCountsMatchADirectlyReplayedProfile)
 
 TEST(Mrc, ParallelReplayMatchesSerial)
 {
+    // More than one worker cuts the stack-distance pass into chunk
+    // ranges and merges their profiles; every thread count must give
+    // the one-range result exactly.
     std::string path =
         writeTrace("jobs", streamingStream(kStreamOps));
+    ASSERT_GE(TraceReader(path).chunkCount(), 7u);
     auto sizes = paperSweepSizesKb();
-    MrcResult serial = replaySweepLadder(
-        path, SweepKind::Instruction, sizes, MrcMode::Verify, 1);
-    MrcResult pooled = replaySweepLadder(
-        path, SweepKind::Instruction, sizes, MrcMode::Verify, 4);
-    EXPECT_EQ(pooled.ratios, serial.ratios);
-    EXPECT_EQ(pooled.oracleRatios, serial.oracleRatios);
+    for (SweepKind kind : kAllKinds) {
+        for (MrcMode mode : {MrcMode::StackDistance, MrcMode::Verify}) {
+            MrcResult serial =
+                replaySweepLadder(path, kind, sizes, mode, 1);
+            for (unsigned threads : {2u, 3u, 4u, 7u}) {
+                SCOPED_TRACE("kind " +
+                             std::to_string(static_cast<int>(kind)) +
+                             ", " + toString(mode) + ", threads " +
+                             std::to_string(threads));
+                MrcResult pooled =
+                    replaySweepLadder(path, kind, sizes, mode, threads);
+                EXPECT_EQ(pooled.ratios, serial.ratios);
+                EXPECT_EQ(pooled.oracleRatios, serial.oracleRatios);
+                EXPECT_EQ(pooled.maxDivergence, serial.maxDivergence);
+                EXPECT_EQ(pooled.accesses, serial.accesses);
+                EXPECT_EQ(pooled.distinctLines, serial.distinctLines);
+            }
+        }
+    }
     fs::remove(path);
 }
 

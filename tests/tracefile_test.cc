@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/strings.hh"
@@ -286,29 +288,95 @@ class BatchRecordingSink : public TraceSink
     std::vector<size_t> batchSizes;
 };
 
+/** `count` ops cycling through awkwardOps(). */
+std::vector<MicroOp>
+awkwardOpsRepeated(size_t count)
+{
+    auto sample = awkwardOps();
+    std::vector<MicroOp> ops;
+    ops.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        ops.push_back(sample[i % sample.size()]);
+    return ops;
+}
+
 TEST(TraceFile, ReplayDeliversWholeChunksAsSingleBatches)
 {
-    std::string path = tempTracePath("chunk-batches");
-    std::vector<MicroOp> ops;
-    auto sample = awkwardOps();
-    for (int rep = 0; rep < 12; ++rep)
-        for (const auto &op : sample)
-            ops.push_back(op);
-    ASSERT_NE(ops.size() % 7, 0u);  // force a ragged final chunk
+    // Short chunks, and chunks longer than the decode block: a chunk
+    // reaches the sink in slices of at most defaultOpBlockOps ops —
+    // one batch when it fits — and no batch spans two chunks.
+    const uint32_t long_chunk = 2 * defaultOpBlockOps + 1000;
+    const std::pair<uint32_t, size_t> cases[] = {
+        {7, 120}, {long_chunk, 2 * long_chunk + 500}};
+    for (auto [chunk_ops, count] : cases) {
+        SCOPED_TRACE("chunk_ops " + std::to_string(chunk_ops));
+        std::string path = tempTracePath("chunk-batches");
+        std::vector<MicroOp> ops = awkwardOpsRepeated(count);
+        ASSERT_NE(ops.size() % chunk_ops, 0u);  // a ragged final chunk
+        writeSample(path, ops, chunk_ops);
 
+        TraceReader reader(path);
+        BatchRecordingSink sink;
+        EXPECT_EQ(reader.replayInto(sink), ops.size());
+        expectOpsEqual(ops, sink.ops);
+
+        std::vector<size_t> expected;
+        for (size_t start = 0; start < ops.size(); start += chunk_ops) {
+            size_t left = std::min<size_t>(chunk_ops, ops.size() - start);
+            for (; left > defaultOpBlockOps; left -= defaultOpBlockOps)
+                expected.push_back(defaultOpBlockOps);
+            expected.push_back(left);
+        }
+        EXPECT_EQ(sink.batchSizes, expected);
+        fs::remove(path);
+    }
+}
+
+TEST(TraceFile, ChunkRangesReplayTheWholeTraceAtEveryCut)
+{
+    std::string path = tempTracePath("chunk-ranges");
+    std::vector<MicroOp> ops = awkwardOpsRepeated(120);
     writeSample(path, ops, 7);
 
     TraceReader reader(path);
-    BatchRecordingSink sink;
-    EXPECT_EQ(reader.replayInto(sink), ops.size());
-    expectOpsEqual(ops, sink.ops);
+    uint64_t chunks = reader.chunkCount();
+    ASSERT_EQ(chunks, (ops.size() + 6) / 7);
+    uint64_t stored = 0;
+    for (uint64_t i = 0; i < chunks; ++i)
+        stored += reader.chunkOps(i);
+    EXPECT_EQ(stored, reader.opCount());
 
-    // Replay hands each chunk to the sink in exactly one batch: every
-    // batch is a full chunk, the last carries the ragged remainder.
-    ASSERT_EQ(sink.batchSizes.size(), reader.chunkCount());
-    for (size_t i = 0; i + 1 < sink.batchSizes.size(); ++i)
-        EXPECT_EQ(sink.batchSizes[i], 7u) << "chunk " << i;
-    EXPECT_EQ(sink.batchSizes.back(), ops.size() % 7);
+    // Chunks [0, k) on one reader, then [k, n) on a copy: the two
+    // ranges hand the sink exactly the ops one whole replay does.
+    for (uint64_t k = 0; k <= chunks; ++k) {
+        SCOPED_TRACE("cut at chunk " + std::to_string(k));
+        RecordingSink sink;
+        uint64_t replayed = reader.replayChunks(sink, 0, k);
+        TraceReader copy(reader);
+        replayed += copy.replayChunks(sink, k, chunks);
+        EXPECT_EQ(replayed, ops.size());
+        expectOpsEqual(ops, sink.ops);
+    }
+    fs::remove(path);
+}
+
+TEST(TraceFile, BadChunkRangesThrow)
+{
+    std::string path = tempTracePath("chunk-ranges-bad");
+    writeSample(path, awkwardOpsRepeated(30), 7);
+    TraceReader reader(path);
+    uint64_t chunks = reader.chunkCount();
+    RecordingSink sink;
+    EXPECT_THROW(reader.replayChunks(sink, 2, 1), std::out_of_range);
+    EXPECT_THROW(reader.replayChunks(sink, 0, chunks + 1),
+                 std::out_of_range);
+    EXPECT_THROW(reader.replayChunks(sink, chunks + 1, chunks + 1),
+                 std::out_of_range);
+    EXPECT_THROW(reader.chunkOps(chunks), std::out_of_range);
+    EXPECT_TRUE(sink.ops.empty());
+    // An empty range is valid and replays nothing.
+    EXPECT_EQ(reader.replayChunks(sink, chunks, chunks), 0u);
+    EXPECT_TRUE(sink.ops.empty());
     fs::remove(path);
 }
 
@@ -842,21 +910,32 @@ TEST(TraceFile, OversizedHeaderPayloadThrows)
 // ------------------------------------------------------- source parity
 
 /**
- * Open + full replay of `path`'s bytes, through the file mapping or
- * through an in-memory copy labelled with the same path; returns the
- * error text, or empty when the bytes replayed cleanly.
+ * Open `path`'s bytes, through the file mapping or through an
+ * in-memory copy labelled with the same path, and replay them whole
+ * — or, with `per_chunk`, as one single-chunk range after another;
+ * returns the first error text, or empty when the bytes replayed
+ * cleanly.
  */
 std::string
-replayErrorMessage(const std::string &path, bool mapped)
+replayErrorMessage(const std::string &path, bool mapped,
+                   bool per_chunk = false)
 {
-    try {
+    auto replay = [&](TraceReader &reader) {
         RecordingSink sink;
+        if (!per_chunk) {
+            reader.replayInto(sink);
+            return;
+        }
+        for (uint64_t i = 0; i < reader.chunkCount(); ++i)
+            reader.replayChunks(sink, i, i + 1);
+    };
+    try {
         if (mapped) {
             TraceReader reader(path, {TraceIo::Auto, CrcMode::Always});
-            reader.replayInto(sink);
+            replay(reader);
         } else {
             TraceReader reader(TraceBytes(readFileBytes(path)), path);
-            reader.replayInto(sink);
+            replay(reader);
         }
     } catch (const TraceFormatError &err) {
         return err.what();
@@ -944,6 +1023,10 @@ TEST(TraceSourceParity, CorruptFixturesFailIdentically)
         // this fixture is caught (CRCs cover header, chunks, footer;
         // framing fields are bounds- and consistency-checked).
         EXPECT_FALSE(via_memory.empty());
+        // Replaying chunk ranges reaches the range holding a corrupt
+        // chunk and fails it with the whole replay's error text.
+        EXPECT_EQ(replayErrorMessage(path, false, true), via_memory);
+        EXPECT_EQ(replayErrorMessage(path, true, true), via_memory);
     }
     fs::remove(path);
 }
@@ -962,6 +1045,11 @@ TEST(CrcElision, AlwaysChecksEveryReplay)
     reader.replayInto(s2);
     // Always re-checks every chunk on every replay.
     EXPECT_EQ(reader.chunkCrcChecks(), 2 * reader.chunkCount());
+    // A range replay checks exactly its own chunks.
+    ASSERT_GE(reader.chunkCount(), 3u);
+    RecordingSink s3;
+    reader.replayChunks(s3, 1, 3);
+    EXPECT_EQ(reader.chunkCrcChecks(), 2 * reader.chunkCount() + 2);
     fs::remove(path);
 }
 

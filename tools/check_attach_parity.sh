@@ -3,9 +3,12 @@
 # serves the same workload over a shm ring twice — once into
 # `attach --mrc`, once into `attach --machine=xeon,atom` — and requires
 # each attach table to match `trace_tool mrc` / `trace_tool replay` on
-# the recorded file line for line. Then checks that malformed numeric
-# flag values and a malformed WCRT_SCALE make trace_tool, scenario_tool
-# and a figure bench exit non-zero.
+# the recorded file line for line. Then requires `trace_tool mrc
+# --json` at --jobs=3 and --jobs=4, which profile the trace as that
+# many chunk ranges and merge them, to print the --jobs=1 curve and
+# counts (everything but wall_s) for every stream kind. Last, checks
+# that malformed numeric flag values and a malformed WCRT_SCALE make
+# trace_tool, scenario_tool and a figure bench exit non-zero.
 #
 # Usage: tools/check_attach_parity.sh BUILD_DIR [WORKLOAD] [SCALE]
 
@@ -47,6 +50,19 @@ diff <(tail -n +3 "$dir/attach_mrc.txt") "$dir/mrc.txt"
 attach_output "$dir/attach_replay.txt" --machine=xeon,atom
 diff <(tail -n +3 "$dir/attach_replay.txt") <(tail -n +3 "$dir/replay.txt")
 echo "attach matches mrc and replay on $workload"
+
+# mrc_json KIND JOBS — the JSON result without its wall time.
+mrc_json() {
+    "$tool" mrc "$dir/t.wtrace" --json --kind="$1" --jobs="$2" |
+        grep -v '"wall_s"'
+}
+for kind in instr data unified; do
+    mrc_json "$kind" 1 > "$dir/mrc1.json"
+    for jobs in 3 4; do
+        diff "$dir/mrc1.json" <(mrc_json "$kind" "$jobs")
+    done
+done
+echo "mrc chunk ranges match the one-range pass on $workload"
 
 expect_failure() {
     if "$@" > /dev/null 2>&1; then
