@@ -1,7 +1,6 @@
 #include "scenario/scenario.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -56,27 +55,6 @@ lookupWorkload(const std::string &name)
     }();
     auto it = index.find(name);
     return it == index.end() ? nullptr : &it->second;
-}
-
-bool
-parseMachine(const std::string &name, MachineConfig &out)
-{
-    if (name == "xeon") {
-        out = xeonE5645();
-        return true;
-    }
-    if (name == "atom") {
-        out = atomD510();
-        return true;
-    }
-    if (name.rfind("sim", 0) == 0) {
-        int kb = std::atoi(name.c_str() + 3);
-        if (kb <= 0)
-            return false;
-        out = atomInOrderSim(static_cast<uint32_t>(kb));
-        return true;
-    }
-    return false;
 }
 
 namespace {
@@ -498,6 +476,26 @@ crossValidate(ScenarioSpec &spec, Check &check)
 }
 
 } // namespace
+
+bool
+parseMachine(const std::string &name, MachineConfig &out)
+{
+    if (name == "xeon") {
+        out = xeonE5645();
+        return true;
+    }
+    if (name == "atom") {
+        out = atomD510();
+        return true;
+    }
+    // sim<KB>, with trace_tool --machine's range of 1..2^30 KB.
+    uint64_t kb = 0;
+    if (name.rfind("sim", 0) != 0 || !parseUint(name.substr(3), kb) ||
+        kb == 0 || kb > (1u << 30))
+        return false;
+    out = atomInOrderSim(static_cast<uint32_t>(kb));
+    return true;
+}
 
 ScenarioParse
 parseScenario(const ScenarioDoc &doc)

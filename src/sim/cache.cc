@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -21,7 +22,8 @@ Cache::Cache(const CacheConfig &config) : cfg(config)
     nSets = static_cast<uint32_t>(lines / cfg.assoc);
     setsPow2 = std::has_single_bit(nSets);
     lineShift = static_cast<uint32_t>(std::countr_zero(cfg.lineBytes));
-    ways.assign(static_cast<size_t>(nSets) * cfg.assoc, Way{});
+    ways.assign(static_cast<size_t>(nSets) * cfg.assoc, 0);
+    valid.assign(nSets, 0);
 }
 
 bool
@@ -49,38 +51,27 @@ Cache::prefetch(uint64_t addr)
 bool
 Cache::touchLine(uint64_t line)
 {
-    ++tick;
-    // Non-power-of-two set counts (e.g. the E5645's 12288-set L3) use
-    // modulo indexing (see setOfLine); the full line id is the tag.
     uint32_t set = setOfLine(line);
-    uint64_t tag = line;
-    Way *base = &ways[static_cast<size_t>(set) * cfg.assoc];
-
-    Way *victim = base;
-    for (uint32_t w = 0; w < cfg.assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = tick;
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
-    }
-
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = tick;
-    return false;
+    uint64_t *base = &ways[static_cast<size_t>(set) * cfg.assoc];
+    uint32_t &n = valid[set];
+    if (base[0] == line && n != 0)
+        return true;
+    uint32_t w = 1;
+    while (w < n && base[w] != line)
+        ++w;
+    bool hit = w < n;
+    if (!hit)
+        w = n < cfg.assoc ? n++ : n - 1;
+    for (; w > 0; --w)
+        base[w] = base[w - 1];
+    base[0] = line;
+    return hit;
 }
 
 void
 Cache::invalidate()
 {
-    for (auto &w : ways)
-        w = Way{};
+    std::fill(valid.begin(), valid.end(), 0);
 }
 
 void

@@ -6,6 +6,15 @@
  * tag-array-only model (no data storage) counting accesses and misses.
  * Loads and stores walk the tags alike (write-allocate), so store
  * misses appear in MPKI the way the paper's counters see them.
+ *
+ * Each way holds a full 8-byte line id (the tag). A set keeps its
+ * valid lines in recency order, MRU first, and a per-set count of
+ * valid ways, so no line id (not even ~0 at 1-byte lines) can pass
+ * for an empty way. A hit moves its line to the front and a miss
+ * drops the last way of a full set: no timestamps, no victim search,
+ * and re-touching the MRU line is one compare. This is exact true
+ * LRU, because unique timestamps order a set's lines the same way and
+ * empty ways fill first in both.
  */
 
 #ifndef WCRT_SIM_CACHE_HH
@@ -60,13 +69,9 @@ class Cache
     bool prefetch(uint64_t addr);
 
     /**
-     * Credit `n` accesses that are architecturally guaranteed hits
-     * without walking the tag array: re-accesses of a line that is
-     * still the MRU line *of its set* (no access or prefetch has
-     * touched that set since). LRU order is relative within one set,
-     * so skipping the recency update leaves the within-set ordering —
-     * and thus all future behaviour — identical; only the hit/access
-     * statistics need the credit.
+     * Credit `n` guaranteed hits without walking the tags: re-accesses
+     * of a line still MRU of its set (nothing has touched that set
+     * since). Touching it would change no state, only the statistics.
      */
     void creditRepeatHits(uint64_t n) { nAccesses += n; }
 
@@ -93,7 +98,7 @@ class Cache
     /** Lookup/fill without statistics; @return true on hit. */
     bool touchLine(uint64_t line);
 
-    /** Set index for a line id. */
+    /** Set index of a line id; modulo for non-power-of-two counts. */
     uint32_t
     setOfLine(uint64_t line) const
     {
@@ -101,19 +106,12 @@ class Cache
                         : static_cast<uint32_t>(line % nSets);
     }
 
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
     CacheConfig cfg;
     uint32_t nSets;
     uint32_t lineShift;
     bool setsPow2 = true;
-    std::vector<Way> ways;  //!< nSets * assoc, set-major
-    uint64_t tick = 0;
+    std::vector<uint64_t> ways;   //!< nSets * assoc line ids, MRU first
+    std::vector<uint32_t> valid;  //!< valid ways per set
     uint64_t nAccesses = 0;
     uint64_t nMisses = 0;
 };

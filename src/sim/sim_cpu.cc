@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "base/logging.hh"
+
 namespace wcrt {
 
 SimCpu::SimCpu(const MachineConfig &config)
@@ -13,8 +15,12 @@ SimCpu::SimCpu(const MachineConfig &config)
       itlbUnit(config.itlb),
       dtlbUnit(config.dtlb),
       branchUnit(config.branch),
-      prefetcher(config.prefetch)
+      prefetchUnit(config.prefetch)
 {
+    if (cfg.l1i.lineBytes != 64 || cfg.itlb.pageBytes != 4096 ||
+        cfg.dtlb.pageBytes != 4096)
+        wcrt_fatal("machine '", cfg.name, "': SimCpu needs 64-byte L1I "
+                   "lines and 4 KB ITLB/DTLB pages");
 }
 
 void
@@ -25,9 +31,9 @@ SimCpu::consume(const MicroOp &op)
     // Instruction side: every op fetches through ITLB and L1I.
     if (!itlbUnit.access(op.pc))
         ++itlbMisses;
-    codeLines.insert(op.pc >> 6);
     if (!l1iCache.access(op.pc)) {
         ++l1iMissCount;
+        codeLines.insert(op.pc >> 6);
         if (!l2Cache.access(op.pc)) {
             ++l2MissesFromL1i;
             if (!cfg.hasL3 || !l3Cache.access(op.pc))
@@ -37,12 +43,13 @@ SimCpu::consume(const MicroOp &op)
 
     // Data side.
     if (op.memSize > 0) {
-        if (!dtlbUnit.access(op.memAddr))
+        if (!dtlbUnit.access(op.memAddr)) {
             ++dtlbMisses;
-        dataPages.insert(op.memAddr >> 12);
+            dataPages.insert(op.memAddr >> 12);
+        }
         // Hardware stream prefetch fills lines ahead of confirmed
         // sequential streams so streamed data hits on demand.
-        auto advice = prefetcher.observe(op.memAddr);
+        auto advice = prefetchUnit.observe(op.memAddr);
         for (uint32_t p = 0; p < advice.prefetchLines; ++p) {
             uint64_t line_addr = advice.prefetchFrom +
                                  static_cast<uint64_t>(p) * 64;
@@ -77,9 +84,11 @@ SimCpu::consumeBatch(const OpBlockView &ops)
     // and a data access to the previous data access's page re-hits the
     // DTLB. Nothing in between can have displaced that entry from MRU
     // of its set, so skipping the walk leaves LRU state unchanged; only
-    // the hit is credited (Cache::creditRepeatHits), and the footprint
-    // insert is a repeat too. Exact while L1I lines are at least 64 B
-    // and TLB pages at least 4 KB, as in every MachineConfig.
+    // the hit is credited (Cache::creditRepeatHits). Footprint inserts
+    // happen only on L1I and DTLB misses: neither takes prefetch fills,
+    // so a hit proves a demand access already inserted the line or
+    // page. The constructor pins the 64 B lines and 4 KB pages this
+    // needs.
     const bool has_l3 = cfg.hasL3;
     std::array<uint64_t, numOpKinds> kind_tally{};
     uint64_t int_addr = 0, fp_addr = 0, compute_int = 0;
@@ -109,10 +118,10 @@ SimCpu::consumeBatch(const OpBlockView &ops)
         if (code_line == last_code_line) {
             ++l1i_repeats;
         } else {
-            codeLines.insert(code_line);
             last_code_line = code_line;
             if (!l1iCache.access(pc)) {
                 ++l1i_miss;
+                codeLines.insert(code_line);
                 if (!l2Cache.access(pc)) {
                     ++l2_from_l1i;
                     if (!has_l3 || !l3Cache.access(pc))
@@ -127,12 +136,13 @@ SimCpu::consumeBatch(const OpBlockView &ops)
             if (data_page == last_data_page) {
                 ++dtlb_repeats;
             } else {
-                if (!dtlbUnit.access(mem_addr))
+                if (!dtlbUnit.access(mem_addr)) {
                     ++dtlb_miss;
-                dataPages.insert(data_page);
+                    dataPages.insert(data_page);
+                }
                 last_data_page = data_page;
             }
-            auto advice = prefetcher.observe(mem_addr);
+            auto advice = prefetchUnit.observe(mem_addr);
             for (uint32_t p = 0; p < advice.prefetchLines; ++p) {
                 uint64_t line_addr = advice.prefetchFrom +
                                      static_cast<uint64_t>(p) * 64;

@@ -126,6 +126,7 @@ class SimCpu : public TraceSink
     const Tlb &itlb() const { return itlbUnit; }
     const Tlb &dtlb() const { return dtlbUnit; }
     const BranchUnit &branches() const { return branchUnit; }
+    const StreamPrefetcher &prefetcher() const { return prefetchUnit; }
     const MixCounter &mix() const { return mixCounter; }
 
     /** Instructions consumed so far. */
@@ -140,7 +141,7 @@ class SimCpu : public TraceSink
     Tlb itlbUnit;
     Tlb dtlbUnit;
     BranchUnit branchUnit;
-    StreamPrefetcher prefetcher;
+    StreamPrefetcher prefetchUnit;
     MixCounter mixCounter;
 
     uint64_t itlbMisses = 0;

@@ -162,6 +162,32 @@ TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
     EXPECT_TRUE(hasIssue(issues, "bad mode value 'sideways'"));
 }
 
+TEST(ScenarioSpecTest, SimMachineNamesAreStrict)
+{
+    // sim<KB> takes trace_tool --machine's 1..2^30 KB: no trailing
+    // junk, no empty, zero or negative size, no 32-bit wrap to 32.
+    ScenarioParse parse = parseScenario(parseScenarioText(
+        "[scenario]\n"
+        "name = r\n"
+        "kind = replay\n"
+        "machines = sim32x, sim, sim0, sim-1, sim4294967328, sim32\n"
+        "[workloads]\n"
+        "group G = H-Grep\n"));
+    ASSERT_TRUE(parse.ok()) << parse.formatIssues();
+    std::vector<ScenarioIssue> issues;
+    EXPECT_TRUE(expandScenario(parse.spec, 0.5, issues).empty());
+    for (const std::string bad :
+         {"sim32x", "sim", "sim0", "sim-1", "sim4294967328"})
+        EXPECT_TRUE(hasIssue(issues, "bad machine value '" + bad + "'"))
+            << bad;
+    EXPECT_FALSE(hasIssue(issues, "'sim32'"));
+    MachineConfig m;
+    ASSERT_TRUE(parseMachine("sim32", m));
+    EXPECT_EQ(m.l1i.sizeBytes, 32u * 1024);
+    EXPECT_TRUE(parseMachine("sim1073741824", m));
+    EXPECT_FALSE(parseMachine("sim1073741825", m));
+}
+
 TEST(ScenarioSpecTest, TrafficRequiresTargetAndPhases)
 {
     ScenarioParse parse = parseScenario(parseScenarioText(

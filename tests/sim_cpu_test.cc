@@ -1,15 +1,20 @@
 /**
  * @file
  * Tests for the prefetcher, the footprint sweeper and the integrated
- * SimCpu model (report consistency, machine configs, metric vector).
+ * SimCpu model (report consistency, pinned raw counters, footprints,
+ * geometry checks, machine configs, metric vector).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
 
 #include "base/rng.hh"
 #include "core/metrics.hh"
+#include "op_streams.hh"
+#include "scenario/scenario.hh"
 #include "sim/footprint.hh"
 #include "sim/prefetcher.hh"
 #include "sim/sim_cpu.hh"
@@ -162,6 +167,214 @@ TEST(SimCpu, PrefetchingCoversSequentialStreams)
     double with = run(true);
     double without = run(false);
     EXPECT_LT(with, without / 5.0);
+}
+
+/**
+ * Every raw counter SimCpu keeps, in one row: instructions; accesses
+ * and misses of L1I, L1D, L2, L3, ITLB and DTLB; the ten BranchStats
+ * fields in declaration order; the prefetcher's confirmed streams and
+ * covered accesses; distinct code lines (64 B) and data pages (4 KB).
+ */
+using RawCounters = std::array<uint64_t, 27>;
+
+const char *const kCounterNames[] = {
+    "instructions", "l1i.accesses", "l1i.misses", "l1d.accesses",
+    "l1d.misses", "l2.accesses", "l2.misses", "l3.accesses", "l3.misses",
+    "itlb.accesses", "itlb.misses", "dtlb.accesses", "dtlb.misses",
+    "conditional", "conditionalMispredicts", "unconditional",
+    "unconditionalMispredicts", "taken", "indirect",
+    "indirectMispredicts", "returns", "returnMispredicts", "btbMisses",
+    "prefetch.confirmed", "prefetch.covered", "codeLines", "dataPages"};
+
+RawCounters
+rawCounters(const SimCpu &cpu)
+{
+    const BranchStats &b = cpu.branches().stats();
+    const CpuReport r = cpu.report();
+    return {cpu.instructions(),
+            cpu.l1i().accesses(), cpu.l1i().misses(),
+            cpu.l1d().accesses(), cpu.l1d().misses(),
+            cpu.l2().accesses(), cpu.l2().misses(),
+            cpu.l3().accesses(), cpu.l3().misses(),
+            cpu.itlb().accesses(), cpu.itlb().misses(),
+            cpu.dtlb().accesses(), cpu.dtlb().misses(),
+            b.conditional, b.conditionalMispredicts, b.unconditional,
+            b.unconditionalMispredicts, b.taken, b.indirect,
+            b.indirectMispredicts, b.returns, b.returnMispredicts,
+            b.btbMisses,
+            cpu.prefetcher().streamsConfirmed(),
+            cpu.prefetcher().coveredAccesses(),
+            static_cast<uint64_t>(r.codeFootprintKb * 1024 / 64),
+            static_cast<uint64_t>(r.dataFootprintKb / 4)};
+}
+
+/** One stream replayed on one machine, with its expected counters. */
+struct PinnedRun
+{
+    const char *stream;   //!< "random" or "streaming" (op_streams.hh)
+    size_t ops;
+    const char *machine;  //!< a machine name parseMachine() takes
+    RawCounters counts;
+};
+
+/**
+ * Recorded from the timestamp-walk tag store with a footprint insert
+ * on every access. At 20x length the random stream re-hits data in L2
+ * and L3 after L1D evictions; the streaming one confirms prefetch
+ * streams.
+ */
+const PinnedRun kPinnedRuns[] = {
+    {"random", kStreamOps, "xeon",
+     {10000,
+      10000, 256, 3474, 3447, 3703, 3650, 3650, 3648,
+      10000, 4, 3474, 3254,
+      1503, 594, 0, 0, 899, 0, 0, 307, 307, 909,
+      0, 0, 256, 993}},
+    {"random", kStreamOps, "atom",
+     {10000,
+      10000, 256, 3474, 3454, 3710, 3648, 0, 0,
+      10000, 4, 3474, 3365,
+      1503, 726, 0, 0, 899, 0, 0, 307, 307, 909,
+      0, 0, 256, 993}},
+    {"random", kStreamOps, "sim32",
+     {10000,
+      10000, 256, 3474, 3447, 3703, 3648, 0, 0,
+      10000, 4, 3474, 3365,
+      1503, 726, 0, 0, 899, 0, 0, 307, 307, 909,
+      0, 0, 256, 993}},
+    {"streaming", kStreamOps, "xeon",
+     {10000,
+      10000, 256, 4012, 517, 773, 772, 772, 772,
+      10000, 4, 4012, 497,
+      1474, 454, 0, 0, 438, 0, 0, 0, 0, 438,
+      2, 434, 256, 424}},
+    {"streaming", kStreamOps, "atom",
+     {10000,
+      10000, 256, 4012, 517, 773, 772, 0, 0,
+      10000, 4, 4012, 506,
+      1474, 532, 0, 0, 438, 0, 0, 0, 0, 438,
+      4, 432, 256, 424}},
+    {"streaming", kStreamOps, "sim32",
+     {10000,
+      10000, 256, 4012, 517, 773, 772, 0, 0,
+      10000, 4, 4012, 506,
+      1474, 532, 0, 0, 438, 0, 0, 0, 0, 438,
+      4, 432, 256, 424}},
+    {"random", 20 * kStreamOps, "xeon",
+     {200000,
+      200000, 256, 70064, 69513, 69769, 66080, 66080, 43360,
+      200000, 4, 70064, 65651,
+      29851, 13023, 0, 0, 17964, 0, 0, 5932, 5932, 18070,
+      0, 0, 256, 1024}},
+    {"random", 20 * kStreamOps, "atom",
+     {200000,
+      200000, 256, 70064, 69660, 69916, 62192, 0, 0,
+      200000, 4, 70064, 67861,
+      29851, 17340, 0, 0, 17964, 0, 0, 5932, 5932, 18072,
+      0, 0, 256, 1024}},
+    {"random", 20 * kStreamOps, "sim32",
+     {200000,
+      200000, 256, 70064, 69513, 69769, 46319, 0, 0,
+      200000, 4, 70064, 67861,
+      29851, 17340, 0, 0, 17964, 0, 0, 5932, 5932, 18072,
+      0, 0, 256, 1024}},
+    {"streaming", 20 * kStreamOps, "xeon",
+     {200000,
+      200000, 256, 79924, 9966, 10222, 9987, 9987, 9515,
+      200000, 4, 79924, 9538,
+      30078, 10496, 0, 0, 9005, 0, 0, 0, 0, 9005,
+      6, 8730, 256, 1088}},
+    {"streaming", 20 * kStreamOps, "atom",
+     {200000,
+      200000, 256, 79924, 9977, 10233, 9716, 0, 0,
+      200000, 4, 79924, 9838,
+      30078, 12214, 0, 0, 9005, 0, 0, 0, 0, 9005,
+      15, 8721, 256, 1088}},
+    {"streaming", 20 * kStreamOps, "sim32",
+     {200000,
+      200000, 256, 79924, 9966, 10222, 9515, 0, 0,
+      200000, 4, 79924, 9838,
+      30078, 12214, 0, 0, 9005, 0, 0, 0, 0, 9005,
+      15, 8721, 256, 1088}},
+};
+
+TEST(SimCpu, RawCountersArePinned)
+{
+    for (const PinnedRun &run : kPinnedRuns) {
+        SCOPED_TRACE(std::string(run.stream) + " x" +
+                     std::to_string(run.ops) + " on " + run.machine);
+        auto ops = std::string(run.stream) == "random"
+                       ? syntheticStream(run.ops)
+                       : streamingStream(run.ops);
+        MachineConfig machine;
+        ASSERT_TRUE(parseMachine(run.machine, machine));
+        SimCpu per_op(machine);
+        for (const MicroOp &op : ops)
+            per_op.consume(op);
+        SimCpu batched(machine);
+        batched.consumeOps(ops.data(), ops.size());
+        RawCounters got_per_op = rawCounters(per_op);
+        RawCounters got_batched = rawCounters(batched);
+        for (size_t i = 0; i < run.counts.size(); ++i) {
+            EXPECT_EQ(got_per_op[i], run.counts[i])
+                << "per-op " << kCounterNames[i];
+            EXPECT_EQ(got_batched[i], run.counts[i])
+                << "batched " << kCounterNames[i];
+        }
+    }
+}
+
+TEST(SimCpu, FootprintsCountDistinctLinesAndPages)
+{
+    // The two test streams, plus the random one with its code spread
+    // over 1 MB, so L1I lines and ITLB pages are evicted and re-fetched,
+    // and with every load and store reading the line fetched 64 ops
+    // later, so code lines reach the unified L2 before their fetch.
+    std::vector<MicroOp> wide = syntheticStream(kStreamOps);
+    for (size_t i = 0; i < wide.size(); ++i)
+        wide[i].pc = 0x400000 + (((i * 2654435761u) % (1u << 20)) & ~3ull);
+    for (size_t i = 0; i + 64 < wide.size(); ++i)
+        if (wide[i].memSize > 0)
+            wide[i].memAddr = wide[i + 64].pc;
+    for (const auto &ops : {syntheticStream(kStreamOps),
+                            streamingStream(kStreamOps), wide}) {
+        std::set<uint64_t> lines, pages;
+        for (const MicroOp &op : ops) {
+            lines.insert(op.pc >> 6);
+            if (op.memSize > 0)
+                pages.insert(op.memAddr >> 12);
+        }
+        for (const char *name : {"xeon", "atom", "sim32"}) {
+            SCOPED_TRACE(name);
+            MachineConfig machine;
+            ASSERT_TRUE(parseMachine(name, machine));
+            SimCpu per_op(machine);
+            for (const MicroOp &op : ops)
+                per_op.consume(op);
+            SimCpu batched(machine);
+            batched.consumeOps(ops.data(), ops.size());
+            for (const SimCpu *cpu : {&per_op, &batched}) {
+                CpuReport r = cpu->report();
+                EXPECT_EQ(r.codeFootprintKb, lines.size() * 64.0 / 1024.0);
+                EXPECT_EQ(r.dataFootprintKb, pages.size() * 4.0);
+            }
+        }
+    }
+}
+
+TEST(SimCpu, RejectsLineAndPageSizesTheSkipsCannotUse)
+{
+    // The repeat skips and miss-only footprint inserts key code lines
+    // by pc >> 6 and pages by address >> 12.
+    MachineConfig l1i = xeonE5645();
+    l1i.l1i.lineBytes = 32;
+    EXPECT_DEATH({ SimCpu cpu(l1i); }, "64-byte L1I lines");
+    MachineConfig itlb = atomD510();
+    itlb.itlb.pageBytes = 8192;
+    EXPECT_DEATH({ SimCpu cpu(itlb); }, "4 KB ITLB/DTLB pages");
+    MachineConfig dtlb = xeonE5645();
+    dtlb.dtlb.pageBytes = 2 * 1024 * 1024;
+    EXPECT_DEATH({ SimCpu cpu(dtlb); }, "4 KB ITLB/DTLB pages");
 }
 
 TEST(MachineConfigs, MatchTable3)
