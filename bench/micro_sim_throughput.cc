@@ -382,7 +382,9 @@ BENCHMARK(BM_TraceRead);
  * Repeat-replay row: one persistent reader, timed replays only. This
  * is the shape of the actual hot loop (sweep ladders and config fans
  * replay the same trace many times): every chunk decodes in place
- * from the file mapping.
+ * from the file mapping. The reader releases each chunk's pages once
+ * decoded, so every replay re-faults its pages from the page cache
+ * and the row includes that cost.
  */
 void
 BM_ReplayMmap(benchmark::State &state)
@@ -401,7 +403,7 @@ BM_ReplayMmap(benchmark::State &state)
     }
     TraceReader reader(path);
     {
-        // Warm-up replay: touches every page of the mapping.
+        // Warm-up replay: pulls every page into the page cache.
         CountingSink counter;
         reader.replayInto(counter);
     }

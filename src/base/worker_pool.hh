@@ -5,16 +5,17 @@
  *
  * Every parallel path in the toolkit has the same shape: `count`
  * independent jobs, each a replay of its own reader copy into its own
- * sink (the multi-config and many-trace replay runners, the MRC
- * ladder's chunk-range profiles and Verify's oracle sweep, a sweep
- * group's traces) or one loadgen actor's phase. No sink fans out
- * internally. Each goes through parallelFor(),
- * which resolves the worker request once (replayWorkers()) and runs
- * the jobs through runBounded(); pool threads and the calling thread
- * claim indices from a shared atomic counter, so the caller never
- * idles while work remains and a pool of zero threads degenerates to
- * plain sequential execution on the caller. runBounded() returns once
- * every index has finished executing — not merely been claimed.
+ * sink (runReplays() in tracefile/replay.hh, which runs multi-config
+ * and many-trace replay, the MRC ladder's chunk-range profiles and
+ * Verify's oracle sweep, and a sweep group's traces) or one loadgen
+ * actor's phase. No sink fans out internally. Each goes through
+ * parallelFor(), which resolves the worker request once
+ * (replayWorkers()) and runs the jobs through runBounded(); pool
+ * threads and the calling thread claim indices from a shared atomic
+ * counter, so the caller never idles while work remains and a pool of
+ * zero threads degenerates to plain sequential execution on the
+ * caller. runBounded() returns once every index has finished
+ * executing — not merely been claimed.
  *
  * One process-wide pool (shared(), lazily built with
  * hardwareWorkers() - 1 threads) serves every entry point, so no

@@ -64,12 +64,18 @@ profileTraces(const std::vector<std::string> &trace_paths,
               const MachineConfig &machine, const NodeModel &node,
               unsigned threads)
 {
-    std::vector<WorkloadRun> runs(trace_paths.size());
-    parallelFor(trace_paths.size(), [&](size_t i) {
-        TraceReader reader(trace_paths[i]);
-        runs[i] = profileWorkload(reader, machine, node);
+    // Open, and so validate, every trace before any replay starts;
+    // the footers give the op counts the runner claims by.
+    std::vector<TraceReader> traces;
+    traces.reserve(trace_paths.size());
+    for (const std::string &path : trace_paths)
+        traces.emplace_back(path);
+    std::vector<ReplayItem> items;
+    for (const TraceReader &trace : traces)
+        items.push_back({&trace, 0, trace.chunkCount()});
+    return runReplays(items, [&](size_t, TraceReader &reader) {
+        return profileWorkload(reader, machine, node);
     }, threads);
-    return runs;
 }
 
 } // namespace wcrt

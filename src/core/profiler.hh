@@ -66,9 +66,12 @@ WorkloadRun profileWorkload(TraceReader &trace,
 
 /**
  * Replay many stored traces against one machine configuration in
- * parallel (results in input order). Fans out via parallelFor on the
- * process-wide WorkerPool::shared(), so the cap composes with every
- * other pooled replay path instead of spawning its own threads.
+ * parallel (results in input order). Every trace is opened, and so
+ * validated, before the first replay starts: a malformed file throws
+ * TraceFormatError before any job runs. The replays then go through
+ * runReplays() (tracefile/replay.hh), biggest trace first, on the
+ * process-wide pool, so the cap composes with every other pooled
+ * replay path instead of spawning its own threads.
  *
  * @param trace_paths Trace files to replay.
  * @param machine Machine model to simulate.

@@ -47,18 +47,21 @@ averageSweep(const ScenarioSpec &spec,
     out.curve.assign(spec.sizesKb.size(), 0.0);
     if (group.empty())
         return out;
-    // Capture serially on the calling thread, then replay the group's
-    // traces as independent jobs; the sum runs in roster order, so the
-    // average is bit-identical at any worker count.
-    std::vector<std::string> paths;
+    // Capture and open serially on the calling thread, then run one
+    // ladder per trace as runner jobs, biggest trace first; the sum
+    // runs in roster order, so the average is bit-identical at any
+    // worker count.
+    std::vector<TraceReader> traces;
+    traces.reserve(group.size());
     for (const auto &entry : group)
-        paths.push_back(cache.ensure(
+        traces.emplace_back(cache.ensure(
             entry.name, scale, [&] { return entry.make(scale); }));
-    std::vector<MrcResult> results(paths.size());
-    parallelFor(paths.size(), [&](size_t i) {
-        results[i] = replaySweepLadder(paths[i], spec.sweepKind,
-                                       spec.sizesKb, mode, jobs,
-                                       spec.assoc, spec.lineBytes);
+    std::vector<ReplayItem> items;
+    for (const TraceReader &trace : traces)
+        items.push_back({&trace, 0, trace.chunkCount()});
+    auto results = runReplays(items, [&](size_t, TraceReader &reader) {
+        return replaySweepLadder(reader, spec.sweepKind, spec.sizesKb,
+                                 mode, jobs, spec.assoc, spec.lineBytes);
     }, jobs);
     for (const MrcResult &r : results) {
         out.maxDivergence = std::max(out.maxDivergence, r.maxDivergence);

@@ -83,13 +83,14 @@ std::unique_ptr<TrafficTarget> makeScenarioTarget(
 
 /**
  * A workload group's average miss-ratio curve: each entry's trace
- * (captured serially into `cache` at `scale` on first use) replayed
- * across the spec's ladder — sweep kind, sizes, associativity, line
- * size — in `mode`, one replaySweepLadder() job per trace through
- * parallelFor(). Curves are summed in roster order, then divided by
- * the group size, so the average is bit-identical at any worker
- * count; an empty group yields an all-zero curve. Sweep cells and the
- * fig6–9 benches both average through here.
+ * (captured serially into `cache` at `scale` on first use, then
+ * opened) replayed across the spec's ladder — sweep kind, sizes,
+ * associativity, line size — in `mode`, one replaySweepLadder() job
+ * per trace through runReplays(), biggest trace first. Curves are
+ * summed in roster order, then divided by the group size, so the
+ * average is bit-identical at any worker count; an empty group yields
+ * an all-zero curve. Sweep cells and the fig6–9 benches both average
+ * through here.
  *
  * @param jobs Worker cap across the group's replays, also handed to
  *        each replaySweepLadder(), where it caps the trace's chunk

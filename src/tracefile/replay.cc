@@ -2,23 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 
 namespace wcrt {
+
+uint64_t
+ReplayItem::ops() const
+{
+    uint64_t total = 0;
+    for (uint64_t c = first; c < last; ++c)
+        total += trace->chunkOps(c);
+    return total;
+}
+
+std::vector<size_t>
+claimOrder(const std::vector<ReplayItem> &items)
+{
+    std::vector<uint64_t> ops;
+    ops.reserve(items.size());
+    for (const ReplayItem &item : items)
+        ops.push_back(item.ops());
+    std::vector<size_t> order(items.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return ops[a] > ops[b]; });
+    return order;
+}
 
 std::vector<CpuReport>
 replayOnConfigs(const TraceReader &trace,
                 const std::vector<MachineConfig> &configs,
                 unsigned threads)
 {
-    std::vector<CpuReport> reports(configs.size());
-    parallelFor(configs.size(), [&](size_t i) {
-        TraceReader reader(trace);
+    std::vector<ReplayItem> items(configs.size(),
+                                  {&trace, 0, trace.chunkCount()});
+    return runReplays(items, [&](size_t i, TraceReader &reader) {
         SimCpu cpu(configs[i]);
         reader.replayInto(cpu);
-        reports[i] = cpu.report();
+        return cpu.report();
     }, threads);
-    return reports;
 }
 
 const char *
@@ -81,34 +104,33 @@ replaySweepLadder(const TraceReader &trace, SweepKind kind,
     if (sizes_kb.empty())
         return result;
 
-    // Every job replays from its own copy of the reader: the oracle
-    // sweep, when the mode has one, over the whole trace (first,
-    // because it runs longest), and the stack-distance profile as one
-    // job per consecutive chunk range — as many ranges as the worker
-    // cap, so the cut depends only on the trace and the request. The
-    // range profiles then merge in order into the profile one pass
-    // would have built.
+    // Every job replays from its own copy of the reader: the
+    // stack-distance profile as one job per consecutive chunk range —
+    // as many ranges as the worker cap, so the cut depends only on the
+    // trace and the request — and the oracle sweep, when the mode has
+    // one, over the whole trace. The range profiles then merge in
+    // order into the profile one pass would have built.
+    std::vector<ReplayItem> items;
     std::vector<StackDistanceProfile> parts;
-    std::vector<uint64_t> cuts;
     if (mode != MrcMode::ShardedOracle) {
         size_t ranges = std::max<uint64_t>(
             1, std::min<uint64_t>(replayWorkers(threads),
                                   trace.chunkCount()));
-        cuts = chunkCuts(trace, ranges);
+        std::vector<uint64_t> cuts = chunkCuts(trace, ranges);
+        for (size_t r = 0; r < ranges; ++r)
+            items.push_back({&trace, cuts[r], cuts[r + 1]});
         parts.assign(ranges, StackDistanceProfile(kind, line_bytes));
     }
     std::optional<FootprintSweep> sweep;
-    if (mode != MrcMode::StackDistance)
+    if (mode != MrcMode::StackDistance) {
         sweep.emplace(kind, sizes_kb, assoc, line_bytes);
-    size_t first_range = sweep ? 1 : 0;
-    parallelFor(first_range + parts.size(), [&](size_t i) {
-        TraceReader reader(trace);
-        if (i < first_range) {
-            reader.replayInto(*sweep);
-            return;
-        }
-        size_t r = i - first_range;
-        reader.replayChunks(parts[r], cuts[r], cuts[r + 1]);
+        items.push_back({&trace, 0, trace.chunkCount()});
+    }
+    runReplays(items, [&](size_t i, TraceReader &reader) {
+        if (i < parts.size())
+            return reader.replayChunks(parts[i], items[i].first,
+                                       items[i].last);
+        return reader.replayInto(*sweep);
     }, threads);
 
     if (!parts.empty()) {

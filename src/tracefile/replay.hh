@@ -1,26 +1,30 @@
 /**
  * @file
- * Parallel replay runners: multi-config replay and the MRC ladder.
+ * The replay runner and what runs on it: multi-config replay and the
+ * MRC ladder.
  *
  * One captured trace can feed any number of sinks, and N traces can
  * feed one configuration (profileTraces() in core/profiler) — each
  * replay is an independent read-only pass over immutable trace bytes,
- * so they parallelize perfectly. The runners take an open
- * TraceReader, so a file or a drained shm ring is opened and
- * validated once; every job replays its own copy of the reader into
- * its own sink through parallelFor() (base/worker_pool.hh), and
- * results always come back in input order, so parallel runs are
- * bit-identical to serial ones. No sink fans out internally: all
- * replay parallelism is independent (reader copy, sink) jobs. A job
- * may replay only a run of consecutive chunks: the MRC ladder
- * profiles chunk ranges as separate jobs and merges the range
- * profiles, in order, into exactly the one-pass profile.
+ * so they parallelize perfectly. Every such fan-out goes through one
+ * runner, runReplays(), over (reader, chunk range) items: each job
+ * replays its own copy of the item's reader into its own sink through
+ * parallelFor() (base/worker_pool.hh), items are claimed heaviest
+ * first, and results always come back in input order, so parallel
+ * runs are bit-identical to serial ones. The callers hand it open
+ * TraceReaders, so a file or a drained shm ring is opened and
+ * validated once. No sink fans out internally: all replay parallelism
+ * is independent (reader copy, sink) jobs. A job may replay only a run
+ * of consecutive chunks: the MRC ladder profiles chunk ranges as
+ * separate jobs and merges the range profiles, in order, into exactly
+ * the one-pass profile.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH
 #define WCRT_TRACEFILE_REPLAY_HH
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/worker_pool.hh"
@@ -31,6 +35,55 @@
 #include "tracefile/trace_reader.hh"
 
 namespace wcrt {
+
+/** One replay job's input: chunks [first, last) of an open trace. */
+struct ReplayItem
+{
+    const TraceReader *trace = nullptr;
+    uint64_t first = 0;
+    uint64_t last = 0;
+
+    /** Ops the item replays, from the chunk prefixes (no decode). */
+    uint64_t ops() const;
+};
+
+/**
+ * The order runReplays() claims `items` in: descending op count, ties
+ * in input order. The biggest replays start first, so the pool's last
+ * claims are its shortest jobs and no long job starts late.
+ */
+std::vector<size_t> claimOrder(const std::vector<ReplayItem> &items);
+
+/**
+ * The one replay runner: run `job(i, reader)` once per item as
+ * parallelFor() jobs, claimed in claimOrder(). `reader` is the job's
+ * own copy of `*items[i].trace`, from which the job replays
+ * items[i]'s chunks into a sink of its own; the copy, and the decode
+ * block it allocates, live only as long as the job. Returns the job
+ * results indexed like `items`, so the result is the same at every
+ * worker count. The first exception a job throws is rethrown here.
+ *
+ * @param threads Worker cap (0 → hardware threads, 1 → strictly
+ *        serial on the caller, in claim order).
+ */
+template <typename Job>
+auto
+runReplays(const std::vector<ReplayItem> &items, const Job &job,
+           unsigned threads = 0)
+{
+    using Result = std::invoke_result_t<const Job &, size_t,
+                                        TraceReader &>;
+    // vector<bool> packs bits, so writes of distinct results would race.
+    static_assert(!std::is_same_v<Result, bool>);
+    std::vector<Result> results(items.size());
+    std::vector<size_t> order = claimOrder(items);
+    parallelFor(order.size(), [&](size_t k) {
+        size_t i = order[k];
+        TraceReader reader(*items[i].trace);
+        results[i] = job(i, reader);
+    }, threads);
+    return results;
+}
 
 /**
  * Replay one trace into a SimCpu per machine configuration, in
@@ -109,12 +162,12 @@ struct MrcResult
  * Replay one trace across a cache-capacity ladder in the selected
  * MrcMode. The mode's sinks — the stack-distance profile, the oracle
  * sweep, or both in Verify — each measure only the `kind` stream and
- * each replay from their own copy of the reader, as parallelFor()
+ * each replay from their own copy of the reader, as runReplays()
  * jobs; a sink itself never fans out. The profile runs as
  * min(worker cap, chunk count) jobs over consecutive chunk ranges of
  * about equal op counts, merged in order afterwards; Verify's oracle
- * sweep is one more job over the whole trace, queued first because
- * it runs longest.
+ * sweep is one more job over the whole trace, which as the heaviest
+ * item is claimed first.
  *
  * @param trace Open captured trace.
  * @param kind Which reference stream to measure.

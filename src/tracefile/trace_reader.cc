@@ -211,6 +211,9 @@ TraceReader::TraceReader(TraceBytes bytes,
     f->bytes = std::move(bytes);
     readHeader(*f);
     walkChunks(*f);
+    // The walk touched every chunk prefix, and fault-around mapped
+    // their neighbours; replay faults back in what it reads.
+    f->bytes.releasePages(0, f->bytes.size());
     file = f;
 }
 
@@ -356,13 +359,13 @@ TraceReader::replayChunk(TraceSink &sink, const Chunk &chunk)
     // including the 8-byte varint loads, stays in bounds); the chunk's
     // tail falls back to the checked Decoder, so truncation still
     // surfaces as a clean error.
-    BlockArrays arrays(block);
+    BlockArrays arrays(*block);
     uint64_t prev_pc = 0;
     uint64_t prev_mem = 0;
     const uint8_t *p = pay;
     const uint8_t *pay_end = pay + chunk.payloadBytes;
     for (uint32_t left = chunk.opCount; left > 0;) {
-        size_t n = std::min<size_t>(left, block.capacity());
+        size_t n = std::min<size_t>(left, block->capacity());
         FastCursor fast{p};
         size_t i = 0;
         while (i < n &&
@@ -375,12 +378,13 @@ TraceReader::replayChunk(TraceSink &sink, const Chunk &chunk)
         for (; i < n; ++i)
             decodeOp(checked, prev_pc, prev_mem, arrays, i, path);
         p = pay_end - dec.remaining();
-        block.setUsed(n);
-        sink.consumeBatch(block.view());
+        block->setUsed(n);
+        sink.consumeBatch(block->view());
         left -= static_cast<uint32_t>(n);
     }
     if (p != pay_end)
         throw TraceFormatError("trailing bytes in trace chunk: " + path);
+    file->bytes.releasePages(chunk.offset, chunk.payloadBytes);
 }
 
 uint64_t
@@ -392,6 +396,8 @@ TraceReader::replayChunks(TraceSink &sink, uint64_t first, uint64_t last)
             std::to_string(last) + ") outside the " +
             std::to_string(file->chunks.size()) + " chunks of " +
             file->path);
+    if (!block)
+        block.emplace();
     uint64_t ops = 0;
     for (uint64_t i = first; i < last; ++i) {
         replayChunk(sink, file->chunks[i]);

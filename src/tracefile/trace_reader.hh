@@ -15,8 +15,17 @@
  * fixed, reusable op block, and each slice reaches the sink in one
  * consumeBatch() call — a block-sized stretch of the stream per
  * virtual dispatch, never spanning two chunks, and a decode buffer
- * whose size no chunk header can change. A reader can replay its
- * bytes any number of times.
+ * whose size no chunk header can change. The block is allocated on a
+ * reader's first replay, so a reader opened only for its metadata
+ * holds none. A reader can replay its bytes any number of times.
+ *
+ * Residency is bounded: once the open-time chunk walk is done the
+ * reader releases the whole view's pages, and after decoding each
+ * chunk it releases that chunk's payload (TraceBytes::releasePages(),
+ * which explains why that is safe and leaves owned buffers alone). A
+ * mapped trace therefore keeps about one boundary page per chunk
+ * resident, not every page it decoded, and each replay faults its
+ * pages back in from the page cache.
  *
  * The bytes are one immutable TraceBytes view
  * (tracefile/trace_source.hh): a memory-mapped file, decoded in place
@@ -32,6 +41,7 @@
 #define WCRT_TRACEFILE_TRACE_READER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,12 +204,16 @@ class TraceReader
      */
     static void walkChunks(File &f);
 
-    /** Check (per CrcMode) and decode one op chunk into `sink`. */
+    /**
+     * Check (per CrcMode) and decode one op chunk into `sink`, then
+     * release the chunk's payload pages. The block must exist.
+     */
     void replayChunk(TraceSink &sink, const Chunk &chunk);
 
     std::shared_ptr<const File> file;
     ReaderOptions readerOpts;
-    OpBlock block;  //!< fixed decode target, one slice at a time
+    //! Fixed decode target, one slice at a time; made on first replay.
+    std::optional<OpBlock> block;
     uint64_t crcChecks = 0;
 };
 

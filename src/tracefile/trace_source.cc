@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <mutex>
 
 namespace wcrt {
@@ -107,6 +108,23 @@ TraceBytes::map(const std::string &path)
     }
     ::close(fd);  // the mapping outlives the descriptor
     return view;
+}
+
+void
+TraceBytes::releasePages(uint64_t offset, uint64_t span) const
+{
+    if (!isMapped || offset >= length)
+        return;
+    static const uint64_t page =
+        static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+    // The mapping starts on a page boundary, so offsets round like
+    // addresses: inward, to the whole pages the span covers. A failed
+    // madvise only leaves the pages resident, so it is ignored.
+    uint64_t first = (offset + page - 1) / page * page;
+    uint64_t end = std::min(offset + span, length) / page * page;
+    if (first < end)
+        ::madvise(const_cast<uint8_t *>(data()) + first, end - first,
+                  MADV_DONTNEED);
 }
 
 } // namespace wcrt

@@ -10,6 +10,19 @@
  * (pinned by test). Copies of a TraceBytes share one mapping or
  * buffer, released with the last copy.
  *
+ * Residency: a mapped view does not keep what it decoded. The reader
+ * hands back the whole pages of every span it is done with
+ * (releasePages(): the chunk walk at open, then each chunk after it
+ * decodes), so a replayed trace holds about one boundary page per
+ * chunk instead of the whole file. MADV_DONTNEED on a PROT_READ,
+ * MAP_PRIVATE file mapping only drops page-table entries: no private
+ * copy of a page can exist, the page cache keeps the bytes, and the
+ * next touch faults the identical bytes back in. captureTrace()
+ * writes a trace tmp-then-rename, so a mapped file never changes, and
+ * reader copies sharing one mapping stay correct however their
+ * releases and reads interleave. An owned buffer is never
+ * released, because MADV_DONTNEED zero-fills anonymous pages.
+ *
  * This header also carries the reader policy knobs: the chunk-CRC
  * policy (`CrcMode`) and the process-wide default ReaderOptions.
  */
@@ -104,6 +117,16 @@ class TraceBytes
 
     /** True for a file mapping, false for an in-memory buffer. */
     bool mapped() const { return isMapped; }
+
+    /**
+     * Drop the whole pages inside bytes [offset, offset + span)
+     * from the process (MADV_DONTNEED); the partial pages at either
+     * end stay. The bytes read the same afterwards — the next touch
+     * faults them back in from the page cache — so this is safe while
+     * other copies read the span. Does nothing for an in-memory
+     * buffer.
+     */
+    void releasePages(uint64_t offset, uint64_t span) const;
 
   private:
     std::shared_ptr<const uint8_t> base;

@@ -4,14 +4,15 @@
  * the six MPI contrast implementations of Section 5.5, and the full
  * 77-entry BigDataBench-style roster the reduction study starts from.
  *
- * Roster composition (77 = 36 + 21 + 15 + 3 + 2):
- *  - 36 text workloads: {WordCount, Grep, Sort} x {Hadoop, Spark, MPI}
- *    x {Wikipedia, Amazon} x {full, half input};
- *  - 21 queries: {Select, Project, OrderBy, Difference, Q3, Q8, Q10}
- *    x {Hive, Shark, Impala};
- *  - 15 ML/graph: {KMeans, PageRank, Bayes} x {Hadoop, Spark, MPI}
- *    plus half-input KMeans and PageRank variants on all three stacks;
- *  - 3 large-input Bayes variants;
+ * Roster composition (77 = 24 + 12 + 27 + 12 + 2):
+ *  - 24 text workloads: {WordCount, Grep, Sort, Index}
+ *    x {Hadoop, Spark, MPI} x {Wikipedia, Amazon};
+ *  - 12 half-input text variants: {WordCount, Sort}
+ *    x {Hadoop, Spark, MPI} x {Wikipedia, Amazon};
+ *  - 27 queries: {Select, Project, OrderBy, Difference, Aggregation,
+ *    Join, Q3, Q8, Q10} x {Hive, Shark, Impala};
+ *  - 12 ML/graph: {KMeans, PageRank, NaiveBayes, ConnComp}
+ *    x {Hadoop, Spark, MPI};
  *  - 2 H-Read service variants (full / half store).
  */
 

@@ -10,13 +10,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1031,6 +1035,101 @@ TEST(TraceSourceParity, CorruptFixturesFailIdentically)
     fs::remove(path);
 }
 
+// ---------------------------------------------------------- residency
+
+/** Resident bytes (smaps `Rss:`) of this process's mapping at `addr`. */
+uint64_t
+residentBytes(const void *addr)
+{
+    std::ifstream smaps("/proc/self/smaps");
+    auto at = reinterpret_cast<uintptr_t>(addr);
+    bool inside = false;
+    for (std::string line; std::getline(smaps, line);) {
+        unsigned long lo = 0;
+        unsigned long hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2)
+            inside = lo <= at && at < hi;
+        else if (inside && line.rfind("Rss:", 0) == 0)
+            return std::stoull(line.substr(4)) * 1024;
+    }
+    ADD_FAILURE() << "no mapping holds address " << addr;
+    return 0;
+}
+
+TEST(TraceFile, MappedTraceKeepsAboutOnePagePerChunkResident)
+{
+    // Opening releases the pages the chunk walk touched, and replay
+    // releases each chunk's payload once decoded, so a mapped trace
+    // keeps at most the pages chunks share with their neighbours (and
+    // the first and last page) resident, not the file.
+    const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+    std::string path = tempTracePath("residency");
+    std::vector<MicroOp> ops = awkwardOpsRepeated(20 * 16384);
+    writeSample(path, ops, 16384);
+
+    TraceBytes bytes = TraceBytes::map(path);
+    TraceReader reader(bytes, path);
+    ASSERT_GE(reader.chunkCount(), 16u);
+    // Chunks many pages long, or the bound below would hold anyway.
+    ASSERT_GT(reader.payloadBytes(), 8 * page * reader.chunkCount());
+    const uint64_t bound = (2 * reader.chunkCount() + 2) * page;
+    EXPECT_LE(residentBytes(bytes.data()), bound) << "after open";
+
+    MixCounter mix;
+    EXPECT_EQ(reader.replayInto(mix), ops.size());
+    EXPECT_LE(residentBytes(bytes.data()), bound) << "after replay";
+    fs::remove(path);
+}
+
+TEST(TraceSourceParity, OwnedBufferReplaysTwiceIdentically)
+{
+    // Releasing pages must leave an in-memory buffer alone: dropping
+    // anonymous pages would zero them, and the second replay would
+    // fail its CRCs or decode zeros.
+    std::string path = tempTracePath("owned-twice");
+    std::vector<MicroOp> ops = awkwardOpsRepeated(16 * 4096);
+    writeSample(path, ops, 4096);
+    TraceReader reader(TraceBytes(readFileBytes(path)), path);
+    fs::remove(path);
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE("replay " + std::to_string(pass));
+        RecordingSink sink;
+        reader.replayInto(sink);
+        expectOpsEqual(ops, sink.ops);
+    }
+}
+
+TEST(TraceSourceParity, ConcurrentCopiesOfOneMappingMatchSerial)
+{
+    // Two copies of one mapped reader decode the same chunks at the
+    // same time, each releasing pages the other may be reading; the
+    // released bytes fault back in unchanged, so both see exactly
+    // what a serial replay sees.
+    std::string path = tempTracePath("concurrent-copies");
+    writeSample(path, awkwardOpsRepeated(32 * 2048), 2048);
+    TraceReader reader(path);
+    RecordingSink serial;
+    TraceReader(reader).replayInto(serial);
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        RecordingSink sinks[2];
+        std::atomic<int> waiting{2};
+        auto replay = [&](RecordingSink &sink) {
+            TraceReader copy(reader);
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0) {
+            }
+            copy.replayInto(sink);
+        };
+        std::thread other(replay, std::ref(sinks[1]));
+        replay(sinks[0]);
+        other.join();
+        expectOpsEqual(serial.ops, sinks[0].ops);
+        expectOpsEqual(serial.ops, sinks[1].ops);
+    }
+    fs::remove(path);
+}
+
 // --------------------------------------------------------- CRC modes
 
 TEST(CrcElision, AlwaysChecksEveryReplay)
@@ -1427,6 +1526,134 @@ TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
         EXPECT_EQ(got[i].maxDivergence, expect.maxDivergence);
     }
     fs::remove(path);
+}
+
+TEST(Replay, RunnerClaimsHeaviestFirstAndReturnsInputOrder)
+{
+    std::string path = tempTracePath("claim-order");
+    writeSample(path, awkwardOpsRepeated(100), 10);  // 10 chunks of 10
+    TraceReader trace(path);
+    ASSERT_EQ(trace.chunkCount(), 10u);
+    // 30, 50, 20, 50, 0 and 30 ops.
+    std::vector<ReplayItem> items{{&trace, 0, 3}, {&trace, 3, 8},
+                                  {&trace, 8, 10}, {&trace, 0, 5},
+                                  {&trace, 5, 5}, {&trace, 2, 5}};
+    const std::vector<size_t> heaviest_first{1, 3, 0, 5, 2, 4};
+    EXPECT_EQ(claimOrder(items), heaviest_first);
+
+    const std::vector<uint64_t> ops{30, 50, 20, 50, 0, 30};
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        std::vector<size_t> ran;
+        std::mutex mtx;
+        auto replayed = runReplays(items, [&](size_t i, TraceReader &r) {
+            {
+                std::lock_guard<std::mutex> lock(mtx);
+                ran.push_back(i);
+            }
+            MixCounter mix;
+            return r.replayChunks(mix, items[i].first, items[i].last);
+        }, threads);
+        EXPECT_EQ(replayed, ops);
+        if (threads == 1) {
+            EXPECT_EQ(ran, heaviest_first);
+        }
+        std::sort(ran.begin(), ran.end());
+        EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+    }
+    fs::remove(path);
+}
+
+/** Capture M-WordCount, M-Grep and M-Sort at scale 0.05. */
+std::vector<std::string>
+captureSmallRoster(const std::string &tag)
+{
+    std::vector<std::string> paths;
+    for (const char *name : {"M-WordCount", "M-Grep", "M-Sort"}) {
+        std::string path = tempTracePath(tag + "-" + name);
+        WorkloadPtr w = findWorkload(name).make(0.05);
+        captureTrace(*w, path, 0.05);
+        paths.push_back(path);
+    }
+    return paths;
+}
+
+TEST(Replay, ProfileTracesIsIndependentOfPathOrderAndJobs)
+{
+    // The runner claims the biggest trace first whatever the list
+    // order, but every run lands at its path's index: a permuted list
+    // gives the same runs, permuted, at any worker count.
+    std::vector<std::string> paths = captureSmallRoster("permuted");
+    auto want = profileTraces(paths, xeonE5645(), {}, 1);
+    std::vector<size_t> perm{2, 0, 1};
+    std::vector<std::string> permuted;
+    for (size_t p : perm)
+        permuted.push_back(paths[p]);
+    for (unsigned jobs = 1; jobs <= 4; ++jobs) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        auto runs = profileTraces(permuted, xeonE5645(), {}, jobs);
+        ASSERT_EQ(runs.size(), perm.size());
+        for (size_t i = 0; i < perm.size(); ++i) {
+            const WorkloadRun &w = want[perm[i]];
+            EXPECT_EQ(runs[i].name, w.name);
+            EXPECT_EQ(runs[i].report.instructions, w.report.instructions);
+            EXPECT_EQ(runs[i].report.ipc, w.report.ipc);
+            EXPECT_EQ(runs[i].metrics, w.metrics);
+            EXPECT_EQ(runs[i].io.diskReadBytes, w.io.diskReadBytes);
+            EXPECT_EQ(runs[i].sysBehavior, w.sysBehavior);
+        }
+    }
+    for (const auto &path : paths)
+        fs::remove(path);
+}
+
+TEST(Replay, ProfileTracesRejectsACorruptTraceBeforeAnyReplay)
+{
+    // A flipped payload byte only fails when its chunk replays (CRC);
+    // a truncated file fails at open. profileTraces opens every trace
+    // before any job runs, so with both in the list the open error
+    // wins wherever the truncated trace sits, at every worker count.
+    std::vector<std::string> good = captureSmallRoster("corrupt-list");
+    std::string bad_crc = tempTracePath("corrupt-list-crc");
+    std::string truncated = tempTracePath("corrupt-list-truncated");
+    fs::copy_file(good[0], bad_crc, fs::copy_options::overwrite_existing);
+    fs::copy_file(good[1], truncated,
+                  fs::copy_options::overwrite_existing);
+    {
+        std::vector<uint8_t> bytes = readFileBytes(bad_crc);
+        bytes[bytes.size() / 2] ^= 0x5a;
+        writeFileBytes(bad_crc, bytes, bytes.size());
+        fs::resize_file(truncated, fs::file_size(truncated) / 2);
+    }
+    {
+        TraceReader reader(bad_crc);  // opens cleanly
+        MixCounter mix;
+        EXPECT_THROW(reader.replayInto(mix), TraceFormatError);
+    }
+
+    for (size_t at = 0; at <= good.size(); ++at) {
+        std::vector<std::string> paths{bad_crc};
+        paths.insert(paths.end(), good.begin(), good.end());
+        paths.insert(paths.begin() + static_cast<std::ptrdiff_t>(at + 1),
+                     truncated);
+        for (unsigned jobs = 1; jobs <= 4; jobs += 3) {
+            SCOPED_TRACE("truncated trace at " + std::to_string(at + 1) +
+                         ", jobs " + std::to_string(jobs));
+            try {
+                profileTraces(paths, xeonE5645(), {}, jobs);
+                ADD_FAILURE() << "profileTraces accepted a corrupt list";
+            } catch (const TraceFormatError &err) {
+                std::string what = err.what();
+                EXPECT_NE(what.find("truncated"), std::string::npos)
+                    << what;
+                EXPECT_EQ(what.find("CRC"), std::string::npos) << what;
+            }
+        }
+    }
+    for (const auto &path : good)
+        fs::remove(path);
+    fs::remove(bad_crc);
+    fs::remove(truncated);
 }
 
 } // namespace
