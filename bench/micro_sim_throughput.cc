@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/rng.hh"
@@ -29,7 +28,6 @@
 #include "trace/mix_counter.hh"
 #include "trace/sampling.hh"
 #include "tracefile/replay.hh"
-#include "tracefile/shm_ring.hh"
 #include "tracefile/trace_reader.hh"
 #include "tracefile/trace_writer.hh"
 
@@ -420,51 +418,6 @@ BM_ReplayMmap(benchmark::State &state)
     std::filesystem::remove(path);
 }
 BENCHMARK(BM_ReplayMmap);
-
-/**
- * The shm-ring transport end to end: a producer thread encodes ops
- * through ShmChunkSink into a shared-memory ring while the consumer
- * drains it (drainRing) and replays the stream into a counting sink —
- * the cross-process serve/attach pipeline, minus the fork, so the row
- * is comparable with BM_TraceWrite + BM_TraceRead (the file pipeline
- * over the same op count).
- */
-void
-BM_ShmRing(benchmark::State &state)
-{
-    auto ops = dispatchStream(64 * 1024);
-    CodeLayout layout;
-    layout.addFunction("bench", CodeLayer::Application, 8192);
-    TraceMeta meta;
-    meta.workload = "bench";
-    std::string ring_name = "wcrt.bench.shmring";
-    ShmRing::unlink(ring_name);
-    uint64_t payload_bytes = 0;
-    uint64_t ops_read = 0;
-    for (auto _ : state) {
-        ShmRing producer_ring = ShmRing::create(
-            ring_name, ShmRing::Role::Producer);
-        ShmRing consumer_ring =
-            ShmRing::open(ring_name, ShmRing::Role::Consumer);
-        std::thread producer([&] {
-            ShmChunkSink sink(producer_ring, meta, layout);
-            for (const auto &op : ops)
-                sink.consume(op);
-            sink.finish();
-        });
-        TraceBytes drained = drainRing(consumer_ring);
-        producer.join();
-        TraceReader reader(std::move(drained), "shm:" + ring_name);
-        CountingSink counter;
-        reader.replayInto(counter);
-        payload_bytes += reader.payloadBytes();
-        ops_read += counter.ops();
-        ShmRing::unlink(ring_name);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(ops_read));
-    state.SetBytesProcessed(static_cast<int64_t>(payload_bytes));
-}
-BENCHMARK(BM_ShmRing)->UseRealTime();
 
 /** Write one shared trace for the replay-to-sink rows. */
 const std::string &

@@ -9,13 +9,6 @@
  *     trace_tool mrc    <file.wtrace> [--kind=K] [--mode=M]
  *                       [--sizes=CSV] [--assoc=N] [--line=N]
  *                       [--jobs=N] [--json]
- *     trace_tool serve  <workload>[,<workload>...] --ring=NAME
- *                       [--scale=S] [--ring-kb=KB] [--policy=P]
- *                       [--timeout-ms=T] [--wait-ms=T]
- *                       [--heartbeat-ms=T]
- *     trace_tool attach --ring=NAME [--producers=N] [--machine=LIST]
- *                       [--mrc] [--kind=K] [--sizes=CSV] [--line=N]
- *                       [--jobs=N] [--timeout-ms=T]
  *
  * Every command also accepts `--verify-crc=always|never`, which sets
  * the process-wide ReaderOptions before any trace is opened (see
@@ -35,15 +28,6 @@
  * or machine-readable JSON. The JSON also carries the trace's op
  * count, the profiled stream's accesses and distinct lines (0 in
  * oracle mode) and the wall time of the replay.
- *
- * `serve` and `attach` are the cross-process pair (the shm ring
- * transport, docs/SHM_TRANSPORT.md): `serve` executes workloads and
- * streams their encoded ops into per-workload shared-memory rings
- * (NAME for one workload, NAME.0..NAME.N-1 for N), and `attach` —
- * run in another shell, in any order relative to serve — drains each
- * ring and analyzes the stream through the same replay runners the
- * file commands use: `replay`'s machine-config table by default,
- * `mrc`'s stack-distance curve under `--mrc`.
  */
 
 #include <chrono>
@@ -64,7 +48,6 @@
 #include "trace/mix_counter.hh"
 #include "tracefile/capture.hh"
 #include "tracefile/replay.hh"
-#include "tracefile/shm_ring.hh"
 #include "tracefile/trace_reader.hh"
 #include "tracefile/trace_source.hh"
 #include "workloads/registry.hh"
@@ -90,32 +73,9 @@ usage()
            "  trace_tool mrc    <file.wtrace> [--kind=K] [--mode=M]\n"
            "                    [--sizes=CSV] [--assoc=N] [--line=N]\n"
            "                    [--jobs=N] [--json]\n"
-           "  trace_tool serve  <workload>[,<workload>...] --ring=NAME\n"
-           "                    [--scale=S] [--ring-kb=KB] [--policy=P]\n"
-           "                    [--timeout-ms=T] [--wait-ms=T]\n"
-           "                    [--heartbeat-ms=T]\n"
-           "  trace_tool attach --ring=NAME [--producers=N]\n"
-           "                    [--machine=LIST] [--mrc] [--kind=K]\n"
-           "                    [--sizes=CSV] [--line=N] [--jobs=N]\n"
-           "                    [--timeout-ms=T]\n"
            "\n"
            "  --machine=LIST  comma-separated subset of: xeon, atom,\n"
            "                  sim<KB> (e.g. sim32); default xeon,atom\n"
-           "  --ring=NAME     shm ring name; N workloads/producers use\n"
-           "                  NAME.0 .. NAME.N-1\n"
-           "  --ring-kb=KB    ring data capacity per producer\n"
-           "                  (default 1024, rounded to a power of 2)\n"
-           "  --policy=P      producer backpressure: block (default,\n"
-           "                  lossless) or drop (lossy, non-blocking)\n"
-           "  --producers=N   rings to drain (default 1)\n"
-           "  --timeout-ms=T  serve: drain timeout after streaming;\n"
-           "                  attach: ring-appearance timeout\n"
-           "                  (default 10000)\n"
-           "  --wait-ms=T     serve: max wait for the first analyzer\n"
-           "                  when a full ring blocks capture before\n"
-           "                  anyone has attached (default 120000)\n"
-           "  --heartbeat-ms=T serve: peer-death threshold stored in\n"
-           "                  the ring superblock (default 2000)\n"
            "  --kind=K        instr (default), data or unified\n"
            "  --mode=M        stack (default), oracle or verify\n"
            "  --sizes=CSV     capacity ladder in KB (default: the\n"
@@ -309,7 +269,7 @@ parseMachineList(const std::string &machine_list)
     return configs;
 }
 
-/** Print the per-machine CpuReport table replay and attach share. */
+/** Print the per-machine CpuReport table `replay` prints. */
 void
 printReplayTable(const std::vector<CpuReport> &reports)
 {
@@ -365,7 +325,7 @@ jsonDouble(double v)
     return buf;
 }
 
-/** The curve flags `mrc` and `attach --mrc` share. */
+/** The curve flags `mrc` takes. */
 struct CurveFlags
 {
     SweepKind kind = SweepKind::Instruction;
@@ -411,7 +371,7 @@ struct CurveFlags
     }
 };
 
-/** Print one curve as the table `mrc` and `attach --mrc` share. */
+/** Print one curve as `mrc`'s table. */
 void
 printCurve(const std::string &workload, const CurveFlags &flags,
            MrcMode mode, uint32_t assoc, const MrcResult &r)
@@ -524,209 +484,6 @@ cmdMrc(int argc, char **argv)
     return 0;
 }
 
-/** Per-producer ring name: NAME for one producer, NAME.i for many. */
-std::string
-ringNameAt(const std::string &base, size_t i, size_t n)
-{
-    return n == 1 ? base : base + "." + std::to_string(i);
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    std::vector<std::string> workloads = splitList(argv[2]);
-    if (workloads.empty())
-        return usage();
-    std::string ring_base;
-    double scale = 1.0;
-    uint64_t ring_kb = 1024;
-    ShmPolicy policy = ShmPolicy::Block;
-    uint64_t timeout_ms = 10000;
-    uint64_t wait_ms = 120000;
-    uint64_t heartbeat_ms = ShmRing::defaultHeartbeatTimeoutMs;
-    for (int i = 3; i < argc; ++i) {
-        if (const char *v = flagValue(argv[i], "--ring", argc, argv, i))
-            ring_base = v;
-        else if (const char *v2 =
-                     flagValue(argv[i], "--scale", argc, argv, i))
-            scale = parseScale("--scale", v2);
-        else if (const char *v3 =
-                     flagValue(argv[i], "--ring-kb", argc, argv, i))
-            ring_kb = parseCount("--ring-kb", v3, 1, 1 << 20);
-        else if (const char *v4 =
-                     flagValue(argv[i], "--policy", argc, argv, i)) {
-            if (!parseShmPolicy(v4, policy))
-                wcrt_fatal("unknown --policy '", v4,
-                           "' (block or drop)");
-        } else if (const char *v5 = flagValue(argv[i], "--timeout-ms",
-                                              argc, argv, i)) {
-            timeout_ms = parseCount("--timeout-ms", v5, 1, 86400000);
-        } else if (const char *v6 = flagValue(argv[i], "--wait-ms",
-                                              argc, argv, i)) {
-            wait_ms = parseCount("--wait-ms", v6, 1, 86400000);
-        } else if (const char *v7 = flagValue(argv[i], "--heartbeat-ms",
-                                              argc, argv, i)) {
-            heartbeat_ms =
-                parseCount("--heartbeat-ms", v7, 1, 86400000);
-        } else {
-            return usage();
-        }
-    }
-    if (ring_base.empty())
-        wcrt_fatal("serve needs --ring=NAME");
-
-    // Create every ring before running anything, so an analyzer that
-    // attaches while the first workload is still executing finds all
-    // of them. A leftover ring from a crashed serve is replaced.
-    size_t n = workloads.size();
-    std::vector<ShmRing> rings;
-    rings.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        std::string name = ringNameAt(ring_base, i, n);
-        ShmRing::unlink(name);
-        rings.push_back(ShmRing::create(name, ShmRing::Role::Producer,
-                                        ring_kb * 1024, heartbeat_ms));
-        // Beat from ring creation, not first push: parallelFor can
-        // queue a workload behind busy pool workers (and setup alone
-        // can outlast the timeout) — an attached analyzer must not
-        // read the wait as producer death. And bound how long a full
-        // ring may block capture while no analyzer has ever attached.
-        rings.back().startHeartbeat();
-        rings.back().setNoConsumerTimeout(wait_ms);
-        std::cout << "serving " << workloads[i] << " on shm ring "
-                  << name << " (" << ring_kb << " KB, "
-                  << toString(policy) << ")\n";
-    }
-    std::cout << "waiting for an analyzer: trace_tool attach --ring="
-              << ring_base << (n > 1 ? " --producers=" +
-                                           std::to_string(n)
-                                     : std::string())
-              << "\n\n";
-
-    std::vector<ServeResult> results(n);
-    std::vector<std::string> errors(n);
-    parallelFor(n, [&](size_t i) {
-        // Catch per workload: one ring erroring out (e.g. its
-        // analyzer never attached within --wait-ms) must not take
-        // down the siblings still streaming.
-        try {
-            const WorkloadEntry &entry = findWorkload(workloads[i]);
-            WorkloadPtr w = entry.make(scale);
-            results[i] = serveTrace(*w, rings[i], scale, policy);
-            rings[i].awaitDrained(timeout_ms);
-        } catch (const TraceFormatError &err) {
-            errors[i] = err.what();
-        }
-    });
-
-    int rc = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (!errors[i].empty()) {
-            std::cerr << "trace_tool: serve " << workloads[i] << ": "
-                      << errors[i] << "\n";
-            rc = 1;
-        } else {
-            std::cout << "streamed " << workloads[i] << ": "
-                      << results[i].ops << " ops, "
-                      << results[i].streamBytes << " bytes";
-            if (results[i].droppedChunks)
-                std::cout << " (" << results[i].droppedChunks
-                          << " chunks / " << results[i].droppedOps
-                          << " ops dropped)";
-            std::cout << " -> " << ringNameAt(ring_base, i, n) << "\n";
-        }
-        ShmRing::unlink(ringNameAt(ring_base, i, n));
-    }
-    return rc;
-}
-
-int
-cmdAttach(int argc, char **argv)
-{
-    std::string ring_base;
-    size_t producers = 1;
-    std::string machines;
-    bool mrc = false;
-    CurveFlags flags;
-    uint64_t timeout_ms = 10000;
-    for (int i = 2; i < argc; ++i) {
-        if (flags.parse(argc, argv, i))
-            continue;
-        if (const char *v = flagValue(argv[i], "--ring", argc, argv, i))
-            ring_base = v;
-        else if (const char *v2 =
-                     flagValue(argv[i], "--producers", argc, argv, i))
-            producers =
-                static_cast<size_t>(parseCount("--producers", v2, 1,
-                                               4096));
-        else if (const char *v3 =
-                     flagValue(argv[i], "--machine", argc, argv, i))
-            machines = v3;
-        else if (std::strcmp(argv[i], "--mrc") == 0)
-            mrc = true;
-        else if (const char *v4 = flagValue(argv[i], "--timeout-ms",
-                                            argc, argv, i))
-            timeout_ms = parseCount("--timeout-ms", v4, 1, 86400000);
-        else
-            return usage();
-    }
-    if (ring_base.empty())
-        wcrt_fatal("attach needs --ring=NAME");
-
-    std::vector<MachineConfig> configs = parseMachineList(machines);
-
-    // Drain every ring first (rings in parallel — each drain is one
-    // cheap memcpy loop), then analyze the buffered streams: analysis
-    // replays must not stall a producer on a full ring.
-    std::vector<TraceBytes> streams(producers);
-    std::vector<char> peer_died(producers);  // written concurrently
-    parallelFor(producers, [&](size_t i) {
-        ShmRing ring =
-            ShmRing::open(ringNameAt(ring_base, i, producers),
-                          ShmRing::Role::Consumer, timeout_ms);
-        streams[i] = drainRing(ring);
-        peer_died[i] = ring.peerDied();
-    }, flags.jobs);
-
-    int rc = 0;
-    for (size_t i = 0; i < producers; ++i) {
-        std::string name = ringNameAt(ring_base, i, producers);
-        std::string display = "shm:" + name;
-        std::cout << "=== " << display << " ===\n";
-        if (peer_died[i])
-            std::cout << "warning: producer died mid-stream; analyzing "
-                         "the received prefix\n";
-        try {
-            // Opening validates the whole drained stream (including
-            // the truncation a dead producer leaves behind) exactly
-            // like the file reader would; the runners then replay
-            // copies of this one reader, as `mrc` and `replay` do.
-            TraceReader reader(std::move(streams[i]), display);
-            std::cout << reader.meta().workload << ": "
-                      << reader.opCount() << " ops, "
-                      << reader.fileBytes() << " bytes via shm\n";
-            if (mrc)
-                printCurve(reader.meta().workload, flags,
-                           MrcMode::StackDistance, 8,
-                           replaySweepLadder(reader, flags.kind,
-                                             flags.sizes,
-                                             MrcMode::StackDistance,
-                                             flags.jobs, 8,
-                                             flags.lineBytes));
-            else
-                printReplayTable(
-                    replayOnConfigs(reader, configs, flags.jobs));
-        } catch (const TraceFormatError &err) {
-            std::cerr << "trace_tool: " << err.what() << "\n";
-            rc = 1;
-        }
-        ShmRing::unlink(name);
-        if (i + 1 < producers)
-            std::cout << "\n";
-    }
-    return rc;
-}
-
 } // namespace
 
 int
@@ -794,13 +551,6 @@ main(int argc, char **argv)
         }
         if (cmd == "mrc")
             return cmdMrc(argc, argv);
-        if (cmd == "serve")
-            return cmdServe(argc, argv);
-        if (cmd == "attach") {
-            // attach has no positional argument, so the argc >= 3
-            // gate above already held (--ring counts as argv[2]).
-            return cmdAttach(argc, argv);
-        }
     } catch (const TraceFormatError &err) {
         std::cerr << "trace_tool: " << err.what() << "\n";
         return 1;

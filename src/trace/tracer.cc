@@ -72,9 +72,9 @@ Tracer::Tracer(const CodeLayout &layout, TraceSink &sink)
 Tracer::~Tracer()
 {
     // Best-effort: delivering buffered ops to a sink that is already
-    // broken (a shm ring whose analyzer died or never attached) must
-    // not throw out of a destructor — during exception unwinding that
-    // would be std::terminate, not an error report.
+    // broken (a trace writer whose disk filled up) must not throw out
+    // of a destructor — during exception unwinding that would be
+    // std::terminate, not an error report.
     try {
         flush();
     } catch (const std::exception &e) {

@@ -40,35 +40,4 @@ captureTrace(Workload &workload, const std::string &path, double scale)
     return result;
 }
 
-ServeResult
-serveTrace(Workload &workload, ShmRing &ring, double scale,
-           ShmPolicy policy)
-{
-    // Liveness must not depend on data flow: workload setup and the
-    // gaps between chunk flushes can easily outlast the heartbeat
-    // timeout, and an attached analyzer would wrongly truncate a
-    // healthy stream. The background beater keeps the producer fresh
-    // whenever this process is alive (idempotent if already started).
-    ring.startHeartbeat();
-
-    DriverFrame frame(workload);
-
-    TraceMeta meta;
-    meta.workload = workload.name();
-    meta.category = workload.category();
-    meta.stackKind = workload.stack();
-    meta.scale = scale;
-
-    ShmChunkSink sink(ring, meta, frame.env.layout, policy);
-    frame.run(sink);
-    sink.finish(frame.env.io, frame.env.data);
-
-    ServeResult result;
-    result.ops = sink.opsStreamed();
-    result.streamBytes = sink.bytesStreamed();
-    result.droppedOps = sink.opsDropped();
-    result.droppedChunks = sink.chunksDropped();
-    return result;
-}
-
 } // namespace wcrt

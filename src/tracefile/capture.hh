@@ -14,7 +14,6 @@
 
 #include <string>
 
-#include "tracefile/shm_ring.hh"
 #include "workloads/workload.hh"
 
 namespace wcrt {
@@ -24,15 +23,6 @@ struct CaptureResult
 {
     uint64_t ops = 0;        //!< dynamic instructions recorded
     uint64_t fileBytes = 0;  //!< total trace file size
-};
-
-/** What one serveTrace() run streamed (and failed to stream). */
-struct ServeResult
-{
-    uint64_t ops = 0;           //!< ops framed into the ring
-    uint64_t streamBytes = 0;   //!< stream bytes pushed
-    uint64_t droppedOps = 0;    //!< ops lost under Drop policy
-    uint64_t droppedChunks = 0; //!< chunks lost under Drop policy
 };
 
 /**
@@ -47,21 +37,6 @@ struct ServeResult
  */
 CaptureResult captureTrace(Workload &workload, const std::string &path,
                            double scale);
-
-/**
- * Run `workload` once, streaming its ops into a producer-attached shm
- * ring instead of a file. The emission flow — driver frame, Tracer,
- * chunk encoder — is byte-for-byte captureTrace()'s, so an analyzer
- * draining the ring decodes the same stream the file would hold
- * (exactly, under Block policy; minus dropped chunks under Drop).
- *
- * @param workload Workload to record (setup() must not have run).
- * @param ring Ring created/opened with ShmRing::Role::Producer.
- * @param scale Dataset scale to store in the stream header.
- * @param policy Backpressure policy for op-chunk frames.
- */
-ServeResult serveTrace(Workload &workload, ShmRing &ring, double scale,
-                       ShmPolicy policy = ShmPolicy::Block);
 
 } // namespace wcrt
 

@@ -12,12 +12,12 @@
  * parallelFor() (base/worker_pool.hh), items are claimed heaviest
  * first, and results always come back in input order, so parallel
  * runs are bit-identical to serial ones. The callers hand it open
- * TraceReaders, so a file or a drained shm ring is opened and
- * validated once. No sink fans out internally: all replay parallelism
- * is independent (reader copy, sink) jobs. A job may replay only a run
- * of consecutive chunks: the MRC ladder profiles chunk ranges as
- * separate jobs and merges the range profiles, in order, into exactly
- * the one-pass profile.
+ * TraceReaders, so a trace is opened and validated once. No sink
+ * fans out internally: all replay parallelism is independent (reader
+ * copy, sink) jobs. A job may replay only a run of consecutive
+ * chunks: the MRC ladder profiles chunk ranges as separate jobs and
+ * merges the range profiles, in order, into exactly the one-pass
+ * profile.
  */
 
 #ifndef WCRT_TRACEFILE_REPLAY_HH

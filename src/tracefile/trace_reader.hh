@@ -29,12 +29,12 @@
  *
  * The bytes are one immutable TraceBytes view
  * (tracefile/trace_source.hh): a memory-mapped file, decoded in place
- * with zero intermediate copies, or an in-memory buffer such as a
- * drained shm ring. A copy of an open reader shares the bytes and the
- * parsed header, region table and footer, and decodes into its own
- * block, so parallel replay copies one reader per thread (see
- * tracefile/replay.hh). ReaderOptions selects whether replay checks
- * per-chunk CRCs (CrcMode); the default verifies everything.
+ * with zero intermediate copies, or an owned in-memory buffer. A copy
+ * of an open reader shares the bytes and the parsed header, region
+ * table and footer, and decodes into its own block, so parallel
+ * replay copies one reader per thread (see tracefile/replay.hh).
+ * ReaderOptions selects whether replay checks per-chunk CRCs
+ * (CrcMode); the default verifies everything.
  */
 
 #ifndef WCRT_TRACEFILE_TRACE_READER_HH
@@ -67,9 +67,8 @@ class TraceReader
     TraceReader(const std::string &path, const ReaderOptions &options);
 
     /**
-     * Read an in-memory or already-mapped byte view — e.g. a drained
-     * shm ring — labelled `display_name` in every error message and
-     * by path().
+     * Read an in-memory or already-mapped byte view, labelled
+     * `display_name` in every error message and by path().
      */
     TraceReader(TraceBytes bytes, const std::string &display_name,
                 const ReaderOptions &options = defaultReaderOptions());

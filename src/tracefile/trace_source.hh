@@ -4,8 +4,7 @@
  *
  * A trace's bytes are immutable once written, so they are held once
  * and shared: either a read-only mapping of a `.wtrace` file or an
- * owned in-memory buffer (a drained shm ring, see drainRing() in
- * tracefile/shm_ring.hh). Both feed the same parsing code, so decoded
+ * owned in-memory buffer. Both feed the same parsing code, so decoded
  * ops and every TraceFormatError are bit-identical between them
  * (pinned by test). Copies of a TraceBytes share one mapping or
  * buffer, released with the last copy.

@@ -3,14 +3,11 @@
  * Writer-side `.wtrace` encoding: the shared frame encoders and the
  * file-backed TraceWriter sink.
  *
- * The encoding lives in three transport-agnostic pieces —
- * encodeHeaderFrame(), ChunkEncoder and encodeFooterFrame() — each
- * producing one complete frame (fixed prefix + payload). TraceWriter
- * appends those frames to a file; ShmChunkSink (tracefile/shm_ring.hh)
- * pushes the very same frames into a shared-memory ring. Because both
- * transports run the one encoder,
- * the byte stream a consumer sees is identical whichever carried it,
- * and TraceReader needs no transport-specific parsing.
+ * The encoding lives in three pieces — encodeHeaderFrame(),
+ * ChunkEncoder and encodeFooterFrame() — each producing one complete
+ * frame (fixed prefix + payload), so the frame layout stays in this
+ * module. TraceWriter appends those frames to a file; tests build
+ * hand-made streams from the same encoders.
  *
  * TraceWriter is a TraceSink: attach it wherever a SimCpu or
  * FootprintSweep would go — directly, or behind a TeeSink to capture
@@ -110,8 +107,9 @@ class ChunkEncoder
     uint64_t prevMem = 0;
 };
 
-// Inline so that a one-op call (the sinks' per-op consume()) compiles
-// down to one op's encoding instead of the general loop's setup.
+// Inline so that a one-op call (TraceWriter's per-op consume())
+// compiles down to one op's encoding instead of the general loop's
+// setup.
 inline size_t
 ChunkEncoder::add(const OpBlockView &ops, size_t from)
 {

@@ -78,8 +78,8 @@ using WorkloadPtr = std::unique_ptr<Workload>;
 /**
  * The frame every workload run executes in: setup(), then execute()
  * inside one Application-layer `driver.main` function (512 B). Live
- * profiles, trace captures and shm streams all run through it, so a
- * replayed trace reproduces a live run op for op.
+ * profiles and trace captures both run through it, so a replayed
+ * trace reproduces a live run op for op.
  */
 class DriverFrame
 {

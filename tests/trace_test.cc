@@ -550,8 +550,8 @@ TEST(Tracer, FlushDeliversBufferedOpsAndDestructorDrains)
 }
 
 // A sink that wedges (throws on every delivery) after accepting a
-// fixed number of batches — the shape of a shm ring whose analyzer
-// died or never attached.
+// fixed number of batches — the shape of a trace writer whose disk
+// filled up.
 class WedgedSink : public TraceSink
 {
   public:

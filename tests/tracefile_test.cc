@@ -967,6 +967,14 @@ TEST(TraceSourceParity, MmapMatchesStreamOnValidTrace)
     EXPECT_EQ(memory.chunkCount(), mmap.chunkCount());
     EXPECT_EQ(memory.payloadBytes(), mmap.payloadBytes());
     EXPECT_EQ(memory.meta().workload, mmap.meta().workload);
+    // writeSample's footer accounting is non-zero in every field.
+    EXPECT_EQ(memory.io().diskReadBytes, mmap.io().diskReadBytes);
+    EXPECT_EQ(memory.io().diskWriteBytes, mmap.io().diskWriteBytes);
+    EXPECT_EQ(memory.io().networkBytes, mmap.io().networkBytes);
+    EXPECT_EQ(memory.data().inputBytes, mmap.data().inputBytes);
+    EXPECT_EQ(memory.data().intermediateBytes,
+              mmap.data().intermediateBytes);
+    EXPECT_EQ(memory.data().outputBytes, mmap.data().outputBytes);
 
     RecordingSink via_memory;
     memory.replayInto(via_memory);

@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Check trace_tool's command line end to end. Records a workload and
+# requires `trace_tool mrc --json` at --jobs=3 and --jobs=4, which
+# profile the trace as that many chunk ranges and merge them, to print
+# the --jobs=1 curve and counts (everything but wall_s) for every
+# stream kind. Then checks that malformed numeric flag values, a
+# malformed WCRT_SCALE and unknown commands make trace_tool,
+# scenario_tool and a figure bench exit non-zero.
+#
+# Usage: tools/check_trace_tool.sh BUILD_DIR [WORKLOAD] [SCALE]
+
+set -euo pipefail
+
+build=${1:?usage: check_trace_tool.sh BUILD_DIR [WORKLOAD] [SCALE]}
+workload=${2:-H-WordCount}
+scale=${3:-0.02}
+tool="$build/bench/trace_tool"
+scenario="$build/bench/scenario_tool"
+table4="$build/bench/table4_branch_prediction"
+scn="$(cd "$(dirname "$0")/.." && pwd)/scenarios/replay_machines.scn"
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+
+"$tool" record "$workload" "$dir/t.wtrace" --scale="$scale"
+
+# mrc_json KIND JOBS — the JSON result without its wall time.
+mrc_json() {
+    "$tool" mrc "$dir/t.wtrace" --json --kind="$1" --jobs="$2" |
+        grep -v '"wall_s"'
+}
+for kind in instr data unified; do
+    mrc_json "$kind" 1 > "$dir/mrc1.json"
+    for jobs in 3 4; do
+        diff "$dir/mrc1.json" <(mrc_json "$kind" "$jobs")
+    done
+done
+echo "mrc chunk ranges match the one-range pass on $workload"
+
+expect_failure() {
+    if "$@" > /dev/null 2>&1; then
+        echo "accepted a malformed command: $*" >&2
+        exit 1
+    fi
+}
+expect_failure "$tool" replay "$dir/t.wtrace" --jobs=-1
+expect_failure "$tool" mrc "$dir/t.wtrace" --sizes=16k,32
+expect_failure "$tool" mrc "$dir/t.wtrace" --assoc=eight
+expect_failure "$tool" mrc "$dir/t.wtrace" --line=-64
+expect_failure "$tool" mrc "$dir/t.wtrace" --jobs=2x
+expect_failure "$tool" dump "$dir/t.wtrace" --limit=abc
+expect_failure "$tool" record H-Grep "$dir/x.wtrace" --scale=0.05x
+expect_failure "$scenario" run "$scn" --cell=abc
+expect_failure "$scenario" run "$scn" --jobs=-1
+expect_failure "$scenario" run "$scn" --scale=abc
+expect_failure "$table4" --jobs=abc
+expect_failure "$table4" --jobs=-1
+expect_failure env WCRT_SCALE=abc "$table4"
+echo "malformed numeric flags exit non-zero"
+# Cross-process analysis is `record` to a path, then `replay` or `mrc`.
+expect_failure "$tool" serve H-WordCount --ring=x
+expect_failure "$tool" attach --ring=x
+echo "retired serve and attach commands exit non-zero"
