@@ -1,20 +1,20 @@
 /**
  * @file
  * Flag parsing shared by every bench binary, `trace_tool` and
- * `scenario_tool`: `--name=V` / `--name V` lookup, strict numeric
- * values and the WCRT_SCALE dataset scale.
+ * `scenario_tool`: `--name=V` / `--name V` lookup, fatal wrappers
+ * around base/strings' strict number rules and the WCRT_SCALE dataset
+ * scale.
  */
 
 #ifndef WCRT_BENCH_CLI_FLAGS_HH
 #define WCRT_BENCH_CLI_FLAGS_HH
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
 #include "base/logging.hh"
+#include "base/strings.hh"
 
 namespace wcrt::bench {
 
@@ -33,20 +33,14 @@ flagValue(const char *arg, const char *name, int argc, char **argv,
     return nullptr;
 }
 
-/**
- * Strictly parse a decimal flag value into [min, max], fatal on
- * anything else — atoi/strtoull would silently read "abc" as 0, wrap
- * "-1" into ~1.8e19 or stop at the "k" of "16k".
- */
+/** Parse a decimal flag value into [min, max] (parseDecimalCount()),
+ *  fatal on anything else. */
 inline uint64_t
 parseCount(const char *flag, const char *value, uint64_t min,
            uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
-        *end != '\0' || errno == ERANGE || v < min || v > max)
+    uint64_t v = 0;
+    if (!parseDecimalCount(value, min, max, v))
         wcrt_fatal("bad ", flag, " '", value, "' (expected ", min, "..",
                    max, ")");
     return v;
@@ -60,23 +54,16 @@ parseJobs(const char *value)
 }
 
 /**
- * Strictly parse a dataset scale: a positive, finite decimal such as
- * "0.25", fatal on anything else — atof would silently read "abc" as
- * 0 and "0.05x" as 0.05.
+ * Parse a dataset scale (parsePositiveDecimal()), fatal on anything
+ * else — atof would silently read "abc" as 0 and "0.05x" as 0.05.
  *
  * @param what Flag or variable name for the error message.
  */
 inline double
 parseScale(const char *what, const char *value)
 {
-    // Digits and dots only (no sign, exponent, hex, inf or nan), all
-    // of them consumed by strtod (so at most one dot).
-    size_t len = std::strspn(value, "0123456789.");
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(value, &end);
-    if (len == 0 || value[len] != '\0' || end != value + len ||
-        errno == ERANGE || v <= 0.0)
+    double v = 0.0;
+    if (!parsePositiveDecimal(value, v))
         wcrt_fatal("bad ", what, " '", value,
                    "' (expected a positive decimal)");
     return v;

@@ -13,9 +13,9 @@
  * stopping at the first) — CI runs it over every checked-in .scn
  * file; `expand`
  * prints the ordered cell list a scenario's matrix produces; `run`
- * executes cells through the kind's engine (sweep ladders, traffic
- * phases, machine replays), printing a table per cell and optionally
- * a machine-readable JSON report with full-precision curves.
+ * executes cells through the kind's engine (sweep ladders or machine
+ * replays), printing a table per cell and optionally a
+ * machine-readable JSON report with full-precision curves.
  * `--jobs` and `--cell` take strict decimal counts.
  *
  * Exit status: 0 on success, 1 when validate finds issues or a run
@@ -190,39 +190,6 @@ jsonSweepCell(const CellResult &r, const ScenarioSpec &spec)
 }
 
 void
-jsonTrafficCell(const CellResult &r)
-{
-    std::ostringstream os;
-    os << "    {\n      \"index\": " << r.cell.index << ",\n"
-       << "      \"label\": \"" << jsonEscape(r.cell.label)
-       << "\",\n"
-       << "      \"scale\": " << jsonDouble(r.cell.scale) << ",\n"
-       << "      \"target\": \""
-       << jsonEscape(r.traffic.result.target) << "\",\n"
-       << "      \"capacity_hz\": "
-       << jsonDouble(r.traffic.capacityHz) << ",\n"
-       << "      \"total_requests\": "
-       << r.traffic.result.totalRequests << ",\n"
-       << "      \"phases\": [";
-    const auto &phases = r.traffic.result.phases;
-    for (size_t i = 0; i < phases.size(); ++i) {
-        const PhaseStats &ps = phases[i];
-        os << (i ? "," : "") << "\n        {\"name\": \""
-           << jsonEscape(ps.name) << "\", \"arrival\": \""
-           << toString(ps.arrival) << "\", \"requests\": "
-           << ps.requests << ", \"offered_hz\": "
-           << jsonDouble(ps.offeredRateHz) << ", \"achieved_hz\": "
-           << jsonDouble(ps.achievedRateHz()) << ", \"p50_ns\": "
-           << static_cast<uint64_t>(ps.latency.quantile(0.50))
-           << ", \"p99_ns\": "
-           << static_cast<uint64_t>(ps.latency.quantile(0.99))
-           << "}";
-    }
-    os << "\n      ]\n    }";
-    g_cells_json.push_back(os.str());
-}
-
-void
 jsonReplayCell(const CellResult &r)
 {
     std::ostringstream os;
@@ -256,7 +223,7 @@ emitJson(const std::string &path, const ScenarioSpec &spec)
     out << "{\n  \"scenario\": \"" << jsonEscape(spec.name)
         << "\",\n  \"kind\": \"" << toString(spec.kind)
         << "\",\n  \"source\": \"" << jsonEscape(spec.source)
-        << "\",\n  \"seed\": " << spec.seed << ",\n  \"cells\": [\n";
+        << "\",\n  \"cells\": [\n";
     for (size_t i = 0; i < g_cells_json.size(); ++i)
         out << g_cells_json[i]
             << (i + 1 < g_cells_json.size() ? "," : "") << "\n";
@@ -276,27 +243,6 @@ printSweepCell(const CellResult &r, const ScenarioSpec &spec)
     if (r.cell.mode == MrcMode::Verify)
         std::cout << "max stack/oracle divergence: "
                   << r.sweep.maxDivergence << "\n";
-}
-
-void
-printTrafficCell(const CellResult &r)
-{
-    if (r.traffic.capacityHz > 0.0)
-        std::cout << "probed capacity: " << r.traffic.capacityHz
-                  << " req/s per actor\n";
-    Table t({"phase", "arrival", "offered/s", "achieved/s", "p50ns",
-             "p99ns", "requests"});
-    for (const PhaseStats &ps : r.traffic.result.phases) {
-        t.cell(ps.name)
-            .cell(toString(ps.arrival))
-            .cell(ps.offeredRateHz, 0)
-            .cell(ps.achievedRateHz(), 0)
-            .cell(static_cast<uint64_t>(ps.latency.quantile(0.50)))
-            .cell(static_cast<uint64_t>(ps.latency.quantile(0.99)))
-            .cell(ps.requests);
-        t.endRow();
-    }
-    t.print(std::cout);
 }
 
 void
@@ -378,7 +324,7 @@ cmdRun(int argc, char **argv)
     std::cout << "=== " << toString(parse.spec.kind) << " scenario '"
               << parse.spec.name << "' (" << cells.size()
               << (cells.size() == 1 ? " cell" : " cells")
-              << ", seed " << parse.spec.seed << ") ===\n";
+              << ") ===\n";
     for (const ScenarioCell &cell : cells) {
         if (only_cell >= 0 &&
             cell.index != static_cast<size_t>(only_cell))
@@ -390,10 +336,6 @@ cmdRun(int argc, char **argv)
           case ScenarioKind::Sweep:
             printSweepCell(r, parse.spec);
             jsonSweepCell(r, parse.spec);
-            break;
-          case ScenarioKind::Traffic:
-            printTrafficCell(r);
-            jsonTrafficCell(r);
             break;
           case ScenarioKind::Replay:
             printReplayCell(r);

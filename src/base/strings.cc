@@ -1,6 +1,9 @@
 #include "base/strings.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 
 namespace wcrt {
 
@@ -77,6 +80,37 @@ fnv1a(std::string_view text)
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+bool
+parseDecimalCount(const std::string &text, uint64_t min, uint64_t max,
+                  uint64_t &out)
+{
+    // Unsigned from_chars takes no sign and no leading space.
+    uint64_t v = 0;
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || end != last || v < min || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parsePositiveDecimal(const std::string &text, double &out)
+{
+    // Digits and dots only, all of them consumed by strtod (so at most
+    // one dot).
+    if (text.empty() ||
+        text.find_first_not_of("0123456789.") != std::string::npos)
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || errno == ERANGE || v <= 0.0)
+        return false;
+    out = v;
+    return true;
 }
 
 } // namespace wcrt

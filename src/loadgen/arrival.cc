@@ -72,15 +72,4 @@ ArrivalProcess::nextScheduleNs()
     return clockNs;
 }
 
-uint64_t
-ArrivalProcess::nextThinkNs()
-{
-    if (spec.kind != ArrivalKind::ClosedLoop)
-        wcrt_fatal("think time is a closed-loop concept");
-    ++issued;
-    if (!(spec.thinkMeanNs > 0.0))
-        return 0;
-    return exponentialNs(rng, spec.thinkMeanNs);
-}
-
 } // namespace wcrt

@@ -6,10 +6,9 @@
  * Three processes cover the load-generation literature's standard
  * shapes (and genny's PhaseLoop rate controls):
  *
- *  - Closed loop: an actor issues the next request only after the
- *    previous one completed, optionally separated by an exponential
- *    think time. Offered load adapts to service capacity, so a closed
- *    loop measures peak throughput, not queueing.
+ *  - Closed loop: an actor issues the next request as soon as the
+ *    previous one completed. Offered load adapts to service capacity,
+ *    so a closed loop measures peak throughput, not queueing.
  *  - Open loop (Poisson): request i is due at a pre-drawn absolute
  *    offset from phase start, with exponential inter-arrival gaps.
  *    The schedule does not care how long service takes; latency is
@@ -36,7 +35,7 @@ namespace wcrt {
 
 /** The supported arrival shapes. */
 enum class ArrivalKind : uint8_t {
-    ClosedLoop,   //!< next op after previous completion (+ think time)
+    ClosedLoop,   //!< next op right after previous completion
     PoissonOpen,  //!< exponential inter-arrival gaps at a fixed rate
     TokenBucket,  //!< rate-limited open loop with burst capacity
 };
@@ -49,7 +48,6 @@ struct ArrivalSpec
 {
     ArrivalKind kind = ArrivalKind::ClosedLoop;
     double ratePerActorHz = 0.0;  //!< open-loop ops/sec per actor
-    double thinkMeanNs = 0.0;     //!< closed-loop mean think time
     uint32_t burst = 1;           //!< token-bucket depth (>= 1)
 };
 
@@ -70,12 +68,6 @@ class ArrivalProcess
      * nanosecond offset from phase start. Monotonically non-decreasing.
      */
     uint64_t nextScheduleNs();
-
-    /**
-     * Closed-loop only: think time to insert after the previous
-     * request's completion (0 when thinkMeanNs is 0).
-     */
-    uint64_t nextThinkNs();
 
   private:
     ArrivalSpec spec;

@@ -103,11 +103,6 @@ Orchestrator::runActorPhase(ActorState &actor, const PhaseSpec &phase,
                                                    : 0);
         }
         ++actor.phaseRequests;
-        if (!arrival.openLoop()) {
-            uint64_t think = arrival.nextThinkNs();
-            if (think > 0)
-                waitUntil(t0, end_ns + think);
-        }
     }
     actor.phaseElapsedNs = nsSince(t0);
 }

@@ -13,14 +13,12 @@ warmupPhase(uint64_t ops_per_actor)
 }
 
 PhaseSpec
-closedPhase(std::string name, uint64_t ops_per_actor,
-            double think_mean_ns)
+closedPhase(std::string name, uint64_t ops_per_actor)
 {
     PhaseSpec p;
     p.name = std::move(name);
     p.opsPerActor = ops_per_actor;
     p.arrival.kind = ArrivalKind::ClosedLoop;
-    p.arrival.thinkMeanNs = think_mean_ns;
     return p;
 }
 

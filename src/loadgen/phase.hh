@@ -34,8 +34,7 @@ struct PhaseSpec
 
 /** Convenience constructors for the common shapes. */
 PhaseSpec warmupPhase(uint64_t ops_per_actor);
-PhaseSpec closedPhase(std::string name, uint64_t ops_per_actor,
-                      double think_mean_ns = 0.0);
+PhaseSpec closedPhase(std::string name, uint64_t ops_per_actor);
 PhaseSpec poissonPhase(std::string name, uint64_t ops_per_actor,
                        double rate_per_actor_hz);
 PhaseSpec tokenBucketPhase(std::string name, uint64_t ops_per_actor,

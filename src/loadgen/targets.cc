@@ -1,7 +1,5 @@
 #include "loadgen/targets.hh"
 
-#include <utility>
-
 #include "base/logging.hh"
 #include "datagen/datasets.hh"
 #include "stack/kvstore/store.hh"
@@ -20,18 +18,14 @@ constexpr uint64_t kDatasetSeed = 7;
 
 /**
  * Session scaffolding shared by the concrete targets: a private
- * RunEnv, a sink (counting, or the caller's recorder) and a Tracer,
- * plus the (actor, request) position of the next per-request draw.
+ * RunEnv, a sink (counting, or the caller's recorder) and a Tracer.
  * Subclass constructors register their code regions against env.layout
  * before buildTracer().
  */
 class SessionBase : public ActorSession
 {
   public:
-    SessionBase(uint64_t actor, TraceSink *record)
-        : actor(actor), record(record)
-    {
-    }
+    explicit SessionBase(TraceSink *record) : record(record) {}
 
     uint64_t traceOps() const override { return tracer->opCount(); }
 
@@ -44,15 +38,10 @@ class SessionBase : public ActorSession
             env.layout, record ? *record : counting);
     }
 
-    /** This request's index; advances once per request. */
-    uint64_t nextRequest() { return requests++; }
-
     RunEnv env;
     std::unique_ptr<Tracer> tracer;
-    const uint64_t actor;
 
   private:
-    uint64_t requests = 0;
     CountingSink counting;
     TraceSink *record;
 };
@@ -63,34 +52,26 @@ class SessionBase : public ActorSession
 class KvGetTarget : public TrafficTarget
 {
   public:
-    KvGetTarget(double scale, RequestDraws draws)
+    explicit KvGetTarget(double scale)
         : catalog(heap, scale, kDatasetSeed), data(catalog.profSearch()),
-          keyDraw(std::move(draws.key)),
-          docBytes(std::move(draws.docBytes))
+          keys(data.keys.size(), 0.9)
     {
-        if (!keyDraw) {
-            keyDraw = [zipf = ZipfSampler(data.keys.size(), 0.9)](
-                          uint64_t, uint64_t, Rng &rng) {
-                return zipf.sample(rng);
-            };
-        }
     }
 
     std::string name() const override { return "kv-get"; }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t actor_id, uint64_t, TraceSink *record) override
+        uint64_t, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(*this, actor_id, record);
+        return std::make_unique<Session>(*this, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const KvGetTarget &t, uint64_t actor, TraceSink *record)
-            : SessionBase(actor, record), target(t),
-              store(env.layout, t.data)
+        Session(const KvGetTarget &t, TraceSink *record)
+            : SessionBase(record), target(t), store(env.layout, t.data)
         {
             buildTracer();
         }
@@ -98,14 +79,7 @@ class KvGetTarget : public TrafficTarget
         void
         request(Rng &rng) override
         {
-            uint64_t n = nextRequest();
-            store.get(*tracer, env,
-                      target.keyDraw(actor, n, rng) %
-                          target.data.keys.size());
-            // The response document travels the wire: account its
-            // bytes like the stack engines account their I/O.
-            if (target.docBytes)
-                env.io.networkBytes += target.docBytes(actor, n, rng);
+            store.get(*tracer, env, target.keys.sample(rng));
         }
 
       private:
@@ -115,9 +89,8 @@ class KvGetTarget : public TrafficTarget
 
     VirtualHeap heap;  //!< owns the shared dataset's addresses
     DatasetCatalog catalog;
-    KvDataset data;                  //!< immutable once built
-    RequestDraw<uint64_t> keyDraw;   //!< const after construction
-    RequestDraw<uint64_t> docBytes;  //!< optional
+    KvDataset data;    //!< immutable once built
+    ZipfSampler keys;  //!< per-request key rank, Zipf 0.9
 };
 
 // ------------------------------------------------------------- sql-filter
@@ -126,36 +99,29 @@ class KvGetTarget : public TrafficTarget
 class SqlFilterTarget : public TrafficTarget
 {
   public:
-    SqlFilterTarget(double scale, RequestDraws draws)
+    explicit SqlFilterTarget(double scale)
         : catalog(heap, scale, kDatasetSeed),
-          orders(catalog.ecommerceOrders()),
-          threshold(std::move(draws.threshold))
+          orders(catalog.ecommerceOrders())
     {
         allRows.reserve(orders.rows);
         for (uint64_t r = 0; r < orders.rows; ++r)
             allRows.push_back(r);
-        if (!threshold) {
-            threshold = [](uint64_t, uint64_t, Rng &rng) {
-                return 1.0 + rng.nextDouble() * 500.0;
-            };
-        }
     }
 
     std::string name() const override { return "sql-filter"; }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t actor_id, uint64_t, TraceSink *record) override
+        uint64_t, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(*this, actor_id, record);
+        return std::make_unique<Session>(*this, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const SqlFilterTarget &t, uint64_t actor,
-                TraceSink *record)
-            : SessionBase(actor, record), target(t), engine(env.layout)
+        Session(const SqlFilterTarget &t, TraceSink *record)
+            : SessionBase(record), target(t), engine(env.layout)
         {
             buildTracer();
         }
@@ -164,9 +130,9 @@ class SqlFilterTarget : public TrafficTarget
         request(Rng &rng) override
         {
             // SELECT order_id, amount FROM orders WHERE amount > x —
-            // x drawn per request, so selectivity (and the projected
-            // row count) varies with the request stream.
-            double x = target.threshold(actor, nextRequest(), rng);
+            // x uniform in [1, 501) per request, so selectivity (and
+            // the projected row count) varies with the request stream.
+            double x = 1.0 + rng.nextDouble() * 500.0;
             Selection sel = engine.filterFloat64(
                 env, *tracer, target.orders, "amount", target.allRows,
                 [x](double v) { return v > x; });
@@ -181,9 +147,8 @@ class SqlFilterTarget : public TrafficTarget
 
     VirtualHeap heap;
     DatasetCatalog catalog;
-    DataTable orders;               //!< immutable once built
-    Selection allRows;              //!< the scan-everything selection
-    RequestDraw<double> threshold;  //!< const after construction
+    DataTable orders;   //!< immutable once built
+    Selection allRows;  //!< the scan-everything selection
 };
 
 // -------------------------------------------------------- workload:<name>
@@ -203,18 +168,18 @@ class WorkloadTarget : public TrafficTarget
     }
 
     std::unique_ptr<ActorSession> startSession(
-        uint64_t actor_id, uint64_t, TraceSink *record) override
+        uint64_t, uint64_t, TraceSink *record) override
     {
-        return std::make_unique<Session>(entry, scale, actor_id, record);
+        return std::make_unique<Session>(entry, scale, record);
     }
 
   private:
     class Session : public SessionBase
     {
       public:
-        Session(const WorkloadEntry &entry, double scale, uint64_t actor,
+        Session(const WorkloadEntry &entry, double scale,
                 TraceSink *record)
-            : SessionBase(actor, record), workload(entry.make(scale))
+            : SessionBase(record), workload(entry.make(scale))
         {
             workload->setup(env);
             buildTracer();
@@ -247,13 +212,12 @@ trafficTargetNames()
 }
 
 std::unique_ptr<TrafficTarget>
-makeTrafficTarget(const std::string &name, double scale,
-                  RequestDraws draws)
+makeTrafficTarget(const std::string &name, double scale)
 {
     if (name == "kv-get")
-        return std::make_unique<KvGetTarget>(scale, std::move(draws));
+        return std::make_unique<KvGetTarget>(scale);
     if (name == "sql-filter")
-        return std::make_unique<SqlFilterTarget>(scale, std::move(draws));
+        return std::make_unique<SqlFilterTarget>(scale);
     constexpr const char *prefix = "workload:";
     if (name.rfind(prefix, 0) == 0) {
         const WorkloadEntry &entry =

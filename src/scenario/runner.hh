@@ -1,6 +1,6 @@
 /**
  * @file
- * The scenario runner: executes expanded cells against the three
+ * The scenario runner: executes expanded cells against the two trace
  * engines a scenario kind names. It composes existing machinery and
  * owns none of its own:
  *
@@ -8,14 +8,6 @@
  *    fig6–9 benches call too, so a scenario-driven curve is
  *    bit-identical to the bench's for the same roster, scale and
  *    MrcMode.
- *  - traffic cells drive loadgen::Orchestrator on the loadgen target
- *    the scenario names. Phases declared with `rate-x` are fractions
- *    of a measured per-actor capacity: the runner probes mu1 first
- *    with a strictly serial closed loop (one actor, jobs=1), the
- *    service_latency idiom. Generators named by key-gen / doc-gen /
- *    query-gen become the target's per-request draws, evaluated at
- *    (scenario seed, actor, request index) — bit-identical at jobs=1
- *    and jobs=N.
  *  - replay cells profile each group member's cached trace on the
  *    cell's machine config through profileTraces().
  */
@@ -23,13 +15,10 @@
 #ifndef WCRT_SCENARIO_RUNNER_HH
 #define WCRT_SCENARIO_RUNNER_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/trace_cache.hh"
-#include "loadgen/orchestrator.hh"
-#include "loadgen/targets.hh"
 #include "scenario/scenario.hh"
 #include "sim/sim_cpu.hh"
 
@@ -50,13 +39,6 @@ struct SweepCellResult
     double maxDivergence = 0.0;  //!< verify mode: worst |stack-oracle|
 };
 
-/** One traffic cell's measured phases. */
-struct TrafficCellResult
-{
-    double capacityHz = 0.0;  //!< probed mu1 (0 when no rate-x phase)
-    TrafficResult result;
-};
-
 /** One replay cell: a report per group member, in group order. */
 struct ReplayCellResult
 {
@@ -64,22 +46,13 @@ struct ReplayCellResult
     std::vector<CpuReport> reports;
 };
 
-/** The union of the three engines' outcomes for one cell. */
+/** The union of the two engines' outcomes for one cell. */
 struct CellResult
 {
     ScenarioCell cell;
     SweepCellResult sweep;
-    TrafficCellResult traffic;
     ReplayCellResult replay;
 };
-
-/**
- * Build the traffic target a scenario describes: the named loadgen
- * target, with the [generators] entries the scenario references
- * (key-gen / doc-gen / query-gen) as its per-request draws.
- */
-std::unique_ptr<TrafficTarget> makeScenarioTarget(
-    const ScenarioSpec &spec, double scale);
 
 /**
  * A workload group's average miss-ratio curve: each entry's trace
@@ -123,7 +96,6 @@ class ScenarioRunner
     const RunnerOptions &options() const { return opt; }
 
   private:
-    TrafficCellResult runTrafficCell(const ScenarioCell &cell);
     ReplayCellResult runReplayCell(const ScenarioCell &cell);
 
     const ScenarioSpec &spec;

@@ -1,11 +1,13 @@
 #include "scenario/scenario.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 
 #include "base/strings.hh"
 #include "baselines/baselines.hh"
+#include "sim/cache.hh"
 
 namespace wcrt {
 
@@ -14,7 +16,6 @@ toString(ScenarioKind k)
 {
     switch (k) {
       case ScenarioKind::Sweep: return "sweep";
-      case ScenarioKind::Traffic: return "traffic";
       case ScenarioKind::Replay: return "replay";
     }
     return "?";
@@ -88,50 +89,33 @@ splitList(const std::string &text)
     return out;
 }
 
-bool
-parseDouble(const std::string &text, double &out)
-{
-    std::istringstream is(text);
-    return static_cast<bool>(is >> out) && is.eof();
-}
-
-bool
-parseUint(const std::string &text, uint64_t &out)
-{
-    std::istringstream is(text);
-    return static_cast<bool>(is >> out) && is.eof();
-}
-
-bool
-parseBool(const std::string &text, bool &out)
-{
-    if (text == "on" || text == "true" || text == "1") {
-        out = true;
-        return true;
-    }
-    if (text == "off" || text == "false" || text == "0") {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
 /** Keys [scenario] accepts, per kind ("" = any kind). */
 const std::map<std::string, std::string> &
 scenarioKeyKinds()
 {
     static const std::map<std::string, std::string> keys = {
         {"name", ""},          {"kind", ""},
-        {"seed", ""},          {"scale-factor", ""},
+        {"scale-factor", ""},
         {"sweep-kind", "sweep"}, {"mrc-mode", "sweep"},
         {"sizes-kb", "sweep"}, {"assoc", "sweep"},
         {"line-bytes", "sweep"},
-        {"target", "traffic"}, {"actors", "traffic"},
-        {"probe-ops", "traffic"}, {"key-gen", "traffic"},
-        {"query-gen", "traffic"}, {"doc-gen", "traffic"},
         {"machines", "replay"},
     };
     return keys;
+}
+
+/**
+ * A sweep geometry value in [1, max] (trace_tool's ranges for
+ * --sizes, --assoc and --line), or false.
+ */
+bool
+parseGeometry(const std::string &text, uint64_t max, uint32_t &out)
+{
+    uint64_t v = 0;
+    if (!parseDecimalCount(text, 1, max, v))
+        return false;
+    out = static_cast<uint32_t>(v);
+    return true;
 }
 
 void
@@ -142,16 +126,14 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
     const ScenarioEntry *kind = sec.find("kind");
     if (!kind) {
         check.fail(sec.line, "[scenario] needs a 'kind' key"
-                             " (sweep, traffic or replay)");
+                             " (sweep or replay)");
     } else if (kind->value == "sweep") {
         spec.kind = ScenarioKind::Sweep;
-    } else if (kind->value == "traffic") {
-        spec.kind = ScenarioKind::Traffic;
     } else if (kind->value == "replay") {
         spec.kind = ScenarioKind::Replay;
     } else {
         check.fail(kind->line, "unknown kind '" + kind->value +
-                                   "' (sweep, traffic or replay)");
+                                   "' (sweep or replay)");
     }
     const std::string kind_name = toString(spec.kind);
 
@@ -172,12 +154,8 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
             spec.name = e.value;
         } else if (e.key == "kind") {
             // handled above
-        } else if (e.key == "seed") {
-            if (!parseUint(e.value, spec.seed))
-                check.fail(e.line, "bad seed '" + e.value + "'");
         } else if (e.key == "scale-factor") {
-            if (!parseDouble(e.value, spec.scaleFactor) ||
-                spec.scaleFactor <= 0.0)
+            if (!parsePositiveDecimal(e.value, spec.scaleFactor))
                 check.fail(e.line,
                            "bad scale-factor '" + e.value + "'");
         } else if (e.key == "sweep-kind") {
@@ -199,49 +177,24 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
         } else if (e.key == "sizes-kb") {
             spec.sizesKb.clear();
             for (const std::string &tok : splitList(e.value)) {
-                uint64_t kb = 0;
-                if (!parseUint(tok, kb) || kb == 0) {
+                uint32_t kb = 0;
+                if (!parseGeometry(tok, 1u << 30, kb)) {
                     check.fail(e.line,
                                "bad sizes-kb entry '" + tok + "'");
                     continue;
                 }
-                spec.sizesKb.push_back(static_cast<uint32_t>(kb));
+                spec.sizesKb.push_back(kb);
             }
             if (spec.sizesKb.empty())
                 check.fail(e.line,
                            "sizes-kb needs at least one capacity");
         } else if (e.key == "assoc") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
+            if (!parseGeometry(e.value, 1u << 16, spec.assoc))
                 check.fail(e.line, "bad assoc '" + e.value + "'");
-            else
-                spec.assoc = static_cast<uint32_t>(v);
         } else if (e.key == "line-bytes") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
+            if (!parseGeometry(e.value, 1u << 20, spec.lineBytes))
                 check.fail(e.line,
                            "bad line-bytes '" + e.value + "'");
-            else
-                spec.lineBytes = static_cast<uint32_t>(v);
-        } else if (e.key == "target") {
-            spec.target = e.value;
-        } else if (e.key == "actors") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
-                check.fail(e.line, "bad actors '" + e.value + "'");
-            else
-                spec.actors = static_cast<unsigned>(v);
-        } else if (e.key == "probe-ops") {
-            if (!parseUint(e.value, spec.probeOps) ||
-                spec.probeOps == 0)
-                check.fail(e.line,
-                           "bad probe-ops '" + e.value + "'");
-        } else if (e.key == "key-gen") {
-            spec.keyGen = e.value;
-        } else if (e.key == "query-gen") {
-            spec.queryGen = e.value;
-        } else if (e.key == "doc-gen") {
-            spec.docGen = e.value;
         } else if (e.key == "machines") {
             spec.machines = splitList(e.value);
             if (spec.machines.empty())
@@ -295,115 +248,6 @@ parseWorkloadsSection(const ScenarioSection &sec, ScenarioSpec &spec,
 }
 
 void
-parseGeneratorsSection(const ScenarioSection &sec, ScenarioSpec &spec,
-                       Check &check)
-{
-    for (const auto &e : sec.entries) {
-        ValueGen gen;
-        std::string err;
-        if (!ValueGen::parse(e.value, gen, err)) {
-            check.fail(e.line, "generator '" + e.key + "': " + err);
-            continue;
-        }
-        spec.generators.emplace(e.key, std::move(gen));
-    }
-}
-
-void
-parsePhasesSection(const ScenarioSection &sec, ScenarioSpec &spec,
-                   Check &check)
-{
-    for (const auto &e : sec.entries) {
-        if (!startsWith(e.key, "phase ")) {
-            check.fail(e.line,
-                       "expected 'phase <name> = <arrival>, ...' in"
-                       " [phases], got key '" + e.key + "'");
-            continue;
-        }
-        ScenarioPhase phase;
-        phase.name = e.key.substr(6);
-        std::vector<std::string> parts = splitList(e.value);
-        if (parts.empty()) {
-            check.fail(e.line, "phase '" + phase.name +
-                                   "' needs an arrival kind");
-            continue;
-        }
-        const std::string &arrival = parts[0];
-        if (arrival == "closed")
-            phase.arrival = ArrivalKind::ClosedLoop;
-        else if (arrival == "poisson")
-            phase.arrival = ArrivalKind::PoissonOpen;
-        else if (arrival == "token-bucket")
-            phase.arrival = ArrivalKind::TokenBucket;
-        else {
-            check.fail(e.line, "unknown arrival '" + arrival +
-                                   "' (closed, poisson or"
-                                   " token-bucket)");
-            continue;
-        }
-
-        bool bad = false;
-        for (size_t i = 1; i < parts.size(); ++i) {
-            size_t eq = parts[i].find('=');
-            std::string k = parts[i].substr(0, eq);
-            std::string v = eq == std::string::npos
-                                ? ""
-                                : parts[i].substr(eq + 1);
-            bool ok = eq != std::string::npos;
-            if (!ok) {
-                // fall through to the unknown-option report below
-            } else if (k == "ops") {
-                ok = parseUint(v, phase.ops) && phase.ops > 0;
-            } else if (k == "think-ns") {
-                ok = parseDouble(v, phase.thinkNs) &&
-                     phase.thinkNs >= 0;
-            } else if (k == "rate-hz") {
-                ok = parseDouble(v, phase.rateHz) && phase.rateHz > 0;
-            } else if (k == "rate-x") {
-                ok = parseDouble(v, phase.rateX) && phase.rateX > 0;
-            } else if (k == "burst") {
-                uint64_t b = 0;
-                ok = parseUint(v, b) && b > 0;
-                phase.burst = static_cast<uint32_t>(b);
-            } else if (k == "record") {
-                ok = parseBool(v, phase.record);
-            } else {
-                ok = false;
-            }
-            if (!ok) {
-                check.fail(e.line,
-                           "bad phase option '" + parts[i] +
-                               "' in phase '" + phase.name + "'");
-                bad = true;
-            }
-        }
-        if (phase.ops == 0) {
-            check.fail(e.line, "phase '" + phase.name +
-                                   "' needs ops=<N>");
-            bad = true;
-        }
-        bool open = phase.arrival != ArrivalKind::ClosedLoop;
-        if (open && phase.rateHz == 0.0 && phase.rateX == 0.0) {
-            check.fail(e.line, "open-loop phase '" + phase.name +
-                                   "' needs rate-hz or rate-x");
-            bad = true;
-        }
-        if (phase.rateHz > 0.0 && phase.rateX > 0.0) {
-            check.fail(e.line, "phase '" + phase.name +
-                                   "' has both rate-hz and rate-x");
-            bad = true;
-        }
-        if (!open && (phase.rateHz > 0.0 || phase.rateX > 0.0)) {
-            check.fail(e.line, "closed phase '" + phase.name +
-                                   "' does not take a rate");
-            bad = true;
-        }
-        if (!bad)
-            spec.phases.push_back(std::move(phase));
-    }
-}
-
-void
 parseMatrixSection(const ScenarioSection &sec, ScenarioSpec &spec,
                    Check &check)
 {
@@ -428,51 +272,45 @@ parseMatrixSection(const ScenarioSection &sec, ScenarioSpec &spec,
 
 /** Post-section semantic checks that need the whole spec. */
 void
-crossValidate(ScenarioSpec &spec, Check &check)
+crossValidate(const ScenarioSpec &spec, Check &check)
 {
-    switch (spec.kind) {
-      case ScenarioKind::Sweep:
-      case ScenarioKind::Replay:
-        if (spec.groups.empty())
-            check.fail(0, std::string(toString(spec.kind)) +
-                              " scenarios need a [workloads] section"
-                              " with at least one group");
-        if (!spec.phases.empty())
-            check.fail(0, "[phases] is only valid for traffic"
-                          " scenarios");
-        break;
-      case ScenarioKind::Traffic:
-        if (spec.target.empty())
-            check.fail(0, "traffic scenarios need a 'target' key");
-        if (spec.phases.empty())
-            check.fail(0, "traffic scenarios need a [phases] section"
-                          " with at least one phase");
-        break;
-    }
+    if (spec.groups.empty())
+        check.fail(0, std::string(toString(spec.kind)) +
+                          " scenarios need a [workloads] section"
+                          " with at least one group");
+    if (spec.kind != ScenarioKind::Sweep)
+        return;
 
-    auto check_gen = [&](const std::string &ref, const char *key) {
-        if (ref.empty())
-            return;
-        if (!spec.generators.count(ref))
-            check.fail(0, std::string(key) + " = " + ref +
-                              " names no [generators] entry");
-    };
-    check_gen(spec.keyGen, "key-gen");
-    check_gen(spec.queryGen, "query-gen");
-    check_gen(spec.docGen, "doc-gen");
-    if (!spec.docGen.empty() && spec.generators.count(spec.docGen)) {
-        GenKind k = spec.generators.at(spec.docGen).kind();
-        if (k != GenKind::Bytes && k != GenKind::Words)
-            check.fail(0, "doc-gen = " + spec.docGen +
-                              " must be a bytes() or words()"
-                              " generator");
+    // A run dies on a geometry its ladder cannot model: every mode
+    // needs power-of-two lines, and the oracle (in oracle and verify
+    // cells) cuts each rung into assoc-way sets. The mode axis, when
+    // declared, replaces the mrc-mode key.
+    bool oracle = spec.mrcMode != MrcMode::StackDistance;
+    for (const auto &axis : spec.axes) {
+        if (axis.name != "mode")
+            continue;
+        oracle = false;
+        for (const auto &v : axis.values) {
+            MrcMode m = MrcMode::StackDistance;
+            oracle = oracle || (parseMrcMode(v, m) &&
+                                m != MrcMode::StackDistance);
+        }
     }
-    if (!spec.keyGen.empty() && spec.target != "kv-get")
-        check.fail(0, "key-gen is only honoured by the kv-get"
-                      " target");
-    if (!spec.queryGen.empty() && spec.target != "sql-filter")
-        check.fail(0, "query-gen is only honoured by the sql-filter"
-                      " target");
+    std::string err =
+        cacheGeometryError(spec.lineBytes, 1, spec.lineBytes);
+    if (!err.empty()) {
+        check.fail(0, "line-bytes: " + err);
+        return;
+    }
+    if (!oracle)
+        return;
+    for (uint32_t kb : spec.sizesKb) {
+        err = cacheGeometryError(uint64_t{kb} * 1024, spec.assoc,
+                                 spec.lineBytes);
+        if (!err.empty())
+            check.fail(0, "oracle rung " + std::to_string(kb) +
+                              " KB: " + err);
+    }
 }
 
 } // namespace
@@ -490,8 +328,8 @@ parseMachine(const std::string &name, MachineConfig &out)
     }
     // sim<KB>, with trace_tool --machine's range of 1..2^30 KB.
     uint64_t kb = 0;
-    if (name.rfind("sim", 0) != 0 || !parseUint(name.substr(3), kb) ||
-        kb == 0 || kb > (1u << 30))
+    if (name.rfind("sim", 0) != 0 ||
+        !parseDecimalCount(name.substr(3), 1, 1u << 30, kb))
         return false;
     out = atomInOrderSim(static_cast<uint32_t>(kb));
     return true;
@@ -517,10 +355,6 @@ parseScenario(const ScenarioDoc &doc)
             continue;
         if (sec.name == "workloads")
             parseWorkloadsSection(sec, out.spec, check);
-        else if (sec.name == "generators")
-            parseGeneratorsSection(sec, out.spec, check);
-        else if (sec.name == "phases")
-            parsePhasesSection(sec, out.spec, check);
         else if (sec.name == "matrix")
             parseMatrixSection(sec, out.spec, check);
         else
@@ -563,10 +397,8 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
 
     // Which axes this kind understands.
     auto axis_legal = [&](const std::string &name) {
-        if (name == "scale")
+        if (name == "scale" || name == "group")
             return true;
-        if (name == "group")
-            return spec.kind != ScenarioKind::Traffic;
         if (name == "mode")
             return spec.kind == ScenarioKind::Sweep;
         if (name == "machine")
@@ -603,7 +435,7 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
     };
     if (!has_axis("scale"))
         axes.push_back({"scale", {renderScale(base_scale)}, 0});
-    if (!has_axis("group") && spec.kind != ScenarioKind::Traffic) {
+    if (!has_axis("group")) {
         ScenarioAxis g{"group", {}, 0};
         for (const auto &group : spec.groups)
             g.values.push_back(group.name);
@@ -625,8 +457,10 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
         }
         for (const auto &v : axis.values) {
             if (axis.name == "scale") {
+                // A declared scale is a strict decimal; the default
+                // axis (line 0) renders the already checked base.
                 double s = 0.0;
-                if (!parseDouble(v, s) || s <= 0.0) {
+                if (axis.line != 0 && !parsePositiveDecimal(v, s)) {
                     check.fail(axis.line,
                                "bad scale value '" + v + "'");
                     bad = true;
@@ -682,9 +516,8 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
             rem %= stride;
             labels.emplace_back(axis.name, v);
             if (axis.name == "scale") {
-                double s = 0.0;
-                parseDouble(v, s);
-                cell.scale = s * spec.scaleFactor;
+                cell.scale =
+                    std::strtod(v.c_str(), nullptr) * spec.scaleFactor;
             } else if (axis.name == "group") {
                 cell.group = *spec.findGroup(v);
             } else if (axis.name == "mode") {

@@ -6,14 +6,13 @@
  * list.
  *
  * A scenario composes workload roster × dataset scale × software
- * stack (via named workload groups) × machine config × traffic
- * phases into data: one `.scn` file describes what today lives in
- * hand-written bench `main()`s. Three kinds dispatch to the three
- * existing engines:
+ * stack (via named workload groups) × cache geometry or machine
+ * config into data: one `.scn` file describes a trace-pipeline
+ * experiment that would otherwise be a hand-written bench `main()`.
+ * Two kinds dispatch to the two trace engines:
  *
- *  - `sweep`   -> averageSweep() group miss-ratio curves (MrcMode)
- *  - `traffic` -> loadgen::Orchestrator phases
- *  - `replay`  -> profileTraces() machine-model reports
+ *  - `sweep`  -> averageSweep() group miss-ratio curves (MrcMode)
+ *  - `replay` -> profileTraces() machine-model reports
  *
  * The `[matrix]` section declares axes (scale, group, mode, machine);
  * expansion is the odometer cross-product — the first declared axis
@@ -30,12 +29,9 @@
 #define WCRT_SCENARIO_SCENARIO_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "loadgen/arrival.hh"
-#include "scenario/generator.hh"
 #include "scenario/parser.hh"
 #include "sim/footprint.hh"
 #include "sim/machine.hh"
@@ -45,9 +41,9 @@
 namespace wcrt {
 
 /** Which engine a scenario drives. */
-enum class ScenarioKind : uint8_t { Sweep, Traffic, Replay };
+enum class ScenarioKind : uint8_t { Sweep, Replay };
 
-/** Kind name as the DSL spells it: sweep / traffic / replay. */
+/** Kind name as the DSL spells it: sweep / replay. */
 const char *toString(ScenarioKind k);
 
 /** A named workload group, resolved against the rosters. */
@@ -57,25 +53,12 @@ struct ScenarioGroup
     std::vector<WorkloadEntry> entries;  //!< resolved, in file order
 };
 
-/** One declared traffic phase (ordered within [phases]). */
-struct ScenarioPhase
-{
-    std::string name;
-    ArrivalKind arrival = ArrivalKind::ClosedLoop;
-    uint64_t ops = 0;        //!< requests per actor
-    double thinkNs = 0.0;    //!< closed-loop think time
-    double rateHz = 0.0;     //!< absolute per-actor open-loop rate
-    double rateX = 0.0;      //!< rate as a fraction of probed capacity
-    uint32_t burst = 1;      //!< token-bucket depth
-    bool record = true;
-};
-
 /** One matrix axis: name plus raw values in declaration order. */
 struct ScenarioAxis
 {
     std::string name;                 //!< scale | group | mode | machine
     std::vector<std::string> values;  //!< raw tokens
-    int line = 0;
+    int line = 0;                     //!< 0 for a default axis
 };
 
 /** A fully parsed, resolved scenario. */
@@ -84,7 +67,6 @@ struct ScenarioSpec
     std::string source;        //!< file name for messages
     std::string name;
     ScenarioKind kind = ScenarioKind::Sweep;
-    uint64_t seed = 1;
     double scaleFactor = 1.0;  //!< multiplies every cell's base scale
 
     // Sweep engine parameters.
@@ -94,20 +76,10 @@ struct ScenarioSpec
     uint32_t assoc = 8;
     uint32_t lineBytes = 64;
 
-    // Traffic engine parameters.
-    std::string target;        //!< kv-get / sql-filter / workload:<n>
-    unsigned actors = 4;
-    uint64_t probeOps = 256;   //!< serial capacity-probe requests
-    std::string keyGen;        //!< [generators] name for kv keys
-    std::string queryGen;      //!< [generators] name for sql predicates
-    std::string docGen;        //!< [generators] name for documents
-    std::vector<ScenarioPhase> phases;
-
     // Replay engine parameters.
     std::vector<std::string> machines;  //!< default {xeon, atom}
 
     std::vector<ScenarioGroup> groups;
-    std::map<std::string, ValueGen> generators;
     std::vector<ScenarioAxis> axes;  //!< as declared in [matrix]
 
     const ScenarioGroup *findGroup(const std::string &name) const;
@@ -150,7 +122,7 @@ struct ScenarioCell
     size_t index = 0;
     std::string label;    //!< "group=Hadoop scale=0.25 mode=stack"
     double scale = 0.0;   //!< effective dataset scale
-    ScenarioGroup group;  //!< sweep/replay roster (empty for traffic)
+    ScenarioGroup group;  //!< the cell's workload roster
     MrcMode mode = MrcMode::StackDistance;  //!< sweep cells
     std::string machineName;                //!< replay cells
     MachineConfig machine;                  //!< replay cells

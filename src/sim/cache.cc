@@ -7,18 +7,31 @@
 
 namespace wcrt {
 
+std::string
+cacheGeometryError(uint64_t size_bytes, uint32_t assoc,
+                   uint32_t line_bytes)
+{
+    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
+        return "line size must be a power of two, got " +
+               std::to_string(line_bytes);
+    if (assoc == 0)
+        return "associativity must be >= 1";
+    uint64_t lines = size_bytes / line_bytes;
+    if (lines == 0 || lines % assoc != 0)
+        return "size " + std::to_string(size_bytes) +
+               " not divisible into " + std::to_string(assoc) +
+               "-way sets of " + std::to_string(line_bytes) +
+               "-byte lines";
+    return "";
+}
+
 Cache::Cache(const CacheConfig &config) : cfg(config)
 {
-    if (cfg.lineBytes == 0 || !std::has_single_bit(cfg.lineBytes))
-        wcrt_fatal("cache '", cfg.name, "': line size must be a power "
-                   "of two, got ", cfg.lineBytes);
-    if (cfg.assoc == 0)
-        wcrt_fatal("cache '", cfg.name, "': associativity must be >= 1");
+    std::string err =
+        cacheGeometryError(cfg.sizeBytes, cfg.assoc, cfg.lineBytes);
+    if (!err.empty())
+        wcrt_fatal("cache '", cfg.name, "': ", err);
     uint64_t lines = cfg.sizeBytes / cfg.lineBytes;
-    if (lines == 0 || lines % cfg.assoc != 0)
-        wcrt_fatal("cache '", cfg.name, "': size ", cfg.sizeBytes,
-                   " not divisible into ", cfg.assoc, "-way sets of ",
-                   cfg.lineBytes, "-byte lines");
     nSets = static_cast<uint32_t>(lines / cfg.assoc);
     setsPow2 = std::has_single_bit(nSets);
     lineShift = static_cast<uint32_t>(std::countr_zero(cfg.lineBytes));

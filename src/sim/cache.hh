@@ -36,6 +36,16 @@ struct CacheConfig
 };
 
 /**
+ * The geometry rule every cache model shares: why `size_bytes` cannot
+ * be cut into `assoc`-way sets of `line_bytes`-byte lines, or "" when
+ * it can. Lines must be a power of two bytes, sets at least one way
+ * and the capacity a nonzero whole number of sets. A one-line,
+ * one-way geometry puts the line size alone in question.
+ */
+std::string cacheGeometryError(uint64_t size_bytes, uint32_t assoc,
+                               uint32_t line_bytes);
+
+/**
  * Tag-only set-associative cache with true-LRU replacement.
  */
 class Cache

@@ -26,9 +26,10 @@ constexpr size_t kInitialMapSlots = 1 << 10;
 uint32_t
 lineShiftOf(uint32_t line_bytes)
 {
-    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
-        wcrt_fatal("stack-distance profile: line size must be a power "
-                   "of two, got ", line_bytes);
+    // One line, one way: only the line size can be at fault.
+    std::string err = cacheGeometryError(line_bytes, 1, line_bytes);
+    if (!err.empty())
+        wcrt_fatal("stack-distance profile: ", err);
     return static_cast<uint32_t>(std::countr_zero(line_bytes));
 }
 

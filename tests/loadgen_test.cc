@@ -17,9 +17,6 @@
 #include "loadgen/histogram.hh"
 #include "loadgen/orchestrator.hh"
 #include "loadgen/targets.hh"
-#include "scenario/parser.hh"
-#include "scenario/runner.hh"
-#include "scenario/scenario.hh"
 
 namespace wcrt {
 namespace {
@@ -152,24 +149,6 @@ TEST(LoadgenArrival, TokenBucketBoundsScheduleToRate)
             static_cast<uint64_t>(i + 1 - spec.burst) * 1000000ull;
         EXPECT_GE(due, floor_ns) << "arrival " << i;
     }
-}
-
-TEST(LoadgenArrival, ClosedLoopThinkTimeMatchesMean)
-{
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::ClosedLoop;
-    spec.thinkMeanNs = 50000;
-    ArrivalProcess p(spec, 3);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(p.nextThinkNs());
-    EXPECT_NEAR(sum / n, 50000.0, 2500.0);
-
-    ArrivalSpec no_think;
-    ArrivalProcess q(no_think, 3);
-    EXPECT_EQ(q.nextThinkNs(), 0u);
-    EXPECT_FALSE(q.openLoop());
 }
 
 // ------------------------------------------------- orchestrator
@@ -356,48 +335,22 @@ TEST(OrchestratorTargets, UnrecordedPhaseCountsButDoesNotReport)
 
 TEST(OrchestratorTargets, OpStreamsPinnedForDefaultAndGeneratorDraws)
 {
-    // kv-get and sql-filter at jobs=1 with fixed seeds, once with the
-    // targets' built-in draws on the actor Rng and once with scenario
-    // generators (zipf keys plus bytes documents; uniform predicates).
-    // The op counts are pinned constants: however the per-request draw
-    // reaches the target, every request must emit the same stream.
+    // kv-get and sql-filter at jobs=1 with a fixed seed, drawing keys
+    // and predicates on the actor Rng. The op counts are pinned
+    // constants: a change to how a request reaches its target must
+    // leave every request's stream as it was.
     struct Case
     {
         const char *target;
-        const char *generators;  //!< "" = the target's built-in draws
         uint64_t totalOps;
         std::vector<uint64_t> phaseOps;
     };
     const std::vector<Case> cases = {
-        {"kv-get", "", 127866, {70141, 34752}},
-        {"kv-get",
-         "key-gen = keys\n"
-         "doc-gen = docs\n"
-         "[generators]\n"
-         "keys = zipf(5000, 0.99)\n"
-         "docs = bytes(128)\n",
-         127996, {69855, 34908}},
-        {"sql-filter", "", 43961, {22965, 12837}},
-        {"sql-filter",
-         "query-gen = amounts\n"
-         "[generators]\n"
-         "amounts = uniform(1, 500)\n",
-         49870, {25962, 13082}},
+        {"kv-get", 127866, {70141, 34752}},
+        {"sql-filter", 43961, {22965, 12837}},
     };
     for (const Case &c : cases) {
-        std::string label =
-            std::string(c.target) + (*c.generators ? " gen" : " default");
-        ScenarioParse parse = parseScenario(parseScenarioText(
-            std::string("[scenario]\n"
-                        "name = pin\n"
-                        "kind = traffic\n"
-                        "seed = 11\n"
-                        "target = ") +
-            c.target + "\n" + c.generators +
-            "[phases]\n"
-            "phase steady = closed, ops=6\n"));
-        ASSERT_TRUE(parse.ok()) << label << ": " << parse.formatIssues();
-        auto target = makeScenarioTarget(parse.spec, 0.05);
+        auto target = makeTrafficTarget(c.target, 0.05);
         std::vector<PhaseSpec> phases{warmupPhase(2),
                                       closedPhase("steady", 6),
                                       closedPhase("spike", 3)};
@@ -406,11 +359,11 @@ TEST(OrchestratorTargets, OpStreamsPinnedForDefaultAndGeneratorDraws)
         cfg.jobs = 1;
         cfg.seed = 5;
         TrafficResult res = Orchestrator(*target, phases, cfg).run();
-        EXPECT_EQ(res.totalTraceOps, c.totalOps) << label;
-        ASSERT_EQ(res.phases.size(), c.phaseOps.size()) << label;
+        EXPECT_EQ(res.totalTraceOps, c.totalOps) << c.target;
+        ASSERT_EQ(res.phases.size(), c.phaseOps.size()) << c.target;
         for (size_t i = 0; i < c.phaseOps.size(); ++i)
             EXPECT_EQ(res.phases[i].traceOps, c.phaseOps[i])
-                << label << " phase " << res.phases[i].name;
+                << c.target << " phase " << res.phases[i].name;
     }
 }
 

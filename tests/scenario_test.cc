@@ -1,21 +1,19 @@
 /**
  * @file
  * Tests for the scenario DSL: structural parsing and round-trips,
- * accumulate-all error reporting, seeded-generator determinism under
- * evaluation-order and worker-count changes, matrix expansion order,
- * scenario-vs-hand-registered roster identity and the sweep engine's
- * scenario-vs-bench bit-identity guarantee.
+ * accumulate-all error reporting, strict numbers and buildable sweep
+ * geometry, matrix expansion order, scenario-vs-hand-registered
+ * roster identity and the sweep engine's scenario-vs-bench
+ * bit-identity guarantee.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
-#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "scenario/generator.hh"
 #include "scenario/parser.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
@@ -132,7 +130,7 @@ TEST(ScenarioSpecTest, AccumulatesEverySemanticIssue)
     EXPECT_TRUE(hasIssue(parse.issues, "unknown key 'frobnicate'"));
     EXPECT_TRUE(
         hasIssue(parse.issues, "unknown workload 'No-Such-Workload'"));
-    EXPECT_TRUE(hasIssue(parse.issues, "unknown generator kind"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown section [generators]"));
 
     // The machine axis is a replay-only concept; expansion flags it.
     std::vector<ScenarioIssue> expand_issues;
@@ -150,7 +148,7 @@ TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
                           "[workloads]\n"
                           "group G = H-Grep\n"
                           "[matrix]\n"
-                          "scale = 0.5, banana\n"
+                          "scale = 0.5, banana, 1e-300, +0.5\n"
                           "mode = stack, sideways\n"
                           "color = red\n"));
     EXPECT_TRUE(hasIssue(parse.issues, "unknown matrix axis 'color'"));
@@ -158,26 +156,30 @@ TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
     std::vector<ScenarioCell> cells =
         expandScenario(parse.spec, 0.5, issues);
     EXPECT_TRUE(cells.empty());
-    EXPECT_TRUE(hasIssue(issues, "bad scale value 'banana'"));
+    for (const std::string bad : {"banana", "1e-300", "+0.5"})
+        EXPECT_TRUE(hasIssue(issues, "bad scale value '" + bad + "'"))
+            << bad;
     EXPECT_TRUE(hasIssue(issues, "bad mode value 'sideways'"));
 }
 
 TEST(ScenarioSpecTest, SimMachineNamesAreStrict)
 {
     // sim<KB> takes trace_tool --machine's 1..2^30 KB: no trailing
-    // junk, no empty, zero or negative size, no 32-bit wrap to 32.
+    // junk, no empty, zero, signed or spaced size, no 32-bit wrap to
+    // 32.
     ScenarioParse parse = parseScenario(parseScenarioText(
         "[scenario]\n"
         "name = r\n"
         "kind = replay\n"
-        "machines = sim32x, sim, sim0, sim-1, sim4294967328, sim32\n"
+        "machines = sim32x, sim, sim0, sim-1, sim4294967328, sim+32,"
+        " sim 32, sim32\n"
         "[workloads]\n"
         "group G = H-Grep\n"));
     ASSERT_TRUE(parse.ok()) << parse.formatIssues();
     std::vector<ScenarioIssue> issues;
     EXPECT_TRUE(expandScenario(parse.spec, 0.5, issues).empty());
-    for (const std::string bad :
-         {"sim32x", "sim", "sim0", "sim-1", "sim4294967328"})
+    for (const std::string bad : {"sim32x", "sim", "sim0", "sim-1",
+                                  "sim4294967328", "sim+32", "sim 32"})
         EXPECT_TRUE(hasIssue(issues, "bad machine value '" + bad + "'"))
             << bad;
     EXPECT_FALSE(hasIssue(issues, "'sim32'"));
@@ -188,31 +190,91 @@ TEST(ScenarioSpecTest, SimMachineNamesAreStrict)
     EXPECT_FALSE(parseMachine("sim1073741825", m));
 }
 
-TEST(ScenarioSpecTest, TrafficRequiresTargetAndPhases)
+TEST(ScenarioSpecTest, TrafficKindAndSectionsRejected)
 {
-    ScenarioParse parse = parseScenario(parseScenarioText(
-        "[scenario]\nname = t\nkind = traffic\n"));
-    EXPECT_TRUE(hasIssue(parse.issues, "need a 'target'"));
-    EXPECT_TRUE(hasIssue(parse.issues, "[phases] section"));
-}
-
-TEST(ScenarioSpecTest, PhaseValidation)
-{
+    // A retired traffic file fails through the generic unknown kind,
+    // key and section issues.
     ScenarioParse parse = parseScenario(parseScenarioText(
         "[scenario]\n"
-        "name = p\n"
+        "name = t\n"
         "kind = traffic\n"
         "target = kv-get\n"
+        "seed = 1\n"
+        "[generators]\n"
+        "keys = zipf(5000, 0.99)\n"
         "[phases]\n"
-        "phase a = poisson, ops=8\n"
-        "phase b = closed, ops=8, rate-hz=10\n"
-        "phase c = warble, ops=8\n"
-        "phase d = token-bucket, ops=8, rate-hz=5, rate-x=0.5\n"));
-    EXPECT_TRUE(hasIssue(parse.issues, "needs rate-hz or rate-x"));
-    EXPECT_TRUE(hasIssue(parse.issues, "unknown arrival 'warble'"));
-    EXPECT_TRUE(
-        hasIssue(parse.issues, "both rate-hz and rate-x"));
-    EXPECT_TRUE(hasIssue(parse.issues, "does not take a rate"));
+        "phase steady = closed, ops=8\n"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown kind 'traffic'"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown key 'target'"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown key 'seed'"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown section [generators]"));
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown section [phases]"));
+
+    // So do the sections in an otherwise valid sweep file.
+    parse = parseScenario(parseScenarioText("[scenario]\n"
+                                            "name = s\n"
+                                            "kind = sweep\n"
+                                            "[workloads]\n"
+                                            "group G = H-Grep\n"
+                                            "[phases]\n"
+                                            "phase p = closed, ops=8\n"));
+    EXPECT_EQ(parse.issues.size(), 1u) << parse.formatIssues();
+    EXPECT_TRUE(hasIssue(parse.issues, "unknown section [phases]"));
+}
+
+/** Parse + expand a one-group sweep with `extra` [scenario] lines. */
+std::vector<ScenarioIssue>
+sweepIssues(const std::string &extra, const std::string &matrix = "")
+{
+    ScenarioParse parse = parseScenario(parseScenarioText(
+        "[scenario]\nname = n\nkind = sweep\n" + extra +
+        "[workloads]\ngroup G = H-Grep\n" +
+        (matrix.empty() ? "" : "[matrix]\n" + matrix)));
+    if (parse.ok())
+        expandScenario(parse.spec, 0.5, parse.issues);
+    return parse.issues;
+}
+
+TEST(ScenarioSpecTest, NumbersAreStrict)
+{
+    // Digits only, in trace_tool's ranges: no sign, no space, no
+    // exponent and no 32-bit wrap of an oversized value onto a small
+    // one (4294967304 is 2^32 + 8).
+    const std::pair<std::string, std::string> cases[] = {
+        {"assoc = 4294967304\n", "bad assoc"},
+        {"assoc = -1\n", "bad assoc"},
+        {"assoc = +8\n", "bad assoc"},
+        {"line-bytes = 4294967360\n", "bad line-bytes"},
+        {"sizes-kb = 16, +32\n", "bad sizes-kb entry '+32'"},
+        {"sizes-kb = 16, 4294967360\n", "bad sizes-kb entry"},
+        {"scale-factor = 1e3\n", "bad scale-factor"},
+        {"scale-factor = -0.5\n", "bad scale-factor"},
+    };
+    for (const auto &[line, issue] : cases)
+        EXPECT_TRUE(hasIssue(sweepIssues(line), issue)) << line;
+    EXPECT_TRUE(sweepIssues("assoc = 16\nline-bytes = 128\n"
+                            "sizes-kb = 16, 32\nscale-factor = 0.25\n",
+                            "scale = 0.5, 1\n")
+                    .empty());
+}
+
+TEST(ScenarioSpecTest, UnbuildableSweepGeometryRejected)
+{
+    // Geometries a run would die on: 48-byte lines fit neither model,
+    // and the oracle cannot cut 1 KB into 32-way sets of 64-byte
+    // lines. The stack-distance profile is fully associative, so a
+    // stack-only ladder ignores assoc.
+    EXPECT_TRUE(hasIssue(sweepIssues("line-bytes = 48\n"),
+                         "line size must be a power of two, got 48"));
+    const std::string odd_sets = "assoc = 32\nsizes-kb = 1, 16\n";
+    std::vector<ScenarioIssue> issues =
+        sweepIssues("mrc-mode = oracle\n" + odd_sets);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_TRUE(hasIssue(issues, "rung 1 KB: size 1024 not divisible"
+                                 " into 32-way sets"));
+    EXPECT_FALSE(sweepIssues(odd_sets, "mode = stack, verify\n").empty());
+    EXPECT_TRUE(sweepIssues(odd_sets).empty());
+    EXPECT_TRUE(sweepIssues(odd_sets, "mode = stack\n").empty());
 }
 
 TEST(ScenarioSpecTest, MatrixExpansionOrderFirstAxisSlowest)
@@ -266,93 +328,6 @@ TEST(ScenarioSpecTest, LookupWorkloadCoversAllRosters)
     EXPECT_NE(lookupWorkload("H-WordCount@wiki"), nullptr);
     EXPECT_NE(lookupWorkload("PARSEC-like"), nullptr);
     EXPECT_EQ(lookupWorkload("No-Such-Workload"), nullptr);
-}
-
-// -------------------------------------------------------------- generators
-
-TEST(GeneratorTest, ParseValidatesSpecs)
-{
-    ValueGen gen;
-    std::string err;
-    EXPECT_TRUE(ValueGen::parse("zipf(1000, 0.99)", gen, err));
-    EXPECT_EQ(gen.kind(), GenKind::Zipf);
-    EXPECT_EQ(gen.spec(), "zipf(1000, 0.99)");
-    EXPECT_TRUE(ValueGen::parse("bytes(64)", gen, err));
-    EXPECT_TRUE(ValueGen::parse("words(8, 500)", gen, err));
-    EXPECT_FALSE(ValueGen::parse("zipf(1000)", gen, err));
-    EXPECT_NE(err.find("2 arguments"), std::string::npos);
-    EXPECT_FALSE(ValueGen::parse("uniform(9, 1)", gen, err));
-    EXPECT_FALSE(ValueGen::parse("warble(1)", gen, err));
-    EXPECT_FALSE(ValueGen::parse("zipf", gen, err));
-}
-
-TEST(GeneratorTest, DrawsAreOrderIndependent)
-{
-    ValueGen gen;
-    std::string err;
-    ASSERT_TRUE(ValueGen::parse("zipf(5000, 0.9)", gen, err));
-
-    constexpr uint64_t kSeed = 42;
-    constexpr size_t kActors = 3;
-    constexpr size_t kOps = 256;
-
-    // Reference: sequential evaluation in (actor, op) order.
-    std::vector<uint64_t> ref(kActors * kOps);
-    for (size_t a = 0; a < kActors; ++a)
-        for (size_t op = 0; op < kOps; ++op)
-            ref[a * kOps + op] = gen.drawIndex({kSeed, a, op});
-
-    // Shuffled evaluation order must reproduce it exactly.
-    std::vector<size_t> order(ref.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::mt19937 shuffle_rng(7);
-    std::shuffle(order.begin(), order.end(), shuffle_rng);
-    std::vector<uint64_t> shuffled(ref.size());
-    for (size_t i : order)
-        shuffled[i] = gen.drawIndex({kSeed, i / kOps, i % kOps});
-    EXPECT_EQ(shuffled, ref);
-
-    // Parallel evaluation (the jobs=N world) must as well.
-    std::vector<uint64_t> parallel(ref.size());
-    parallelFor(ref.size(), [&](size_t i) {
-        parallel[i] = gen.drawIndex({kSeed, i / kOps, i % kOps});
-    }, 4);
-    EXPECT_EQ(parallel, ref);
-}
-
-TEST(GeneratorTest, StreamsAreDistinctAcrossActorsAndGenerators)
-{
-    ValueGen zipf, uniform;
-    std::string err;
-    ASSERT_TRUE(ValueGen::parse("zipf(1000000, 0.9)", zipf, err));
-    ASSERT_TRUE(
-        ValueGen::parse("uniform(0, 999999)", uniform, err));
-
-    size_t same_actor = 0, same_gen = 0;
-    for (uint64_t op = 0; op < 200; ++op) {
-        if (zipf.drawIndex({1, 0, op}) == zipf.drawIndex({1, 1, op}))
-            ++same_actor;
-        if (zipf.drawIndex({1, 0, op}) ==
-            uniform.drawIndex({1, 0, op}))
-            ++same_gen;
-    }
-    EXPECT_LT(same_actor, 20u);  // collisions allowed, mirroring not
-    EXPECT_LT(same_gen, 20u);
-}
-
-TEST(GeneratorTest, TextDrawsAreSizedAndDeterministic)
-{
-    ValueGen bytes, words;
-    std::string err;
-    ASSERT_TRUE(ValueGen::parse("bytes(64)", bytes, err));
-    ASSERT_TRUE(ValueGen::parse("words(6, 100)", words, err));
-    std::string doc = bytes.drawText({9, 2, 5});
-    EXPECT_EQ(doc.size(), 64u);
-    EXPECT_EQ(doc, bytes.drawText({9, 2, 5}));
-    EXPECT_NE(doc, bytes.drawText({9, 2, 6}));
-    std::string query = words.drawText({9, 0, 0});
-    EXPECT_EQ(std::count(query.begin(), query.end(), ' '), 5);
 }
 
 // ------------------------------------------------- checked-in scenarios
@@ -488,58 +463,6 @@ TEST(ScenarioRunnerTest, SweepCellIdenticalAcrossJobs)
         EXPECT_EQ(pooled.maxDivergence, serial.maxDivergence);
     }
     fs::remove_all(dir);
-}
-
-TEST(ScenarioRunnerTest, TrafficOpStreamsIdenticalAcrossJobs)
-{
-    // The loadgen determinism contract through the scenario layer:
-    // generator-driven request streams are pure functions of
-    // (seed, actor, op), so every op count matches at jobs=1 and
-    // jobs=4 (latencies differ; instruction streams cannot).
-    ScenarioParse parse = parseScenario(parseScenarioText(
-        "[scenario]\n"
-        "name = det\n"
-        "kind = traffic\n"
-        "target = kv-get\n"
-        "seed = 11\n"
-        "actors = 4\n"
-        "key-gen = keys\n"
-        "doc-gen = docs\n"
-        "[generators]\n"
-        "keys = zipf(5000, 0.99)\n"
-        "docs = bytes(128)\n"
-        "[phases]\n"
-        "phase warmup = closed, ops=4, record=off\n"
-        "phase steady = closed, ops=24\n"));
-    ASSERT_TRUE(parse.ok()) << parse.formatIssues();
-
-    auto run_with_jobs = [&](unsigned jobs) {
-        RunnerOptions opt;
-        opt.jobs = jobs;
-        opt.baseScale = 0.0625;
-        ScenarioRunner runner(parse.spec, opt);
-        std::vector<ScenarioIssue> issues;
-        std::vector<ScenarioCell> cells = runner.cells(issues);
-        EXPECT_TRUE(issues.empty());
-        EXPECT_EQ(cells.size(), 1u);
-        return runner.runCell(cells[0]).traffic;
-    };
-    TrafficCellResult serial = run_with_jobs(1);
-    TrafficCellResult parallel = run_with_jobs(4);
-
-    EXPECT_EQ(serial.result.totalRequests, 4u * (4u + 24u));
-    EXPECT_EQ(serial.result.totalRequests,
-              parallel.result.totalRequests);
-    EXPECT_EQ(serial.result.totalTraceOps,
-              parallel.result.totalTraceOps);
-    ASSERT_EQ(serial.result.phases.size(),
-              parallel.result.phases.size());
-    for (size_t i = 0; i < serial.result.phases.size(); ++i) {
-        EXPECT_EQ(serial.result.phases[i].requests,
-                  parallel.result.phases[i].requests);
-        EXPECT_EQ(serial.result.phases[i].traceOps,
-                  parallel.result.phases[i].traceOps);
-    }
 }
 
 } // namespace

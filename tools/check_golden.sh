@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Diff the figure and table outputs against their committed goldens.
-# Runs reduction_77_to_17, fig1_instruction_mix, fig2_integer_breakdown,
-# fig3_ipc, fig4_cache_mpki, fig5_tlb_mpki, table4_branch_prediction
-# and, with --mrc-mode=verify, fig6-fig9 at WCRT_SCALE=0.05 with a
+# Diff the figure, table and scenario outputs against their committed
+# goldens. Runs reduction_77_to_17, fig1_instruction_mix,
+# fig2_integer_breakdown, fig3_ipc, fig4_cache_mpki, fig5_tlb_mpki,
+# table4_branch_prediction, fig6-fig9 with --mrc-mode=verify, and
+# `scenario_tool run` on scenarios/replay_machines.scn and
+# scenarios/sweep_matrix_smoke.scn, all at WCRT_SCALE=0.05 with a
 # fresh trace directory, and requires each stdout to match
-# tests/golden/<bench>.txt exactly. The only lines dropped are
-# reduction_77_to_17's "Profiling the roster" progress line, which
+# tests/golden/<name>.txt exactly: a bench's golden is named after the
+# bench, a scenario's is scenario_<file stem>. The only lines dropped
+# are reduction_77_to_17's "Profiling the roster" progress line, which
 # prints '.' per capture and '+' per trace-cache hit, and fig6's five
 # wall-clock timing lines (serial re-execution, live one-pass ladder,
 # trace capture, replayed 10-rung ladder, speedup).
@@ -15,7 +18,8 @@
 set -euo pipefail
 
 build=${1:?usage: check_golden.sh BUILD_DIR}
-golden="$(cd "$(dirname "$0")/.." && pwd)/tests/golden"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+golden="$root/tests/golden"
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
@@ -23,13 +27,14 @@ drop='^(Profiling the roster|serial re-execution|live one-pass ladder'
 drop+='|trace capture|replayed 10-rung ladder|speedup vs serial re-execution)'
 
 status=0
+# check NAME BINARY [ARGS...] — diff BINARY's stdout against NAME's golden.
 check() {
-    local bench=$1
-    shift
-    WCRT_SCALE=0.05 WCRT_TRACE_DIR="$dir/traces" "$build/bench/$bench" "$@" |
-        grep -Ev "$drop" > "$dir/$bench.txt"
-    if diff -u "$golden/$bench.txt" "$dir/$bench.txt"; then
-        echo "$bench matches its golden"
+    local name=$1 binary=$2
+    shift 2
+    WCRT_SCALE=0.05 WCRT_TRACE_DIR="$dir/traces" "$build/bench/$binary" "$@" |
+        grep -Ev "$drop" > "$dir/$name.txt"
+    if diff -u "$golden/$name.txt" "$dir/$name.txt"; then
+        echo "$name matches its golden"
     else
         status=1
     fi
@@ -37,10 +42,13 @@ check() {
 
 for bench in reduction_77_to_17 fig1_instruction_mix fig2_integer_breakdown \
              fig3_ipc fig4_cache_mpki fig5_tlb_mpki table4_branch_prediction; do
-    check "$bench"
+    check "$bench" "$bench"
 done
 for bench in fig6_icache_footprint fig7_dcache_footprint \
              fig8_unified_footprint fig9_mpi_footprint; do
-    check "$bench" --mrc-mode=verify
+    check "$bench" "$bench" --mrc-mode=verify
+done
+for scn in replay_machines sweep_matrix_smoke; do
+    check "scenario_$scn" scenario_tool run "$root/scenarios/$scn.scn"
 done
 exit "$status"

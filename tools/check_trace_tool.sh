@@ -4,8 +4,12 @@
 # profile the trace as that many chunk ranges and merge them, to print
 # the --jobs=1 curve and counts (everything but wall_s) for every
 # stream kind. Then checks that malformed numeric flag values, a
-# malformed WCRT_SCALE and unknown commands make trace_tool,
-# scenario_tool and a figure bench exit non-zero.
+# malformed WCRT_SCALE, an unknown traffic target and unknown commands
+# make trace_tool, scenario_tool, service_latency and a figure bench
+# exit non-zero, and that `scenario_tool validate` rejects a retired
+# traffic scenario, a [phases] section, lax numbers (a sign, a space,
+# an exponent or a value past 32 bits) and a sweep geometry its ladder
+# cannot build.
 #
 # Usage: tools/check_trace_tool.sh BUILD_DIR [WORKLOAD] [SCALE]
 
@@ -16,6 +20,7 @@ workload=${2:-H-WordCount}
 scale=${3:-0.02}
 tool="$build/bench/trace_tool"
 scenario="$build/bench/scenario_tool"
+service="$build/bench/service_latency"
 table4="$build/bench/table4_branch_prediction"
 scn="$(cd "$(dirname "$0")/.." && pwd)/scenarios/replay_machines.scn"
 dir=$(mktemp -d)
@@ -55,7 +60,31 @@ expect_failure "$scenario" run "$scn" --scale=abc
 expect_failure "$table4" --jobs=abc
 expect_failure "$table4" --jobs=-1
 expect_failure env WCRT_SCALE=abc "$table4"
+expect_failure "$service" --actors=0
+expect_failure "$service" --ops=-1
+expect_failure "$service" --jobs=abc
+expect_failure "$service" --target=nope
+expect_failure env WCRT_SCALE=abc "$service"
 echo "malformed numeric flags exit non-zero"
+
+# reject_scn NAME BODY — write BODY to NAME.scn; validate must fail it.
+reject_scn() {
+    printf '%b' "$2" > "$dir/$1.scn"
+    expect_failure "$scenario" validate "$dir/$1.scn"
+}
+sweep='[scenario]\nname = s\nkind = sweep\n'
+group='[workloads]\ngroup G = H-Grep\n'
+reject_scn traffic '[scenario]\nname = t\nkind = traffic\ntarget = kv-get\n'
+reject_scn phases "$sweep$group[phases]\nphase p = closed, ops=8\n"
+reject_scn assoc "${sweep}assoc = 4294967304\n$group"
+reject_scn line "${sweep}line-bytes = 4294967360\n$group"
+reject_scn sizes "${sweep}sizes-kb = 16, +32\n$group"
+reject_scn factor "${sweep}scale-factor = 1e3\n$group"
+reject_scn scale "$sweep$group[matrix]\nscale = 1e-300\n"
+reject_scn machine '[scenario]\nname = r\nkind = replay\nmachines = sim+32\n'"$group"
+reject_scn line48 "${sweep}line-bytes = 48\n$group"
+reject_scn oracle "${sweep}mrc-mode = oracle\nassoc = 32\nsizes-kb = 1, 16\n$group"
+echo "scenario_tool validate rejects traffic files, lax numbers and bad geometry"
 # Cross-process analysis is `record` to a path, then `replay` or `mrc`.
 expect_failure "$tool" serve H-WordCount --ring=x
 expect_failure "$tool" attach --ring=x
