@@ -7,7 +7,9 @@
  * sharing the memory subsystem degrades datacenter applications. This
  * bench quantifies it with the co-run model: each pair of workloads
  * shares the E5645's 12 MB L3, and the table reports each side's L3
- * MPKI solo vs shared, plus cross-lane snoop hits.
+ * MPKI solo vs shared, plus cross-lane snoop hits. The six workloads
+ * come from the bench trace cache: each is captured at most once and
+ * its trace serves all three L3 sizes.
  */
 
 #include "bench_common.hh"
@@ -16,23 +18,10 @@
 using namespace wcrt;
 using namespace wcrt::bench;
 
-namespace {
-
-std::vector<MicroOp>
-record(const char *name, double scale)
-{
-    WorkloadPtr w = findWorkload(name).make(scale);
-    TraceRecorder recorder;
-    runThroughSink(*w, recorder);
-    return recorder.trace();
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    initBench(argc, argv, kBenchUsesNone);
+    initBench(argc, argv, kBenchUsesTraceDir);
     double scale = benchScale() * 0.5;
     std::cout << "=== Ablation: shared-L3 co-run interference (scale "
               << scale << ") ===\n\n";
@@ -47,6 +36,16 @@ main(int argc, char **argv)
         {"S-WordCount", "S-Sort"},    // two JVM analytics
         {"M-WordCount", "M-Sort"},    // two thin-stack analytics
     };
+    std::map<std::string, TraceReader> traces;
+    for (const auto &pair : pairs) {
+        for (const char *name : {pair.a, pair.b}) {
+            const WorkloadEntry &entry = findWorkload(name);
+            traces.try_emplace(
+                name, benchTraceCache().ensure(name, scale, [&] {
+                    return entry.make(scale);
+                }));
+        }
+    }
 
     // At MB-scale inputs the full 12 MB L3 holds both working sets, so
     // the interesting sweep is the shared capacity: the paper-class
@@ -58,9 +57,8 @@ main(int argc, char **argv)
         Table t({"pair", "lane", "solo L3 MPKI", "co-run L3 MPKI",
                  "degradation", "snoop evictions"});
         for (const auto &pair : pairs) {
-            auto trace_a = record(pair.a, scale);
-            auto trace_b = record(pair.b, scale);
-            CoRunResult r = coRun(machine, trace_a, trace_b);
+            CoRunResult r =
+                coRun(machine, traces.at(pair.a), traces.at(pair.b));
 
             std::string label =
                 std::string(pair.a) + " + " + pair.b;

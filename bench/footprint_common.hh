@@ -16,8 +16,8 @@
  * stack-distance profile, the per-rung set-associative oracle sweep
  * of the same stream, or verify (both, as two more independent
  * replays, reporting the maximum curve divergence). Replayed curves
- * are identical to live sweeps through the same model — fig6 asserts
- * that equivalence and reports the measured speedup.
+ * are identical to live sweeps through the same model
+ * (TraceFile.LiveAndReplayedSinksAgree).
  */
 
 #ifndef WCRT_BENCH_FOOTPRINT_COMMON_HH
@@ -36,7 +36,6 @@
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "sim/footprint.hh"
-#include "sim/stack_distance.hh"
 #include "tracefile/replay.hh"
 
 namespace wcrt::bench {
@@ -67,26 +66,6 @@ divergenceExceeded(std::initializer_list<const SweepCellResult *> groups)
               << formatFixed(kMrcOracleDivergenceBound * 100, 1)
               << "%): " << (exceeded ? "EXCEEDED" : "ok") << "\n";
     return exceeded;
-}
-
-/**
- * Live (no-trace) sweep of one workload: one execution, full ladder,
- * through the active mode's curve model — the stack-distance profile
- * in stack and verify modes, the set-associative ladder in oracle
- * mode — so a live curve is comparable to the replayed one.
- */
-inline std::vector<double>
-liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
-{
-    WorkloadPtr w = entry.make(scale);
-    if (benchOptions().mrcMode == MrcMode::ShardedOracle) {
-        FootprintSweep sweep(kind, paperSweepSizesKb());
-        runThroughSink(*w, sweep);
-        return sweep.missRatios();
-    }
-    StackDistanceProfile profile(kind);
-    runThroughSink(*w, profile);
-    return profile.missRatios(kind, paperSweepSizesKb());
 }
 
 /** Absolute path of a checked-in scenario file. */
@@ -144,37 +123,6 @@ benchSweep(const ScenarioSpec &spec, const std::string &group,
     return averageSweep(spec, benchGroup(spec, group), scale,
                         benchOptions().mrcMode, benchTraceCache(),
                         benchOptions().jobs);
-}
-
-/** The Hadoop-stack representatives (the paper's Section 5.4 choice). */
-inline std::vector<WorkloadEntry>
-hadoopGroup()
-{
-    std::vector<WorkloadEntry> out;
-    for (const auto &e : filtered(representativeWorkloads())) {
-        if (e.name.rfind("H-", 0) == 0 && e.name != "H-Read")
-            out.push_back(e);
-    }
-    return out;
-}
-
-/** PARSEC-like baseline as its own group. */
-inline std::vector<WorkloadEntry>
-parsecGroup()
-{
-    std::vector<WorkloadEntry> out;
-    for (const auto &e : baselineWorkloads()) {
-        if (e.suite == BaselineSuite::Parsec && filterAllows(e.name))
-            out.push_back({e.name, 0, 0, e.make});
-    }
-    return out;
-}
-
-/** The six MPI implementations. */
-inline std::vector<WorkloadEntry>
-mpiGroup()
-{
-    return filtered(mpiWorkloads());
 }
 
 /** Print one figure: capacity ladder vs per-group curves. */

@@ -14,7 +14,8 @@
  * shows the rate-limited shape, and a co-run row replays the recorded
  * kv-get op stream against the analytics stream through a shared L3
  * (sim/corun) to quantify interference between a latency-critical
- * service and a batch job.
+ * service and a batch job. Both streams go to per-process temp
+ * `.wtrace` files, deleted once the row is printed.
  *
  * Flags (own parser — this binary does not take the shared bench
  * flags, and says so rather than silently ignoring them):
@@ -35,10 +36,13 @@
  * bench binary.
  */
 
+#include <unistd.h>
+
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -53,6 +57,7 @@
 #include "loadgen/targets.hh"
 #include "sim/corun.hh"
 #include "sim/machine.hh"
+#include "tracefile/trace_writer.hh"
 
 using namespace wcrt;
 using bench::benchScale;
@@ -279,25 +284,38 @@ void
 runCoRun()
 {
     double scale = benchScale();
-    auto record_stream = [&](const char *name, uint64_t ops) {
+    // Record actor 0 of a one-actor closed-loop run to a temp trace.
+    auto record_stream = [&](const std::string &name, uint64_t ops) {
+        std::string path =
+            (std::filesystem::temp_directory_path() /
+             ("wcrt-corun-" + name + "-" + std::to_string(::getpid()) +
+              ".wtrace"))
+                .string();
+        TraceMeta meta;
+        meta.workload = name;
+        meta.scale = scale;
+        TraceWriter writer(path, meta, CodeLayout{});
         auto target = makeTrafficTarget(name, scale);
         OrchestratorConfig cfg;
         cfg.actors = 1;
         cfg.jobs = 1;
         cfg.seed = 1;
-        cfg.recordActor0 = true;
+        cfg.actor0Sink = &writer;
         std::vector<PhaseSpec> phases{closedPhase("record", ops)};
         Orchestrator run(*target, phases, cfg);
         run.run();
-        return run.recordedOps();
+        writer.finish();
+        return path;
     };
     // A few hundred requests give the shared-L3 model plenty of
-    // resident lines; recording the full steady counts would hold
-    // gigabytes of MicroOps in memory for no extra signal.
-    std::vector<MicroOp> service = record_stream("kv-get", 256);
-    std::vector<MicroOp> batch = record_stream("sql-filter", 32);
+    // resident lines; the full steady counts add no extra signal.
+    std::string service = record_stream("kv-get", 256);
+    std::string batch = record_stream("sql-filter", 32);
 
-    CoRunResult r = coRun(xeonE5645(), service, batch);
+    CoRunResult r =
+        coRun(xeonE5645(), TraceReader(service), TraceReader(batch));
+    std::filesystem::remove(service);
+    std::filesystem::remove(batch);
     Table t({"lane", "instructions", "solo-L3-MPKI", "shared-L3-MPKI",
              "degradation"});
     t.cell("kv-get (service)")

@@ -2,7 +2,8 @@
  * @file
  * Table 2 — the seventeen representative workloads with their
  * application category, measured data-processing behaviour and
- * measured system behaviour, next to the paper's labels.
+ * measured system behaviour, next to the paper's labels. The
+ * profiles are replays of the trace cache fig1-5 fill.
  */
 
 #include "bench_common.hh"
@@ -67,7 +68,7 @@ paperRow(int table2_id)
 int
 main(int argc, char **argv)
 {
-    initBench(argc, argv, kBenchUsesNone);
+    initBench(argc, argv);
     double scale = benchScale();
     MachineConfig machine = xeonE5645();
     std::cout << "=== Table 2: the 17 representative workloads (scale "
@@ -77,11 +78,12 @@ main(int argc, char **argv)
              "sys-behaviour (measured)", "sys (paper)",
              "data behaviour (measured)", "data (paper)"});
 
-    const auto &entries = representativeWorkloads();
+    const auto entries = filtered(representativeWorkloads());
+    const auto runs = runRepresentatives(machine, scale);
     int matches = 0;
-    for (const auto &entry : entries) {
-        WorkloadPtr w = entry.make(scale);
-        WorkloadRun run = profileWorkload(*w, machine);
+    for (size_t i = 0; i < entries.size(); ++i) {
+        const WorkloadEntry &entry = entries[i];
+        const WorkloadRun &run = runs[i];
         PaperRow paper = paperRow(entry.table2Id);
         std::string measured_sys = toString(run.sysBehavior);
         if (measured_sys == paper.behavior)

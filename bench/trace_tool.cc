@@ -16,7 +16,8 @@
  * are parsed strictly: anything but a decimal count in range exits
  * non-zero.
  *
- * `record` executes one roster workload and captures its op stream;
+ * `record` executes one named workload (any roster or baseline-suite
+ * entry) and captures its op stream;
  * `stats` prints the header/footer accounting, chunk layout,
  * compression ratio and the MixCounter op-mix table from a replay;
  * `dump` prints the first N decoded ops; `replay` fans the trace
@@ -45,6 +46,7 @@
 #include "base/table.hh"
 #include "cli_flags.hh"
 #include "core/profiler.hh"
+#include "sim/machine.hh"
 #include "trace/mix_counter.hh"
 #include "tracefile/capture.hh"
 #include "tracefile/replay.hh"
@@ -116,8 +118,11 @@ cmdRecord(int argc, char **argv)
             return usage();
     }
 
-    const WorkloadEntry &entry = findWorkload(name);
-    WorkloadPtr w = entry.make(scale);
+    const WorkloadEntry *entry = lookupWorkload(name);
+    if (!entry)
+        wcrt_fatal("unknown workload '", name,
+                   "' (run any bench binary with --list for names)");
+    WorkloadPtr w = entry->make(scale);
     CaptureResult res = captureTrace(*w, out, scale);
     std::cout << "recorded " << name << " (scale " << scale << "): "
               << res.ops << " ops, " << res.fileBytes << " bytes -> "
@@ -254,17 +259,12 @@ parseMachineList(const std::string &machine_list)
     std::vector<MachineConfig> configs;
     std::string list = machine_list.empty() ? "xeon,atom" : machine_list;
     for (const std::string &tok : splitList(list)) {
-        if (tok == "xeon")
-            configs.push_back(xeonE5645());
-        else if (tok == "atom")
-            configs.push_back(atomD510());
-        else if (tok.rfind("sim", 0) == 0)
-            configs.push_back(atomInOrderSim(static_cast<uint32_t>(
-                parseCount("--machine sim<KB>", tok.c_str() + 3, 1,
-                           1u << 30))));
-        else
+        MachineConfig m;
+        if (!parseMachine(tok, m))
             wcrt_fatal("unknown machine '", tok,
-                       "' (expected xeon, atom or sim<KB>)");
+                       "' (expected xeon, atom or sim<KB>, KB in"
+                       " 1..2^30)");
+        configs.push_back(m);
     }
     return configs;
 }

@@ -4,24 +4,6 @@
 
 namespace wcrt {
 
-namespace {
-
-LogLevel global_level = LogLevel::Info;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
 namespace detail {
 
 void
@@ -41,15 +23,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (global_level >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (global_level >= LogLevel::Info)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -4,8 +4,8 @@
  *
  * panic() is for internal invariant violations (a toolkit bug); it
  * aborts.  fatal() is for user errors (bad configuration, impossible
- * parameters); it exits cleanly with an error code.  warn() and
- * inform() report conditions without stopping the run.
+ * parameters); it exits cleanly with an error code.  warn() reports
+ * a condition without stopping the run.
  */
 
 #ifndef WCRT_BASE_LOGGING_HH
@@ -17,15 +17,6 @@
 
 namespace wcrt {
 
-/** Verbosity levels understood by setLogLevel(). */
-enum class LogLevel { Quiet, Warn, Info };
-
-/** Set the global log level; messages below it are suppressed. */
-void setLogLevel(LogLevel level);
-
-/** Current global log level. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
@@ -33,7 +24,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Fold a parameter pack into one string via operator<<. */
 template <typename... Args>
@@ -63,14 +53,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::format(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::format(std::forward<Args>(args)...));
 }
 
 } // namespace wcrt

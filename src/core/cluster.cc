@@ -57,15 +57,6 @@ profileOnCluster(
                          (cluster.node.networkMBps * 1e6) /
                          cluster.nodes;
     run.wallSeconds = slowest + run.networkSeconds;
-
-    // Reference: the whole dataset on a single node.
-    WorkloadPtr single = make(scale, 7);
-    WorkloadRun single_run =
-        profileWorkload(*single, machine, cluster.node);
-    run.singleNodeWallSeconds = single_run.sysProfile.wallSeconds;
-    run.speedup = run.wallSeconds > 0.0
-                      ? run.singleNodeWallSeconds / run.wallSeconds
-                      : 0.0;
     return run;
 }
 

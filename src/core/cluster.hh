@@ -13,8 +13,11 @@
  * profileOnCluster() runs one stack instance per node over a 1/N
  * shard (independent seeds model the partition), derives each node's
  * wall time from the sysmon model, charges the cross-node portion of
- * the shuffle to the network, and reports scale-out speedup next to
- * the per-node micro-architecture (which should be shard-invariant).
+ * the shuffle to the network, and reports the cluster's wall time next
+ * to the per-node micro-architecture (which should be
+ * shard-invariant). Node 0 always gets seed 7, so a one-node run is the
+ * whole job on one node: scale-out speedup is its wallSeconds divided
+ * by an N-node run's.
  */
 
 #ifndef WCRT_CORE_CLUSTER_HH
@@ -42,8 +45,6 @@ struct ClusterRun
     std::vector<WorkloadRun> perNode;   //!< one profile per node
 
     double wallSeconds = 0.0;           //!< slowest node + exchange
-    double singleNodeWallSeconds = 0.0; //!< the same job on one node
-    double speedup = 0.0;               //!< single-node / cluster wall
     double networkSeconds = 0.0;        //!< cross-node shuffle time
 
     /** Average of a per-node metric (micro-arch is shard-invariant). */
@@ -52,7 +53,8 @@ struct ClusterRun
 };
 
 /**
- * Run a workload across a simulated shared-nothing cluster.
+ * Run a workload across a simulated shared-nothing cluster: exactly
+ * `cluster.nodes` live profiles, node i on seed 7 + 101 i.
  *
  * @param make Factory producing the workload for a given (shard
  *        scale, shard seed); the registry entries' `make` adapted via

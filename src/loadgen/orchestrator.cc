@@ -65,8 +65,7 @@ Orchestrator::Orchestrator(TrafficTarget &target,
         st.requestRng = Rng(root.next());
         st.arrivalSeed = root.next();
         st.session = target.startSession(
-            a, root.next(),
-            (cfg.recordActor0 && a == 0) ? &recorder : nullptr);
+            a, root.next(), a == 0 ? cfg.actor0Sink : nullptr);
         if (!st.session)
             wcrt_fatal("target ", target.name(),
                        " produced no session for actor ", a);

@@ -31,7 +31,7 @@
 
 #include "loadgen/actor.hh"
 #include "loadgen/phase.hh"
-#include "sim/corun.hh"
+#include "trace/microop.hh"
 
 namespace wcrt {
 
@@ -42,11 +42,12 @@ struct OrchestratorConfig
     unsigned jobs = 0;       //!< executor cap (0 = hardware threads)
     uint64_t seed = 1;       //!< root seed for every derived stream
     /**
-     * Capture actor 0's op stream (across all phases) into a
-     * TraceRecorder, for co-run interference studies against another
-     * workload's trace via sim/corun.
+     * Where actor 0's op stream (across all phases) goes, or nullptr
+     * to only count it. A TraceWriter here records the stream for
+     * co-run interference studies against another workload's trace
+     * via sim/corun. Not owned; it must outlive run().
      */
-    bool recordActor0 = false;
+    TraceSink *actor0Sink = nullptr;
 };
 
 /** Everything one load run produced. */
@@ -71,15 +72,6 @@ class Orchestrator
     /** Execute every phase in order and return the merged result. */
     TrafficResult run();
 
-    /**
-     * Actor 0's recorded ops (empty unless config.recordActor0).
-     * Valid after run().
-     */
-    const std::vector<MicroOp> &recordedOps() const
-    {
-        return recorder.trace();
-    }
-
   private:
     void runActorPhase(ActorState &actor, const PhaseSpec &phase,
                        size_t phase_index);
@@ -88,7 +80,6 @@ class Orchestrator
     std::vector<PhaseSpec> phases;
     OrchestratorConfig cfg;
     std::vector<ActorState> actors;
-    TraceRecorder recorder;  //!< actor 0 capture (opt-in)
     bool ran = false;
 };
 

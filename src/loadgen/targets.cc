@@ -220,9 +220,12 @@ makeTrafficTarget(const std::string &name, double scale)
         return std::make_unique<SqlFilterTarget>(scale);
     constexpr const char *prefix = "workload:";
     if (name.rfind(prefix, 0) == 0) {
-        const WorkloadEntry &entry =
-            findWorkload(name.substr(std::string(prefix).size()));
-        return std::make_unique<WorkloadTarget>(entry, scale);
+        std::string workload = name.substr(std::string(prefix).size());
+        const WorkloadEntry *entry = lookupWorkload(workload);
+        if (!entry)
+            wcrt_fatal("unknown workload '", workload,
+                       "' in traffic target ", name);
+        return std::make_unique<WorkloadTarget>(*entry, scale);
     }
     wcrt_fatal("unknown traffic target: ", name,
                " (try kv-get, sql-filter or workload:<roster name>)");

@@ -39,8 +39,8 @@ const std::vector<std::string> &trafficTargetNames();
 
 /**
  * Build a traffic target by name: one of trafficTargetNames(), or
- * "workload:<name>" for any entry findWorkload() resolves. Panics on
- * an unknown name.
+ * "workload:<name>" for any entry lookupWorkload() resolves. Exits
+ * through wcrt_fatal on an unknown name.
  *
  * @param name Target name.
  * @param scale Dataset scale (same meaning as workload scale).

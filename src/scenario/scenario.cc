@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "base/strings.hh"
-#include "baselines/baselines.hh"
 #include "sim/cache.hh"
 
 namespace wcrt {
@@ -37,25 +36,6 @@ ScenarioParse::formatIssues() const
     for (const auto &i : issues)
         os << i.format(spec.source) << "\n";
     return os.str();
-}
-
-const WorkloadEntry *
-lookupWorkload(const std::string &name)
-{
-    static const std::map<std::string, WorkloadEntry> index = [] {
-        std::map<std::string, WorkloadEntry> m;
-        for (const auto *list :
-             {&representativeWorkloads(), &mpiWorkloads(),
-              &fullRoster()}) {
-            for (const auto &e : *list)
-                m.emplace(e.name, e);
-        }
-        for (const auto &e : baselineWorkloads())
-            m.emplace(e.name, WorkloadEntry{e.name, 0, 0, e.make});
-        return m;
-    }();
-    auto it = index.find(name);
-    return it == index.end() ? nullptr : &it->second;
 }
 
 namespace {
@@ -118,19 +98,27 @@ parseGeometry(const std::string &text, uint64_t max, uint32_t &out)
     return true;
 }
 
-void
+/**
+ * Parse [scenario] into `spec`. Returns false when the kind is missing
+ * or unknown: the file then has no kind to judge its kind-specific
+ * keys by, so they are skipped instead of checked against a default.
+ */
+bool
 parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
                      Check &check)
 {
     // Kind first: it decides which other keys are legal.
     const ScenarioEntry *kind = sec.find("kind");
+    bool known = false;
     if (!kind) {
         check.fail(sec.line, "[scenario] needs a 'kind' key"
                              " (sweep or replay)");
     } else if (kind->value == "sweep") {
         spec.kind = ScenarioKind::Sweep;
+        known = true;
     } else if (kind->value == "replay") {
         spec.kind = ScenarioKind::Replay;
+        known = true;
     } else {
         check.fail(kind->line, "unknown kind '" + kind->value +
                                    "' (sweep or replay)");
@@ -145,9 +133,10 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
             continue;
         }
         if (!it->second.empty() && it->second != kind_name) {
-            check.fail(e.line, "key '" + e.key + "' is only valid"
-                                   " for " + it->second +
-                                   " scenarios");
+            if (known)
+                check.fail(e.line, "key '" + e.key + "' is only valid"
+                                       " for " + it->second +
+                                       " scenarios");
             continue;
         }
         if (e.key == "name") {
@@ -205,6 +194,7 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
 
     if (spec.name.empty())
         check.fail(sec.line, "[scenario] needs a non-empty 'name'");
+    return known;
 }
 
 void
@@ -315,26 +305,6 @@ crossValidate(const ScenarioSpec &spec, Check &check)
 
 } // namespace
 
-bool
-parseMachine(const std::string &name, MachineConfig &out)
-{
-    if (name == "xeon") {
-        out = xeonE5645();
-        return true;
-    }
-    if (name == "atom") {
-        out = atomD510();
-        return true;
-    }
-    // sim<KB>, with trace_tool --machine's range of 1..2^30 KB.
-    uint64_t kb = 0;
-    if (name.rfind("sim", 0) != 0 ||
-        !parseDecimalCount(name.substr(3), 1, 1u << 30, kb))
-        return false;
-    out = atomInOrderSim(static_cast<uint32_t>(kb));
-    return true;
-}
-
 ScenarioParse
 parseScenario(const ScenarioDoc &doc)
 {
@@ -348,7 +318,7 @@ parseScenario(const ScenarioDoc &doc)
         check.fail(0, "missing required [scenario] section");
         return out;
     }
-    parseScenarioSection(*scenario, out.spec, check);
+    bool kind_known = parseScenarioSection(*scenario, out.spec, check);
 
     for (const auto &sec : doc.sections) {
         if (sec.name == "scenario")
@@ -367,7 +337,8 @@ parseScenario(const ScenarioDoc &doc)
     if (out.spec.machines.empty())
         out.spec.machines = {"xeon", "atom"};
 
-    crossValidate(out.spec, check);
+    if (kind_known)
+        crossValidate(out.spec, check);
     return out;
 }
 

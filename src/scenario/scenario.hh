@@ -103,19 +103,6 @@ ScenarioParse parseScenario(const ScenarioDoc &doc);
 /** Parse + interpret a file in one step. */
 ScenarioParse loadScenario(const std::string &path);
 
-/**
- * Resolve a workload name against every roster: representative, MPI,
- * full, then the baseline suites. Returns nullptr when unknown
- * (findWorkload() panics, which a validator must not).
- */
-const WorkloadEntry *lookupWorkload(const std::string &name);
-
-/**
- * Parse a machine selector: "xeon", "atom" or "sim<KB>".
- * @return false when the name matches nothing (`out` untouched).
- */
-bool parseMachine(const std::string &name, MachineConfig &out);
-
 /** One cell of the expanded run list. */
 struct ScenarioCell
 {

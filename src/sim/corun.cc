@@ -1,6 +1,6 @@
 #include "sim/corun.hh"
 
-#include <algorithm>
+#include <vector>
 
 #include "base/logging.hh"
 #include "sim/cache.hh"
@@ -33,21 +33,31 @@ CoRunLane::degradation() const
 
 namespace {
 
-/** One lane's private hierarchy; forwards L2 misses to a shared L3. */
-struct Lane
+/**
+ * One lane's private hierarchy; forwards L2 misses to a shared L3.
+ * The lane is the sink of its own reader copy: step() decodes the
+ * next chunk into `chunk` when the current one is used up.
+ */
+struct Lane : TraceSink
 {
-    Lane(const MachineConfig &m, const std::vector<MicroOp> &trace,
+    Lane(const MachineConfig &m, const TraceReader &trace,
          uint64_t address_offset)
-        : l1i(m.l1i), l1d(m.l1d), l2(m.l2), trace(trace),
+        : l1i(m.l1i), l1d(m.l1d), l2(m.l2), reader(trace),
           offset(address_offset)
     {
     }
 
     Cache l1i, l1d, l2;
-    const std::vector<MicroOp> &trace;
+    TraceReader reader;
     uint64_t offset;  //!< distinct processes live at distinct addresses
-    size_t cursor = 0;
-    CoRunLane stats;
+    std::vector<MicroOp> chunk;  //!< the decoded chunk being stepped
+    size_t cursor = 0;           //!< next op of `chunk`
+    uint64_t nextChunk = 0;
+    uint64_t stepped = 0;
+
+    void consume(const MicroOp &op) override { chunk.push_back(op); }
+
+    bool done() const { return stepped == reader.opCount(); }
 
     /**
      * Process the next op; addresses missing every private level are
@@ -57,7 +67,14 @@ struct Lane
     step(Cache &l3, uint64_t &miss_counter, uint64_t lane_tag,
          std::vector<uint8_t> *owner_map, uint64_t &snoops)
     {
-        const MicroOp &op = trace[cursor++];
+        while (cursor == chunk.size()) {
+            chunk.clear();
+            cursor = 0;
+            reader.replayChunks(*this, nextChunk, nextChunk + 1);
+            ++nextChunk;
+        }
+        const MicroOp &op = chunk[cursor++];
+        ++stepped;
         uint64_t pc = op.pc + offset;
         uint64_t mem = op.memAddr + offset;
         auto to_l3 = [&](uint64_t addr) {
@@ -84,16 +101,16 @@ struct Lane
 
 /** Replay one trace alone through private levels + its own L3. */
 void
-soloPass(const MachineConfig &machine, const std::vector<MicroOp> &trace,
+soloPass(const MachineConfig &machine, const TraceReader &trace,
          CoRunLane &lane)
 {
     Lane solo(machine, trace, 0);
     Cache l3(machine.l3);
     uint64_t misses = 0;
     uint64_t snoops = 0;
-    while (solo.cursor < trace.size())
+    while (!solo.done())
         solo.step(l3, misses, 1, nullptr, snoops);
-    lane.instructions = trace.size();
+    lane.instructions = trace.opCount();
     lane.l3MissesSolo = misses;
     lane.l2Misses = l3.accesses();
 }
@@ -101,10 +118,10 @@ soloPass(const MachineConfig &machine, const std::vector<MicroOp> &trace,
 } // namespace
 
 CoRunResult
-coRun(const MachineConfig &machine, const std::vector<MicroOp> &a,
-      const std::vector<MicroOp> &b)
+coRun(const MachineConfig &machine, const TraceReader &a,
+      const TraceReader &b)
 {
-    if (a.empty() || b.empty())
+    if (a.opCount() == 0 || b.opCount() == 0)
         wcrt_fatal("co-run needs two non-empty traces");
 
     CoRunResult result;
@@ -120,21 +137,20 @@ coRun(const MachineConfig &machine, const std::vector<MicroOp> &a,
     std::vector<uint8_t> owner(machine.l3.sizeBytes / 64, 0);
     uint64_t snoops = 0;
 
-    double ratio = static_cast<double>(a.size()) /
-                   static_cast<double>(b.size());
+    double ratio = static_cast<double>(a.opCount()) /
+                   static_cast<double>(b.opCount());
     double credit_a = 0.0;
-    while (lane_a.cursor < a.size() || lane_b.cursor < b.size()) {
+    while (!lane_a.done() || !lane_b.done()) {
         credit_a += ratio;
-        while (credit_a >= 1.0 && lane_a.cursor < a.size()) {
+        while (credit_a >= 1.0 && !lane_a.done()) {
             credit_a -= 1.0;
             lane_a.step(shared_l3, result.a.l3MissesShared, 1, &owner,
                         snoops);
         }
-        if (lane_b.cursor < b.size())
+        if (!lane_b.done())
             lane_b.step(shared_l3, result.b.l3MissesShared, 2, &owner,
                         snoops);
-        if (credit_a < 1.0 && lane_a.cursor < a.size() &&
-            lane_b.cursor >= b.size()) {
+        if (credit_a < 1.0 && !lane_a.done() && lane_b.done()) {
             // B finished; drain A.
             lane_a.step(shared_l3, result.a.l3MissesShared, 1, &owner,
                         snoops);

@@ -4,9 +4,11 @@
  *
  * The paper's 45 metrics include off-core requests and snoop
  * responses, and its related work (Tang et al.) studies datacenter
- * resource sharing. This model makes both measurable: two traces are
- * captured, then replayed interleaved (proportionally to their
- * lengths) through private L1/L2 hierarchies into one shared L3. The
+ * resource sharing. This model makes both measurable: two recorded
+ * `.wtrace` streams are replayed interleaved (proportionally to their
+ * lengths) through private L1/L2 hierarchies into one shared L3. Each
+ * lane decodes its trace one chunk at a time, so a co-run holds at
+ * most one chunk of ops per lane whatever the traces' lengths. The
  * interesting outputs are each workload's solo-vs-co-run L3 MPKI (the
  * contention penalty) and the snoop traffic the sharing creates.
  */
@@ -14,10 +16,8 @@
 #ifndef WCRT_SIM_CORUN_HH
 #define WCRT_SIM_CORUN_HH
 
-#include <vector>
-
 #include "sim/machine.hh"
-#include "trace/microop.hh"
+#include "tracefile/trace_reader.hh"
 
 namespace wcrt {
 
@@ -46,36 +46,17 @@ struct CoRunResult
 };
 
 /**
- * Record a trace into memory for replay.
- */
-class TraceRecorder : public TraceSink
-{
-  public:
-    void consume(const MicroOp &op) override { ops.push_back(op); }
-
-    void
-    consumeBatch(const OpBlockView &batch) override
-    {
-        for (size_t i = 0; i < batch.count; ++i)
-            ops.push_back(batch[i]);
-    }
-
-    const std::vector<MicroOp> &trace() const { return ops; }
-
-  private:
-    std::vector<MicroOp> ops;
-};
-
-/**
  * Replay two recorded traces through private L1/L2 and a shared L3.
+ * Each lane replays its own copy of the reader, so the callers'
+ * readers are left as they were. Throws TraceFormatError on a corrupt
+ * chunk.
  *
  * @param machine Geometry for the private levels and the shared L3.
  * @param a First workload's trace.
  * @param b Second workload's trace.
  */
-CoRunResult coRun(const MachineConfig &machine,
-                  const std::vector<MicroOp> &a,
-                  const std::vector<MicroOp> &b);
+CoRunResult coRun(const MachineConfig &machine, const TraceReader &a,
+                  const TraceReader &b);
 
 } // namespace wcrt
 

@@ -1,5 +1,7 @@
 #include "sim/machine.hh"
 
+#include "base/strings.hh"
+
 namespace wcrt {
 
 MachineConfig
@@ -79,6 +81,25 @@ atomInOrderSim(uint32_t l1_kb)
     m.l1d = {"L1D", static_cast<uint64_t>(l1_kb) * 1024, 8, 64};
     m.l2 = {"L2", 2 * 1024 * 1024, 8, 64};
     return m;
+}
+
+bool
+parseMachine(const std::string &name, MachineConfig &out)
+{
+    if (name == "xeon") {
+        out = xeonE5645();
+        return true;
+    }
+    if (name == "atom") {
+        out = atomD510();
+        return true;
+    }
+    uint64_t kb = 0;
+    if (name.rfind("sim", 0) != 0 ||
+        !parseDecimalCount(name.substr(3), 1, 1u << 30, kb))
+        return false;
+    out = atomInOrderSim(static_cast<uint32_t>(kb));
+    return true;
 }
 
 } // namespace wcrt

@@ -35,7 +35,6 @@ struct CoreParams
     double divExtraCpi = 8.0;       //!< additional charge per divide
     double l1iMissPenalty = 8.0;    //!< front-end bubble per L1I miss
     double btbResteerPenalty = 3.0; //!< decode resteer per BTB miss
-    double l1dHitLatencyExtra = 0.0;//!< usually hidden; kept for study
     double l2HitLatency = 10.0;     //!< L1 miss, L2 hit charge
     double l3HitLatency = 38.0;     //!< L2 miss, L3 hit charge
     double memLatency = 180.0;      //!< L3 miss charge
@@ -73,6 +72,13 @@ MachineConfig atomD510();
  * 8-way L2.
  */
 MachineConfig atomInOrderSim(uint32_t l1_kb);
+
+/**
+ * Parse a machine selector: "xeon", "atom" or "sim<KB>" with KB a
+ * decimal in 1..2^30 (atomInOrderSim(KB)).
+ * @return false when the name matches nothing (`out` untouched).
+ */
+bool parseMachine(const std::string &name, MachineConfig &out);
 
 } // namespace wcrt
 

@@ -151,15 +151,4 @@ MixCounter::dataMovementWithBranchRatio() const
     return ratio(moves, totalOps);
 }
 
-void
-MixCounter::merge(const MixCounter &other)
-{
-    for (size_t i = 0; i < kindCounts.size(); ++i)
-        kindCounts[i] += other.kindCounts[i];
-    intAddressOps += other.intAddressOps;
-    fpAddressOps += other.fpAddressOps;
-    computeIntOps += other.computeIntOps;
-    totalOps += other.totalOps;
-}
-
 } // namespace wcrt

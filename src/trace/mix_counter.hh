@@ -63,9 +63,6 @@ class MixCounter : public TraceSink
     /** Data movement plus branches (the paper's 92% headline). */
     double dataMovementWithBranchRatio() const;
 
-    /** Merge counts from another counter. */
-    void merge(const MixCounter &other);
-
     /**
      * Commit tallies a caller accumulated while walking a block
      * itself. Batch-native sinks that already branch on op kind per

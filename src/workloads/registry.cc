@@ -1,8 +1,10 @@
 #include "workloads/registry.hh"
 
+#include <map>
 #include <memory>
 
 #include "base/logging.hh"
+#include "baselines/baselines.hh"
 #include "workloads/ml_workloads.hh"
 #include "workloads/query_workloads.hh"
 #include "workloads/service_workloads.hh"
@@ -192,15 +194,30 @@ fullRoster()
     return entries;
 }
 
+const WorkloadEntry *
+lookupWorkload(const std::string &name)
+{
+    static const std::map<std::string, WorkloadEntry> index = [] {
+        std::map<std::string, WorkloadEntry> m;
+        for (const auto *list :
+             {&representativeWorkloads(), &mpiWorkloads(),
+              &fullRoster()}) {
+            for (const auto &e : *list)
+                m.emplace(e.name, e);
+        }
+        for (const auto &e : baselineWorkloads())
+            m.emplace(e.name, WorkloadEntry{e.name, 0, 0, e.make});
+        return m;
+    }();
+    auto it = index.find(name);
+    return it == index.end() ? nullptr : &it->second;
+}
+
 const WorkloadEntry &
 findWorkload(const std::string &name)
 {
-    for (const auto *list :
-         {&representativeWorkloads(), &mpiWorkloads(), &fullRoster()}) {
-        for (const auto &e : *list)
-            if (e.name == name)
-                return e;
-    }
+    if (const WorkloadEntry *e = lookupWorkload(name))
+        return *e;
     wcrt_panic("unknown workload '", name, "'");
 }
 

@@ -14,6 +14,9 @@
  *  - 12 ML/graph: {KMeans, PageRank, NaiveBayes, ConnComp}
  *    x {Hadoop, Spark, MPI};
  *  - 2 H-Read service variants (full / half store).
+ *
+ * Name lookup also covers the baseline suites (baselines/), so every
+ * workload a figure, scenario or tool names resolves in one place.
  */
 
 #ifndef WCRT_WORKLOADS_REGISTRY_HH
@@ -45,7 +48,17 @@ const std::vector<WorkloadEntry> &mpiWorkloads();
 /** The full 77-workload roster for the reduction study. */
 const std::vector<WorkloadEntry> &fullRoster();
 
-/** Find an entry by name in any of the above; panics when missing. */
+/**
+ * Resolve a workload name against every roster: representative, MPI,
+ * full, then the baseline suites. Returns nullptr when unknown: the
+ * form for names a user typed, which must fail cleanly.
+ */
+const WorkloadEntry *lookupWorkload(const std::string &name);
+
+/**
+ * lookupWorkload() for names written in code; panics when missing,
+ * since an unknown name there is a toolkit bug.
+ */
 const WorkloadEntry &findWorkload(const std::string &name);
 
 } // namespace wcrt

@@ -20,7 +20,6 @@
 #include "core/metrics.hh"
 #include "core/profiler.hh"
 #include "op_streams.hh"
-#include "sim/corun.hh"
 #include "sim/footprint.hh"
 #include "sim/inorder_core.hh"
 #include "sim/sim_cpu.hh"
@@ -151,10 +150,10 @@ TEST(BatchDispatch, SimCpuReportBitIdentical)
     // data-dependent access patterns no synthetic stream mimics.
     SCOPED_TRACE("recorded H-WordCount");
     WorkloadPtr w = findWorkload("H-WordCount").make(0.05);
-    TraceRecorder recorder;
+    RecordingSink recorder;
     runThroughSink(*w, recorder);
-    ASSERT_GT(recorder.trace().size(), kStreamOps);
-    expectSimCpuBitIdentical(recorder.trace());
+    ASSERT_GT(recorder.ops.size(), kStreamOps);
+    expectSimCpuBitIdentical(recorder.ops);
 }
 
 TEST(BatchDispatch, SimCpuBitIdenticalOnStreamingPattern)
@@ -223,17 +222,17 @@ TEST(BatchDispatch, InOrderCoreReportMatches)
 TEST(BatchDispatch, SamplingSinkForwardsIdenticalOps)
 {
     auto ops = syntheticStream(kStreamOps);
-    TraceRecorder per_op_rec;
+    RecordingSink per_op_rec;
     SamplingSink per_op(per_op_rec, ops.size());
     feedPerOp(per_op, ops);
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
-        TraceRecorder rec;
+        RecordingSink rec;
         SamplingSink batched(rec, ops.size());
         feedBlocked(batched, ops, block);
         EXPECT_EQ(batched.totalOps(), per_op.totalOps());
         EXPECT_EQ(batched.sampledOps(), per_op.sampledOps());
-        expectOpsEqual(rec.trace(), per_op_rec.trace());
+        expectOpsEqual(rec.ops, per_op_rec.ops);
     }
 }
 
@@ -246,9 +245,9 @@ TEST(BatchDispatch, CountingSinkAndRecorderMatch)
         feedBlocked(counter, ops, block);
         EXPECT_EQ(counter.ops(), ops.size());
 
-        TraceRecorder recorder;
+        RecordingSink recorder;
         feedBlocked(recorder, ops, block);
-        expectOpsEqual(recorder.trace(), ops);
+        expectOpsEqual(recorder.ops, ops);
     }
 }
 
@@ -378,17 +377,17 @@ TEST(BatchDispatch, SamplingWindowStraddlingBlockEdgeMatchesPerOp)
     windows.push_back({698.0 / n, 705.0 / n});    // straddles 7-block edge
     windows.push_back({4090.0 / n, 4100.0 / n});  // straddles 4096 edge
     windows.push_back({8191.0 / n, 8193.0 / n});  // 1-block edge is any op
-    TraceRecorder per_op_rec;
+    RecordingSink per_op_rec;
     SamplingSink per_op(per_op_rec, kStreamOps, windows);
     feedPerOp(per_op, ops);
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
-        TraceRecorder rec;
+        RecordingSink rec;
         SamplingSink batched(rec, kStreamOps, windows);
         feedBlocked(batched, ops, block);
         EXPECT_EQ(batched.totalOps(), per_op.totalOps());
         EXPECT_EQ(batched.sampledOps(), per_op.sampledOps());
-        expectOpsEqual(rec.trace(), per_op_rec.trace());
+        expectOpsEqual(rec.ops, per_op_rec.ops);
     }
 }
 
@@ -403,7 +402,7 @@ TEST(BatchDispatch, SamplingCollapsedWindowsStayDisjointAndClamped)
     std::vector<SampleWindow> windows{
         {0.50, 0.51}, {0.52, 0.53}, {0.54, 0.55}, {0.99, 1.0}};
     auto ops = syntheticStream(25);  // longer than expected
-    TraceRecorder per_op_rec;
+    RecordingSink per_op_rec;
     SamplingSink per_op(per_op_rec, expected, windows);
     feedPerOp(per_op, ops);
     // Windows 0.50/0.52/0.54 all floor to index 5: disjoint
@@ -411,12 +410,12 @@ TEST(BatchDispatch, SamplingCollapsedWindowsStayDisjointAndClamped)
     EXPECT_EQ(per_op.sampledOps(), 4u);
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
-        TraceRecorder rec;
+        RecordingSink rec;
         SamplingSink batched(rec, expected, windows);
         feedBlocked(batched, ops, block);
         EXPECT_EQ(batched.totalOps(), per_op.totalOps());
         EXPECT_EQ(batched.sampledOps(), per_op.sampledOps());
-        expectOpsEqual(rec.trace(), per_op_rec.trace());
+        expectOpsEqual(rec.ops, per_op_rec.ops);
     }
 }
 
@@ -428,26 +427,26 @@ TEST(BatchDispatch, SamplingWindowPastEndVanishesAfterClamp)
     constexpr uint64_t expected = 10;
     std::vector<SampleWindow> windows{{0.97, 0.98}, {0.99, 1.0}};
     auto ops = syntheticStream(30);
-    TraceRecorder per_op_rec;
+    RecordingSink per_op_rec;
     SamplingSink per_op(per_op_rec, expected, windows);
     feedPerOp(per_op, ops);
     EXPECT_EQ(per_op.sampledOps(), 1u);
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
-        TraceRecorder rec;
+        RecordingSink rec;
         SamplingSink batched(rec, expected, windows);
         feedBlocked(batched, ops, block);
         EXPECT_EQ(batched.sampledOps(), per_op.sampledOps());
-        expectOpsEqual(rec.trace(), per_op_rec.trace());
+        expectOpsEqual(rec.ops, per_op_rec.ops);
     }
 }
 
 TEST(BatchDispatch, ConsumeOpsPacksWholeRun)
 {
     auto ops = syntheticStream(257);
-    TraceRecorder rec;
+    RecordingSink rec;
     rec.consumeOps(ops.data(), ops.size());
-    expectOpsEqual(rec.trace(), ops);
+    expectOpsEqual(rec.ops, ops);
 }
 
 TEST(BatchDispatch, ConsumeOpsChunksRunsLongerThanScratch)
@@ -456,12 +455,12 @@ TEST(BatchDispatch, ConsumeOpsChunksRunsLongerThanScratch)
     // several batches; the concatenation must still be exact, and
     // back-to-back calls must not see stale scratch contents.
     auto ops = syntheticStream(defaultOpBlockOps * 2 + 123);
-    TraceRecorder rec;
+    RecordingSink rec;
     rec.consumeOps(ops.data(), ops.size());
     rec.consumeOps(ops.data(), 5);
     auto expect = ops;
     expect.insert(expect.end(), ops.begin(), ops.begin() + 5);
-    expectOpsEqual(rec.trace(), expect);
+    expectOpsEqual(rec.ops, expect);
 }
 
 TEST(BatchDispatch, TraceWriterFilesByteIdentical)
@@ -488,17 +487,14 @@ TEST(BatchDispatch, TraceWriterFilesByteIdentical)
                                  std::istreambuf_iterator<char>());
     };
 
-    std::string base_path =
-        (fs::temp_directory_path() / "wcrt-batch-base.wtrace").string();
+    std::string base_path = testTempPath("batch-base.wtrace");
     write(base_path, 0);
     auto base = slurp(base_path);
     ASSERT_FALSE(base.empty());
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
         std::string path =
-            (fs::temp_directory_path() /
-             ("wcrt-batch-" + std::to_string(block) + ".wtrace"))
-                .string();
+            testTempPath("batch-" + std::to_string(block) + ".wtrace");
         write(path, block);
         EXPECT_EQ(slurp(path), base);
         fs::remove(path);

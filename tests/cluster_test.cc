@@ -23,24 +23,33 @@ wordcountFactory()
 
 TEST(Cluster, SingleNodeSpeedupIsUnity)
 {
+    // A one-node cluster runs the whole job on seed 7, so its wall
+    // time is the single-node profile's: the speedup reference.
     ClusterConfig cfg;
     cfg.nodes = 1;
     ClusterRun run =
         profileOnCluster(wordcountFactory(), xeonE5645(), 0.3, cfg);
-    EXPECT_NEAR(run.speedup, 1.0, 1e-9);
+    WorkloadPtr whole = wordcountFactory()(0.3, 7);
+    WorkloadRun single = profileWorkload(*whole, xeonE5645(), cfg.node);
+    EXPECT_EQ(run.wallSeconds, single.sysProfile.wallSeconds);
     EXPECT_EQ(run.networkSeconds, 0.0);
     EXPECT_EQ(run.perNode.size(), 1u);
 }
 
 TEST(Cluster, ScaleOutSpeedsUpSublinearly)
 {
+    ClusterConfig one;
+    one.nodes = 1;
     ClusterConfig cfg;
     cfg.nodes = 4;
+    ClusterRun base =
+        profileOnCluster(wordcountFactory(), xeonE5645(), 0.4, one);
     ClusterRun run =
         profileOnCluster(wordcountFactory(), xeonE5645(), 0.4, cfg);
+    double speedup = base.wallSeconds / run.wallSeconds;
     EXPECT_EQ(run.perNode.size(), 4u);
-    EXPECT_GT(run.speedup, 1.5);
-    EXPECT_LT(run.speedup, 4.5);
+    EXPECT_GT(speedup, 1.5);
+    EXPECT_LT(speedup, 4.5);
     EXPECT_GT(run.networkSeconds, 0.0);
 }
 
@@ -65,8 +74,14 @@ TEST(Cluster, NodesDifferButAgree)
 {
     ClusterConfig cfg;
     cfg.nodes = 3;
-    ClusterRun run =
-        profileOnCluster(wordcountFactory(), xeonE5645(), 0.45, cfg);
+    unsigned made = 0;
+    auto counting = [&](double shard, uint64_t seed) {
+        ++made;
+        return wordcountFactory()(shard, seed);
+    };
+    ClusterRun run = profileOnCluster(counting, xeonE5645(), 0.45, cfg);
+    // One profile per node, no more.
+    EXPECT_EQ(made, 3u);
     // Different seeds => different shards => slightly different
     // instruction counts, but the same behaviour class.
     EXPECT_NE(run.perNode[0].report.instructions,

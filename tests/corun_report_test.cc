@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 #include "base/rng.hh"
 #include "core/report.hh"
+#include "op_streams.hh"
 #include "sim/corun.hh"
+#include "tracefile/trace_writer.hh"
 
 namespace wcrt {
 namespace {
@@ -33,6 +36,27 @@ streamTrace(uint64_t base, uint64_t bytes, size_t n)
     return trace;
 }
 
+/**
+ * `ops` as an open trace of `chunk_ops`-op chunks. The temp file is
+ * unlinked once mapped; the reader keeps its bytes.
+ */
+TraceReader
+traceOf(const std::string &tag, const std::vector<MicroOp> &ops,
+        uint32_t chunk_ops = tracefile::defaultChunkOps)
+{
+    std::string path = testTempPath("corun-" + tag + ".wtrace");
+    {
+        TraceMeta meta;
+        meta.workload = tag;
+        TraceWriter writer(path, meta, CodeLayout{}, chunk_ops);
+        writer.consumeOps(ops.data(), ops.size());
+        writer.finish();
+    }
+    TraceReader reader(path);
+    std::filesystem::remove(path);
+    return reader;
+}
+
 MachineConfig
 smallL3Machine(uint64_t l3_bytes)
 {
@@ -46,7 +70,8 @@ TEST(CoRun, NoInterferenceWhenBothFit)
     // Two 256 KB working sets in a 4 MB L3: solo == shared.
     auto a = streamTrace(0x10000000, 256 * 1024, 60000);
     auto b = streamTrace(0x20000000, 256 * 1024, 60000);
-    CoRunResult r = coRun(smallL3Machine(4 * 1024 * 1024), a, b);
+    CoRunResult r = coRun(smallL3Machine(4 * 1024 * 1024),
+                          traceOf("fit-a", a), traceOf("fit-b", b));
     EXPECT_NEAR(r.a.degradation(), 1.0, 0.05);
     EXPECT_NEAR(r.b.degradation(), 1.0, 0.05);
 }
@@ -56,7 +81,9 @@ TEST(CoRun, ContentionWhenCombinedSetOverflows)
     // Each working set fits a 2 MB L3 alone; together they thrash it.
     auto a = streamTrace(0x10000000, 1536 * 1024, 120000);
     auto b = streamTrace(0x20000000, 1536 * 1024, 120000);
-    CoRunResult r = coRun(smallL3Machine(2 * 1024 * 1024), a, b);
+    CoRunResult r = coRun(smallL3Machine(2 * 1024 * 1024),
+                          traceOf("overflow-a", a),
+                          traceOf("overflow-b", b));
     EXPECT_GT(r.a.degradation(), 1.5);
     EXPECT_GT(r.b.degradation(), 1.5);
     EXPECT_GT(r.snoopHits, 0u);
@@ -68,7 +95,9 @@ TEST(CoRun, AsymmetricVictim)
     // small lane suffers, the streamer barely changes.
     auto small_lane = streamTrace(0x10000000, 1024 * 1024, 60000);
     auto big = streamTrace(0x20000000, 16 * 1024 * 1024, 120000);
-    CoRunResult r = coRun(smallL3Machine(2 * 1024 * 1024), small_lane, big);
+    CoRunResult r = coRun(smallL3Machine(2 * 1024 * 1024),
+                          traceOf("victim", small_lane),
+                          traceOf("streamer", big));
     EXPECT_GT(r.a.degradation(), 1.2);
     EXPECT_NEAR(r.b.degradation(), 1.0, 0.2);
 }
@@ -77,9 +106,37 @@ TEST(CoRun, LaneStatsCountInstructions)
 {
     auto a = streamTrace(0x10000000, 64 * 1024, 5000);
     auto b = streamTrace(0x20000000, 64 * 1024, 10000);
-    CoRunResult r = coRun(xeonE5645(), a, b);
+    CoRunResult r =
+        coRun(xeonE5645(), traceOf("count-a", a), traceOf("count-b", b));
     EXPECT_EQ(r.a.instructions, 5000u);
     EXPECT_EQ(r.b.instructions, 10000u);
+}
+
+TEST(CoRun, ChunkRefillMatchesOneChunk)
+{
+    // In 7-op chunks each lane refills thousands of times, in the
+    // middle of the interleave's bursts; in default chunks each
+    // stream is one chunk. Every count must come out the same.
+    auto a = streamTrace(0x10000000, 1536 * 1024, 60000);
+    auto b = streamTrace(0x20000000, 1536 * 1024, 40000);
+    MachineConfig m = smallL3Machine(2 * 1024 * 1024);
+    CoRunResult whole =
+        coRun(m, traceOf("whole-a", a), traceOf("whole-b", b));
+    CoRunResult chunked =
+        coRun(m, traceOf("chunked-a", a, 7), traceOf("chunked-b", b, 7));
+    for (auto lanes : {std::pair{&whole.a, &chunked.a},
+                       std::pair{&whole.b, &chunked.b}}) {
+        EXPECT_EQ(lanes.second->instructions, lanes.first->instructions);
+        EXPECT_EQ(lanes.second->l2Misses, lanes.first->l2Misses);
+        EXPECT_EQ(lanes.second->l3MissesSolo, lanes.first->l3MissesSolo);
+        EXPECT_EQ(lanes.second->l3MissesShared,
+                  lanes.first->l3MissesShared);
+    }
+    EXPECT_EQ(chunked.snoopHits, whole.snoopHits);
+    // Each set fits the L3 alone but not together: the lanes contend,
+    // so the interleave order matters.
+    EXPECT_GT(whole.snoopHits, 0u);
+    EXPECT_GT(whole.a.l3MissesShared, whole.a.l3MissesSolo);
 }
 
 SubsetReport

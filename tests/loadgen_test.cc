@@ -17,6 +17,7 @@
 #include "loadgen/histogram.hh"
 #include "loadgen/orchestrator.hh"
 #include "loadgen/targets.hh"
+#include "trace/sampling.hh"
 
 namespace wcrt {
 namespace {
@@ -292,13 +293,13 @@ TEST(OrchestratorRecording, RecordsActorZeroOnly)
     OrchestratorConfig cfg;
     cfg.actors = 2;
     cfg.seed = 9;
-    cfg.recordActor0 = true;
+    CountingSink actor0;
+    cfg.actor0Sink = &actor0;
     Orchestrator orch(*target, phases, cfg);
     TrafficResult res = orch.run();
-    const std::vector<MicroOp> &ops = orch.recordedOps();
-    EXPECT_GT(ops.size(), 0u);
+    EXPECT_GT(actor0.ops(), 0u);
     // Actor 0 emitted a strict subset of the run's op stream.
-    EXPECT_LT(ops.size(), res.totalTraceOps);
+    EXPECT_LT(actor0.ops(), res.totalTraceOps);
 }
 
 TEST(OrchestratorTargets, RosterConstructsAndServes)

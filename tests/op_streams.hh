@@ -1,19 +1,62 @@
 /**
  * @file
- * The two seeded micro-op streams the SimCpu tests replay: a random
+ * The two seeded micro-op streams the SimCpu tests replay — a random
  * stream (scattered data, every op kind) and a streaming one (strided
- * cursors that confirm the prefetcher, plus random chases).
+ * cursors that confirm the prefetcher, plus random chases) — and the
+ * helpers tests capture streams with: a recording sink and
+ * per-process temp paths.
  */
 
 #ifndef WCRT_TESTS_OP_STREAMS_HH
 #define WCRT_TESTS_OP_STREAMS_HH
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "base/rng.hh"
 #include "trace/microop.hh"
 
 namespace wcrt {
+
+/** Sink that keeps every op it receives, for op-for-op comparison. */
+class RecordingSink : public TraceSink
+{
+  public:
+    void consume(const MicroOp &op) override { ops.push_back(op); }
+
+    std::vector<MicroOp> ops;
+};
+
+/**
+ * `<temp dir>/wcrt-tests-<pid>/<name>`: a scratch path no other test
+ * process shares, so suites running at once never overwrite each
+ * other's files. The directory is made on first use and removed, with
+ * whatever a test left in it, when the process exits.
+ */
+inline std::string
+testTempPath(const std::string &name)
+{
+    struct Dir
+    {
+        std::filesystem::path path =
+            std::filesystem::temp_directory_path() /
+            ("wcrt-tests-" + std::to_string(::getpid()));
+        Dir() { std::filesystem::create_directories(path); }
+        Dir(const Dir &) = delete;
+        Dir &operator=(const Dir &) = delete;
+        ~Dir()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    };
+    static const Dir dir;
+    return (dir.path / name).string();
+}
 
 /** Stream length chosen so every tested block size ends ragged. */
 inline constexpr size_t kStreamOps = 10000;

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "op_streams.hh"
 #include "scenario/parser.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
@@ -39,8 +40,7 @@ scnPath(const std::string &name)
 std::string
 tempCacheDir(const std::string &tag)
 {
-    std::string dir =
-        (fs::temp_directory_path() / ("wcrt-scn-" + tag)).string();
+    std::string dir = testTempPath("scn-" + tag);
     fs::remove_all(dir);
     return dir;
 }
@@ -209,6 +209,9 @@ TEST(ScenarioSpecTest, TrafficKindAndSectionsRejected)
     EXPECT_TRUE(hasIssue(parse.issues, "unknown key 'seed'"));
     EXPECT_TRUE(hasIssue(parse.issues, "unknown section [generators]"));
     EXPECT_TRUE(hasIssue(parse.issues, "unknown section [phases]"));
+    // With no kind to judge by, no sweep-only issue is invented.
+    EXPECT_FALSE(hasIssue(parse.issues, "need a [workloads] section"))
+        << parse.formatIssues();
 
     // So do the sections in an otherwise valid sweep file.
     parse = parseScenario(parseScenarioText("[scenario]\n"

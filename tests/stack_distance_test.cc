@@ -21,6 +21,7 @@
 
 #include "base/rng.hh"
 #include "base/worker_pool.hh"
+#include "op_streams.hh"
 #include "sim/footprint.hh"
 #include "sim/stack_distance.hh"
 #include "tracefile/replay.hh"
@@ -532,8 +533,7 @@ TEST(StackDistance, HistogramAccountingReconciles)
 std::string
 tracePath(const std::string &tag)
 {
-    return (fs::temp_directory_path() / ("wcrt-mrc-" + tag + ".wtrace"))
-        .string();
+    return testTempPath("mrc-" + tag + ".wtrace");
 }
 
 /**

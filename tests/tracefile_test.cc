@@ -27,7 +27,9 @@
 #include "base/strings.hh"
 #include "core/profiler.hh"
 #include "core/trace_cache.hh"
+#include "op_streams.hh"
 #include "sim/footprint.hh"
+#include "sim/stack_distance.hh"
 #include "tracefile/capture.hh"
 #include "tracefile/replay.hh"
 #include "tracefile/trace_reader.hh"
@@ -42,21 +44,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Unique temp path per test; removed by the fixture-free helper. */
+/** This process's temp trace path for `tag`. */
 std::string
 tempTracePath(const std::string &tag)
 {
-    return (fs::temp_directory_path() / ("wcrt-test-" + tag + ".wtrace"))
-        .string();
+    return testTempPath("test-" + tag + ".wtrace");
 }
-
-/** Sink that records every op for field-level comparison. */
-class RecordingSink : public TraceSink
-{
-  public:
-    void consume(const MicroOp &op) override { ops.push_back(op); }
-    std::vector<MicroOp> ops;
-};
 
 void
 expectOpsEqual(const std::vector<MicroOp> &a, const std::vector<MicroOp> &b)
@@ -555,11 +548,13 @@ TEST(TraceFile, LiveAndReplayedSinksAgree)
         std::vector<uint32_t> sizes{16, 64, 256};
         FootprintSweep live_inst(SweepKind::Instruction, sizes);
         FootprintSweep live_data(SweepKind::Data, sizes);
+        StackDistanceProfile live_profile;
         {
             WorkloadPtr w = entry.make(scale);
             TeeSink tee;
             tee.addSink(&live_inst);
             tee.addSink(&live_data);
+            tee.addSink(&live_profile);
             runThroughSink(*w, tee);
         }
         WorkloadRun live_run;
@@ -594,6 +589,17 @@ TEST(TraceFile, LiveAndReplayedSinksAgree)
                 EXPECT_EQ(live_curve[i], replay_curve[i])
                     << "kind " << static_cast<int>(live->kind()) << ", "
                     << sizes[i] << " KB";
+        }
+
+        StackDistanceProfile replay_profile;
+        reader.replayInto(replay_profile);
+        for (SweepKind kind :
+             {SweepKind::Instruction, SweepKind::Data, SweepKind::Unified}) {
+            EXPECT_EQ(replay_profile.accesses(kind),
+                      live_profile.accesses(kind));
+            EXPECT_EQ(replay_profile.missRatios(kind, paperSweepSizesKb()),
+                      live_profile.missRatios(kind, paperSweepSizesKb()))
+                << "profile kind " << static_cast<int>(kind);
         }
 
         WorkloadRun replayed = profileWorkload(reader, xeonE5645());
@@ -1251,8 +1257,7 @@ TEST(TraceCapture, FailedCaptureRemovesTmpFile)
 
 TEST(TraceCacheTest, CapturesOnceThenHits)
 {
-    std::string dir =
-        (fs::temp_directory_path() / "wcrt-test-cache").string();
+    std::string dir = testTempPath("test-cache");
     fs::remove_all(dir);
     TraceCache cache(dir);
     const WorkloadEntry &entry = findWorkload("M-Grep");
@@ -1427,8 +1432,7 @@ TEST(Replay, ReaderCopiesOnPoolThreadsMatchFreshOpens)
 
 TEST(Replay, ProfileTracesKeepsInputOrder)
 {
-    TraceCache cache(
-        (fs::temp_directory_path() / "wcrt-test-order").string());
+    TraceCache cache(testTempPath("test-order"));
     std::vector<std::string> names{"M-WordCount", "M-Grep", "M-Sort"};
     std::vector<std::string> paths;
     for (const auto &name : names) {

@@ -2,16 +2,16 @@
 # Diff the figure, table and scenario outputs against their committed
 # goldens. Runs reduction_77_to_17, fig1_instruction_mix,
 # fig2_integer_breakdown, fig3_ipc, fig4_cache_mpki, fig5_tlb_mpki,
-# table4_branch_prediction, fig6-fig9 with --mrc-mode=verify, and
-# `scenario_tool run` on scenarios/replay_machines.scn and
-# scenarios/sweep_matrix_smoke.scn, all at WCRT_SCALE=0.05 with a
-# fresh trace directory, and requires each stdout to match
-# tests/golden/<name>.txt exactly: a bench's golden is named after the
-# bench, a scenario's is scenario_<file stem>. The only lines dropped
-# are reduction_77_to_17's "Profiling the roster" progress line, which
-# prints '.' per capture and '+' per trace-cache hit, and fig6's five
-# wall-clock timing lines (serial re-execution, live one-pass ladder,
-# trace capture, replayed 10-rung ladder, speedup).
+# table2_workloads, table4_branch_prediction, stack_impact,
+# cluster_scaleout, ablation_llc_sharing, fig6-fig9 with
+# --mrc-mode=verify, and `scenario_tool run` on
+# scenarios/replay_machines.scn and scenarios/sweep_matrix_smoke.scn,
+# all at WCRT_SCALE=0.05 with a fresh trace directory, and requires
+# each stdout to match tests/golden/<name>.txt exactly: a bench's
+# golden is named after the bench, a scenario's is scenario_<file
+# stem>. The only line dropped is reduction_77_to_17's "Profiling the
+# roster" progress line, which prints '.' per capture and '+' per
+# trace-cache hit.
 #
 # Usage: tools/check_golden.sh BUILD_DIR
 
@@ -23,8 +23,7 @@ golden="$root/tests/golden"
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-drop='^(Profiling the roster|serial re-execution|live one-pass ladder'
-drop+='|trace capture|replayed 10-rung ladder|speedup vs serial re-execution)'
+drop='^Profiling the roster'
 
 status=0
 # check NAME BINARY [ARGS...] — diff BINARY's stdout against NAME's golden.
@@ -41,7 +40,9 @@ check() {
 }
 
 for bench in reduction_77_to_17 fig1_instruction_mix fig2_integer_breakdown \
-             fig3_ipc fig4_cache_mpki fig5_tlb_mpki table4_branch_prediction; do
+             fig3_ipc fig4_cache_mpki fig5_tlb_mpki table2_workloads \
+             table4_branch_prediction stack_impact cluster_scaleout \
+             ablation_llc_sharing; do
     check "$bench" "$bench"
 done
 for bench in fig6_icache_footprint fig7_dcache_footprint \

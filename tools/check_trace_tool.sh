@@ -6,7 +6,10 @@
 # stream kind. Then checks that malformed numeric flag values, a
 # malformed WCRT_SCALE, an unknown traffic target and unknown commands
 # make trace_tool, scenario_tool, service_latency and a figure bench
-# exit non-zero, and that `scenario_tool validate` rejects a retired
+# exit non-zero; that an unknown workload name exits 1 (a user error,
+# not an abort) from `trace_tool record` and `service_latency
+# --target=workload:`; that `record` takes a baseline-suite name as
+# the scenarios do; and that `scenario_tool validate` rejects a retired
 # traffic scenario, a [phases] section, lax numbers (a sign, a space,
 # an exponent or a value past 32 bits) and a sweep geometry its ladder
 # cannot build.
@@ -66,6 +69,20 @@ expect_failure "$service" --jobs=abc
 expect_failure "$service" --target=nope
 expect_failure env WCRT_SCALE=abc "$service"
 echo "malformed numeric flags exit non-zero"
+
+# expect_exit1 CMD... — CMD must fail with status 1, not by a signal.
+expect_exit1() {
+    local rc=0
+    "$@" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "expected exit status 1, got $rc: $*" >&2
+        exit 1
+    fi
+}
+expect_exit1 "$tool" record nope "$dir/x.wtrace"
+expect_exit1 "$service" --target=workload:nope
+"$tool" record PARSEC-like "$dir/parsec.wtrace" --scale="$scale" > /dev/null
+echo "unknown workload names exit 1; record takes PARSEC-like"
 
 # reject_scn NAME BODY — write BODY to NAME.scn; validate must fail it.
 reject_scn() {
