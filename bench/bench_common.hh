@@ -235,25 +235,20 @@ runMpiSuite(const MachineConfig &machine, double scale)
 inline std::vector<std::pair<std::string, WorkloadRun>>
 runBaselines(const MachineConfig &machine, double scale)
 {
-    std::vector<BaselineEntry> entries;
-    for (const auto &e : baselineWorkloads())
-        if (filterAllows(e.name))
-            entries.push_back(e);
-
-    TraceCache &cache = benchTraceCache();
-    std::vector<std::string> paths;
-    paths.reserve(entries.size());
-    for (const auto &e : entries)
-        paths.push_back(cache.ensure(
-            e.name, scale, [&] { return e.make(scale); }));
-    auto profiled = profileTraces(paths, machine, {},
-                                  benchOptions().jobs);
+    std::vector<WorkloadEntry> entries;
+    std::vector<std::string> suites;
+    for (const auto &e : baselineWorkloads()) {
+        if (filterAllows(e.name)) {
+            entries.push_back(WorkloadEntry{e.name, 0, 0, e.make});
+            suites.push_back(toString(e.suite));
+        }
+    }
+    auto profiled = profileEntriesCached(entries, machine, scale);
 
     std::vector<std::pair<std::string, WorkloadRun>> runs;
     runs.reserve(entries.size());
     for (size_t i = 0; i < entries.size(); ++i)
-        runs.emplace_back(toString(entries[i].suite),
-                          std::move(profiled[i]));
+        runs.emplace_back(std::move(suites[i]), std::move(profiled[i]));
     return runs;
 }
 

@@ -22,19 +22,14 @@ gate (pass --allow-new to warn instead): a benchmark that never joins
 the baseline is a benchmark the gate silently ignores forever. A row
 whose rate is zero is always a regression, not a skip.
 
-Several current files may be given (micro_sim_throughput plus
-service_latency): their rows are merged into one run before the
-comparison, with the reference row taken from whichever file carries
-it. Row names must be disjoint across files.
-
 The gate reports *every* problem it finds — structural issues
-(unreadable files, duplicate rows, a missing reference row) and all
-regressed rows alike — in a single run, so one CI round trip shows the
-full damage instead of the first failure only.
+(unreadable files, a missing reference row) and all regressed rows
+alike — in a single run, so one CI round trip shows the full damage
+instead of the first failure only.
 
 Usage:
-    check_perf.py BASELINE.json CURRENT.json [CURRENT2.json ...]
-                  [--threshold 0.25] [--allow-new]
+    check_perf.py BASELINE.json CURRENT.json [--threshold 0.25]
+                  [--allow-new]
 """
 
 import argparse
@@ -51,7 +46,7 @@ def load_rates(path, problems):
     collapsed, which the gate must flag); only rows that do not report
     items_per_second at all (e.g. wall-time-only analyses) are skipped.
     An unreadable or malformed file becomes a problem entry and an
-    empty map, so the remaining files are still checked.
+    empty map, so the other file is still checked.
     """
     try:
         with open(path) as f:
@@ -84,7 +79,7 @@ def relative(rates, label, problems):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
-    parser.add_argument("current", nargs="+")
+    parser.add_argument("current")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed fractional regression "
                              "(default 0.25 = 25%%)")
@@ -97,15 +92,8 @@ def main():
     base = relative(load_rates(args.baseline, problems),
                     args.baseline, problems)
 
-    cur_rates = {}
-    for path in args.current:
-        for name, ips in load_rates(path, problems).items():
-            if name in cur_rates:
-                problems.append(
-                    f"{name}: appears in more than one current file")
-                continue
-            cur_rates[name] = ips
-    cur = relative(cur_rates, "current run", problems)
+    cur = relative(load_rates(args.current, problems), "current run",
+                   problems)
 
     if base is not None and cur is not None:
         width = max(len(n) for n in base) if base else 0

@@ -42,28 +42,6 @@ splitWhitespace(std::string_view text)
     return out;
 }
 
-std::string
-join(const std::vector<std::string> &parts, std::string_view sep)
-{
-    std::string out;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            out += sep;
-        out += parts[i];
-    }
-    return out;
-}
-
-std::string
-toLower(std::string_view text)
-{
-    std::string out(text);
-    for (char &ch : out)
-        ch = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch)));
-    return out;
-}
-
 bool
 startsWith(std::string_view text, std::string_view prefix)
 {

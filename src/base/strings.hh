@@ -21,13 +21,6 @@ std::vector<std::string> split(std::string_view text, char delim);
 /** Split on runs of whitespace; empty tokens are dropped. */
 std::vector<std::string> splitWhitespace(std::string_view text);
 
-/** Join strings with a separator. */
-std::string join(const std::vector<std::string> &parts,
-                 std::string_view sep);
-
-/** ASCII lower-casing (the corpora are ASCII by construction). */
-std::string toLower(std::string_view text);
-
 /** True when text starts with the given prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "base/logging.hh"
-
 namespace wcrt {
 
 void
@@ -72,61 +70,6 @@ double
 Summary::max() const
 {
     return n ? hi : -std::numeric_limits<double>::infinity();
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo(lo), hi(hi), counts(buckets, 0)
-{
-    if (!(hi > lo))
-        wcrt_panic("Histogram range must be non-empty");
-    if (buckets == 0)
-        wcrt_panic("Histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    if (x < lo) {
-        ++under;
-        return;
-    }
-    if (x >= hi) {
-        ++over;
-        return;
-    }
-    double frac = (x - lo) / (hi - lo);
-    auto idx = static_cast<size_t>(frac * static_cast<double>(counts.size()));
-    idx = std::min(idx, counts.size() - 1);
-    ++counts[idx];
-}
-
-uint64_t
-Histogram::total() const
-{
-    uint64_t t = under + over;
-    for (auto c : counts)
-        t += c;
-    return t;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    uint64_t t = total();
-    if (t == 0)
-        return lo;
-    q = std::clamp(q, 0.0, 1.0);
-    auto target = static_cast<uint64_t>(q * static_cast<double>(t));
-    uint64_t seen = under;
-    if (seen > target)
-        return lo;
-    double width = (hi - lo) / static_cast<double>(counts.size());
-    for (size_t i = 0; i < counts.size(); ++i) {
-        seen += counts[i];
-        if (seen > target)
-            return lo + (static_cast<double>(i) + 0.5) * width;
-    }
-    return hi;
 }
 
 } // namespace wcrt

@@ -1,17 +1,15 @@
 /**
  * @file
- * Streaming summary statistics and fixed-bucket histograms.
+ * Streaming summary statistics.
  *
- * Every profiler metric and every report column reduces through one of
- * these; keeping them allocation-free makes the trace hot path cheap.
+ * Every profiler metric and every report column reduces through a
+ * Summary; keeping it allocation-free makes the trace hot path cheap.
  */
 
 #ifndef WCRT_BASE_SUMMARY_HH
 #define WCRT_BASE_SUMMARY_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace wcrt {
 
@@ -55,49 +53,6 @@ class Summary
     double total = 0.0;
     double lo = 0.0;
     double hi = 0.0;
-};
-
-/**
- * Histogram over [lo, hi) with uniform buckets plus overflow and
- * underflow counters.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Inclusive lower bound of the tracked range.
-     * @param hi Exclusive upper bound; must exceed lo.
-     * @param buckets Number of uniform buckets (>= 1).
-     */
-    Histogram(double lo, double hi, size_t buckets);
-
-    /** Record one sample. */
-    void add(double x);
-
-    /** Count in bucket i. */
-    uint64_t bucket(size_t i) const { return counts.at(i); }
-
-    /** Number of uniform buckets. */
-    size_t buckets() const { return counts.size(); }
-
-    /** Samples below lo. */
-    uint64_t underflow() const { return under; }
-
-    /** Samples at or above hi. */
-    uint64_t overflow() const { return over; }
-
-    /** Total samples recorded, including under/overflow. */
-    uint64_t total() const;
-
-    /** Approximate quantile (0..1) from bucket midpoints. */
-    double quantile(double q) const;
-
-  private:
-    double lo;
-    double hi;
-    std::vector<uint64_t> counts;
-    uint64_t under = 0;
-    uint64_t over = 0;
 };
 
 } // namespace wcrt

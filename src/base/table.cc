@@ -85,29 +85,4 @@ Table::print(std::ostream &os) const
         print_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                out += '"';
-            out += ch;
-        }
-        out += '"';
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            os << (c ? "," : "") << quote(row[c]);
-        os << '\n';
-    };
-    emit(header);
-    for (const auto &row : body)
-        emit(row);
-}
-
 } // namespace wcrt

@@ -1,6 +1,6 @@
 /**
  * @file
- * Column-aligned text tables and CSV emission.
+ * Column-aligned text tables.
  *
  * Every bench binary prints its paper table/figure series through this
  * class so the output style is uniform and machine-parseable.
@@ -45,9 +45,6 @@ class Table
 
     /** Render as an aligned text table. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (RFC-4180-ish quoting for commas/quotes). */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::vector<std::string> header;

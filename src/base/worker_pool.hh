@@ -7,8 +7,8 @@
  * independent jobs, each a replay of its own reader copy into its own
  * sink (runReplays() in tracefile/replay.hh, which runs multi-config
  * and many-trace replay, the MRC ladder's chunk-range profiles and
- * Verify's oracle sweep, and a sweep group's traces) or one loadgen
- * actor's phase. No sink fans out internally. Each goes through
+ * Verify's oracle sweep, and a sweep group's traces). No sink fans
+ * out internally. Each goes through
  * parallelFor(), which resolves the worker request once
  * (replayWorkers()) and runs the jobs through runBounded(); pool
  * threads and the calling thread claim indices from a shared atomic

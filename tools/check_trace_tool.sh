@@ -4,14 +4,13 @@
 # profile the trace as that many chunk ranges and merge them, to print
 # the --jobs=1 curve and counts (everything but wall_s) for every
 # stream kind. Then checks that malformed numeric flag values, a
-# malformed WCRT_SCALE, an unknown traffic target and unknown commands
-# make trace_tool, scenario_tool, service_latency and a figure bench
-# exit non-zero; that an unknown workload name exits 1 (a user error,
-# not an abort) from `trace_tool record` and `service_latency
-# --target=workload:`; that `record` takes a baseline-suite name as
-# the scenarios do; and that `scenario_tool validate` rejects a retired
-# traffic scenario, a [phases] section, lax numbers (a sign, a space,
-# an exponent or a value past 32 bits) and a sweep geometry its ladder
+# malformed WCRT_SCALE and unknown commands make trace_tool,
+# scenario_tool and a figure bench exit non-zero; that an unknown
+# workload name exits 1 (a user error, not an abort) from `trace_tool
+# record`; that `record` takes a baseline-suite name as the scenarios
+# do; and that `scenario_tool validate` rejects a retired traffic
+# scenario, a [phases] section, lax numbers (a sign, a space, an
+# exponent or a value past 32 bits) and a sweep geometry its ladder
 # cannot build.
 #
 # Usage: tools/check_trace_tool.sh BUILD_DIR [WORKLOAD] [SCALE]
@@ -23,7 +22,6 @@ workload=${2:-H-WordCount}
 scale=${3:-0.02}
 tool="$build/bench/trace_tool"
 scenario="$build/bench/scenario_tool"
-service="$build/bench/service_latency"
 table4="$build/bench/table4_branch_prediction"
 scn="$(cd "$(dirname "$0")/.." && pwd)/scenarios/replay_machines.scn"
 dir=$(mktemp -d)
@@ -63,11 +61,6 @@ expect_failure "$scenario" run "$scn" --scale=abc
 expect_failure "$table4" --jobs=abc
 expect_failure "$table4" --jobs=-1
 expect_failure env WCRT_SCALE=abc "$table4"
-expect_failure "$service" --actors=0
-expect_failure "$service" --ops=-1
-expect_failure "$service" --jobs=abc
-expect_failure "$service" --target=nope
-expect_failure env WCRT_SCALE=abc "$service"
 echo "malformed numeric flags exit non-zero"
 
 # expect_exit1 CMD... — CMD must fail with status 1, not by a signal.
@@ -80,9 +73,8 @@ expect_exit1() {
     fi
 }
 expect_exit1 "$tool" record nope "$dir/x.wtrace"
-expect_exit1 "$service" --target=workload:nope
 "$tool" record PARSEC-like "$dir/parsec.wtrace" --scale="$scale" > /dev/null
-echo "unknown workload names exit 1; record takes PARSEC-like"
+echo "an unknown workload name exits 1; record takes PARSEC-like"
 
 # reject_scn NAME BODY — write BODY to NAME.scn; validate must fail it.
 reject_scn() {
