@@ -1,6 +1,5 @@
 #include "sim/prefetcher.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -13,9 +12,9 @@ StreamPrefetcher::StreamPrefetcher(const PrefetcherConfig &config)
     if (cfg.streams == 0 || cfg.streams > table.size())
         wcrt_fatal("stream prefetcher supports 1..", table.size(),
                    " streams");
-    if (cfg.lineBytes == 0 || !std::has_single_bit(cfg.lineBytes))
+    if (cfg.lineBytes < 8 || !std::has_single_bit(cfg.lineBytes))
         wcrt_fatal("stream prefetcher line size must be a power of "
-                   "two, got ", cfg.lineBytes);
+                   "two of at least 8 bytes, got ", cfg.lineBytes);
     // observe() sits on the simulation hot path; a shift beats the
     // integer division a runtime line size would otherwise cost.
     lineShift = static_cast<uint32_t>(std::countr_zero(cfg.lineBytes));
@@ -31,47 +30,41 @@ StreamPrefetcher::observe(uint64_t addr)
     ++tick;
     uint64_t line = addr >> lineShift;
 
-    Entry *lru = &table[0];
-    for (uint32_t i = 0; i < cfg.streams; ++i) {
+    // First match by index over the filled suffix: the same line
+    // (d == 0) or the stream window, the next line or a small forward
+    // jitter (d in 1..4).
+    for (uint32_t i = cfg.streams - filled; i < cfg.streams; ++i) {
         Entry &e = table[i];
-        if (!e.valid) {
-            lru = &e;
+        uint64_t d = line - e.lastLine;
+        if (d > 4)
             continue;
+        e.lastUse = tick;
+        if (d == 0)
+            return advice;  // re-touching the line keeps the stream warm
+        e.lastLine = line;
+        if (e.confidence < 4)
+            ++e.confidence;
+        if (e.confidence >= 2) {
+            if (e.confidence == 2)
+                ++confirmed;
+            ++coveredCount;
+            advice.covered = true;
+            advice.prefetchLines = cfg.degree;
+            advice.prefetchFrom = (line + 1) << lineShift;
         }
-        if (lru->valid && e.lastUse < lru->lastUse)
-            lru = &e;
-
-        // Within the stream window (the expected next line or a small
-        // forward jitter)?
-        if (line >= e.nextLine && line < e.nextLine + 4) {
-            e.lastUse = tick;
-            e.lastLine = line;
-            e.nextLine = line + 1;
-            if (e.confidence < 4)
-                ++e.confidence;
-            if (e.confidence >= 2) {
-                if (e.confidence == 2)
-                    ++confirmed;
-                ++coveredCount;
-                advice.covered = true;
-                advice.prefetchLines = cfg.degree;
-                advice.prefetchFrom = (line + 1) << lineShift;
-            }
-            return advice;
-        }
-        if (line == e.lastLine) {
-            // Re-touching the same line keeps the stream warm.
-            e.lastUse = tick;
-            return advice;
-        }
+        return advice;
     }
 
-    // New potential stream.
-    lru->valid = true;
-    lru->lastLine = line;
-    lru->nextLine = line + 1;
-    lru->lastUse = tick;
-    lru->confidence = 0;
+    // New potential stream: the last free entry, else the least
+    // recently used one (live entries' ticks are all distinct).
+    Entry *victim = &table[0];
+    if (filled < cfg.streams)
+        victim = &table[cfg.streams - 1 - filled++];
+    else
+        for (uint32_t i = 1; i < cfg.streams; ++i)
+            if (table[i].lastUse < victim->lastUse)
+                victim = &table[i];
+    *victim = Entry{line, tick, 0};
     return advice;
 }
 

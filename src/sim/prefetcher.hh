@@ -28,7 +28,14 @@ struct PrefetcherConfig
 };
 
 /**
- * Reference-pattern detector for forward streams.
+ * Reference-pattern detector for forward streams. observe() costs one
+ * subtract-and-compare per live entry, exact by three invariants. The
+ * window is `lastLine + 1 .. lastLine + 4`, so "same line or in the
+ * window" is `line - lastLine <= 4` unsigned. Entries never empty and
+ * a miss fills the last free one, so the live entries are the suffix
+ * `[streams - filled, streams)`. LRU state is read only on a miss, so
+ * the victim search runs only then. Lines of at least 8 bytes keep
+ * line ids below 2^61, so `lastLine + 4` never wraps.
  */
 class StreamPrefetcher
 {
@@ -56,15 +63,14 @@ class StreamPrefetcher
     struct Entry
     {
         uint64_t lastLine = 0;
-        uint64_t nextLine = 0;   //!< next line expected
         uint64_t lastUse = 0;
         uint8_t confidence = 0;
-        bool valid = false;
     };
 
     PrefetcherConfig cfg;
     uint32_t lineShift;  //!< log2(cfg.lineBytes); observe() is hot
     std::array<Entry, 32> table;
+    uint32_t filled = 0;  //!< live entries, the table's suffix
     uint64_t tick = 0;
     uint64_t confirmed = 0;
     uint64_t coveredCount = 0;

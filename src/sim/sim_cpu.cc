@@ -52,7 +52,7 @@ SimCpu::consume(const MicroOp &op)
         auto advice = prefetchUnit.observe(op.memAddr);
         for (uint32_t p = 0; p < advice.prefetchLines; ++p) {
             uint64_t line_addr = advice.prefetchFrom +
-                                 static_cast<uint64_t>(p) * 64;
+                                 uint64_t{p} * cfg.prefetch.lineBytes;
             l1dCache.prefetch(line_addr);
             l2Cache.prefetch(line_addr);
             if (cfg.hasL3)
@@ -145,7 +145,7 @@ SimCpu::consumeBatch(const OpBlockView &ops)
             auto advice = prefetchUnit.observe(mem_addr);
             for (uint32_t p = 0; p < advice.prefetchLines; ++p) {
                 uint64_t line_addr = advice.prefetchFrom +
-                                     static_cast<uint64_t>(p) * 64;
+                                     uint64_t{p} * cfg.prefetch.lineBytes;
                 l1dCache.prefetch(line_addr);
                 l2Cache.prefetch(line_addr);
                 if (has_l3)

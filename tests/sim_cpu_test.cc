@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/rng.hh"
 #include "core/metrics.hh"
@@ -67,6 +70,185 @@ TEST(Prefetcher, DisabledNeverCovers)
     StreamPrefetcher pf(cfg);
     for (int i = 0; i < 32; ++i)
         EXPECT_FALSE(pf.observe(i * 64ull).covered);
+}
+
+TEST(Prefetcher, RejectsLinesUnderEightBytes)
+{
+    // Line ids of 8-byte or larger lines stay below 2^61, so the window
+    // test `line - lastLine <= 4` never meets a wrapped window end.
+    for (uint32_t bytes : {1u, 2u, 4u}) {
+        PrefetcherConfig cfg;
+        cfg.lineBytes = bytes;
+        EXPECT_DEATH({ StreamPrefetcher pf(cfg); }, "at least 8 bytes");
+    }
+    PrefetcherConfig cfg;
+    cfg.lineBytes = 8;
+    StreamPrefetcher pf(cfg);
+    EXPECT_FALSE(pf.observe(~0ull).covered);
+}
+
+/**
+ * Reference stream detector, the first-match scan the prefetcher ran
+ * before its one-compare form: entries carry a valid flag and the
+ * next expected line, each one is tested for the window and then for
+ * the same line, and the scan tracks the LRU victim as it goes (the
+ * last invalid entry, else the oldest valid one). Takes byte
+ * addresses.
+ */
+struct FirstMatchScanPrefetcher
+{
+    struct Entry
+    {
+        uint64_t lastLine = 0, nextLine = 0, lastUse = 0;
+        uint8_t confidence = 0;
+        bool valid = false;
+    };
+    PrefetcherConfig cfg;
+    std::vector<Entry> table = std::vector<Entry>(cfg.streams);
+    uint64_t tick = 0, confirmed = 0, covered = 0;
+
+    StreamPrefetcher::Advice
+    observe(uint64_t addr)
+    {
+        StreamPrefetcher::Advice advice;
+        ++tick;
+        const int shift = std::countr_zero(cfg.lineBytes);
+        uint64_t line = addr >> shift;
+        Entry *lru = &table[0];
+        for (Entry &e : table) {
+            if (!e.valid) {
+                lru = &e;
+                continue;
+            }
+            if (lru->valid && e.lastUse < lru->lastUse)
+                lru = &e;
+            if (line >= e.nextLine && line < e.nextLine + 4) {
+                e.lastUse = tick;
+                e.lastLine = line;
+                e.nextLine = line + 1;
+                if (e.confidence < 4)
+                    ++e.confidence;
+                if (e.confidence >= 2) {
+                    confirmed += e.confidence == 2 ? 1 : 0;
+                    ++covered;
+                    advice = {true, cfg.degree, (line + 1) << shift};
+                }
+                return advice;
+            }
+            if (line == e.lastLine) {
+                e.lastUse = tick;
+                return advice;
+            }
+        }
+        *lru = Entry{line, line + 1, tick, 0, true};
+        return advice;
+    }
+};
+
+/**
+ * Line ids of one seeded address mix: "streams" interleaves `k`
+ * forward streams; "backward", "strides" (of 1-6 lines), "repeats"
+ * (of the same line), "converging" (two streams onto the same lines),
+ * "random" and "edges" (streams within a few lines of 0 and of 2^64)
+ * interleave their own few. Ids past the top of the address space
+ * wrap once turned into addresses.
+ */
+std::vector<uint64_t>
+prefetchMixLines(const std::string &mix, uint32_t k, size_t calls,
+                 Rng &rng)
+{
+    // Steps of 0-5 lines: the same line, the window's four lines and
+    // the first line past it.
+    auto step = [&rng]() -> uint64_t {
+        uint64_t pick = rng.nextBelow(16);
+        return pick < 2 ? 0 : pick < 12 ? 1 : 2 + rng.nextBelow(4);
+    };
+    std::vector<uint64_t> c(mix == "streams" ? k : 6);
+    for (uint64_t &line : c)
+        line = rng.nextBelow(1ull << 40);
+    if (mix == "converging")
+        c[1] = c[0] - 60;
+    if (mix == "edges")
+        c = {0, 3, ~0ull - 2, ~0ull - 8};
+    std::vector<uint64_t> lines;
+    for (size_t i = 0; lines.size() < calls; ++i) {
+        uint64_t &cur = c[i % c.size()];
+        if (mix == "streams") {
+            lines.push_back(cur += step());
+        } else if (mix == "backward") {
+            lines.push_back(cur -= 1 + rng.nextBelow(2));
+        } else if (mix == "strides") {
+            lines.push_back(cur += 1 + i % c.size());
+        } else if (mix == "repeats") {
+            cur += step();
+            lines.insert(lines.end(), 1 + rng.nextBelow(4), cur);
+        } else if (mix == "converging") {
+            // The second stream gains a line per round on the first,
+            // then touches the first one's line every round.
+            lines.push_back(i % 2 == 0 ? ++c[0]
+                                       : (c[1] = std::min(c[1] + 2, c[0])));
+        } else if (mix == "random") {
+            lines.push_back(rng.nextBelow(8) == 0
+                                ? rng.next()
+                                : rng.nextBelow(rng.nextBelow(256) + 1));
+        } else {
+            cur += rng.nextBelow(8) == 0 ? ~0ull : step();
+            lines.push_back(cur);
+        }
+    }
+    lines.resize(calls);
+    return lines;
+}
+
+/**
+ * Drive StreamPrefetcher and the first-match-scan reference with one
+ * mix; every call must give the same advice, and the final counters
+ * must agree.
+ */
+void
+expectMatchesFirstMatchScan(const PrefetcherConfig &cfg,
+                            const std::string &mix, uint32_t k,
+                            uint64_t seed)
+{
+    SCOPED_TRACE(mix + " k=" + std::to_string(k) + ", " +
+                 std::to_string(cfg.streams) + " streams, degree " +
+                 std::to_string(cfg.degree) + ", " +
+                 std::to_string(cfg.lineBytes) + " B lines");
+    StreamPrefetcher pf(cfg);
+    FirstMatchScanPrefetcher ref{cfg};
+    Rng rng(seed);
+    const auto lines = prefetchMixLines(mix, k, 2000, rng);
+    for (size_t i = 0; i < lines.size(); ++i) {
+        uint64_t addr =
+            lines[i] * cfg.lineBytes + rng.nextBelow(cfg.lineBytes);
+        auto got = pf.observe(addr);
+        auto want = ref.observe(addr);
+        ASSERT_EQ(got.covered, want.covered) << "call " << i;
+        ASSERT_EQ(got.prefetchLines, want.prefetchLines) << "call " << i;
+        ASSERT_EQ(got.prefetchFrom, want.prefetchFrom) << "call " << i;
+    }
+    EXPECT_EQ(pf.streamsConfirmed(), ref.confirmed);
+    EXPECT_EQ(pf.coveredAccesses(), ref.covered);
+}
+
+TEST(Prefetcher, MatchesFirstMatchScanReference)
+{
+    const std::vector<std::pair<std::string, uint32_t>> mixes = {
+        {"streams", 1},  {"streams", 8},     {"streams", 15},
+        {"streams", 16}, {"streams", 17},    {"streams", 40},
+        {"backward", 0}, {"strides", 0},     {"repeats", 0},
+        {"random", 0},   {"converging", 0}, {"edges", 0}};
+    uint64_t seed = 1;
+    for (uint32_t line_bytes : {8u, 64u, 4096u}) {
+        for (uint32_t streams : {1u, 2u, 8u, 16u, 32u}) {
+            for (uint32_t degree : {0u, 2u, 4u}) {
+                for (const auto &[mix, k] : mixes)
+                    expectMatchesFirstMatchScan(
+                        {true, streams, degree, line_bytes}, mix, k,
+                        seed++);
+            }
+        }
+    }
 }
 
 TEST(FootprintSweep, MonotoneNonIncreasingCurves)
@@ -375,6 +557,30 @@ TEST(SimCpu, RejectsLineAndPageSizesTheSkipsCannotUse)
     MachineConfig dtlb = xeonE5645();
     dtlb.dtlb.pageBytes = 2 * 1024 * 1024;
     EXPECT_DEATH({ SimCpu cpu(dtlb); }, "4 KB ITLB/DTLB pages");
+}
+
+TEST(SimCpu, PrefetchFillsStepByThePrefetcherLine)
+{
+    // 128-byte prefetch lines over 64-byte L1D lines: a stream striding
+    // three prefetch lines hits on demand only if the four fills ahead
+    // of each access sit a prefetch line apart, not 64 bytes apart.
+    MachineConfig m = xeonE5645();
+    m.prefetch.lineBytes = 128;
+    std::vector<MicroOp> ops(1000);
+    for (size_t i = 0; i < ops.size(); ++i) {
+        ops[i].kind = OpKind::Load;
+        ops[i].pc = 0x400000;
+        ops[i].memAddr = 0x10000000 + i * 3 * 128;
+        ops[i].memSize = 8;
+    }
+    SimCpu per_op(m);
+    for (const MicroOp &op : ops)
+        per_op.consume(op);
+    SimCpu batched(m);
+    batched.consumeOps(ops.data(), ops.size());
+    // Only the accesses before the stream is confirmed miss.
+    EXPECT_EQ(per_op.l1d().misses(), 3u);
+    EXPECT_EQ(batched.l1d().misses(), 3u);
 }
 
 TEST(MachineConfigs, MatchTable3)
